@@ -114,10 +114,18 @@ def cmd_run(args) -> int:
 
 
 def _sweep_worker(job) -> tuple:
+    """One run of a sweep or table1; a failure names its seed and keeps its
+    exception type, so the exit code stays the same."""
     canonical, out_dir = job
-    result = _execute(canonical, out_dir, quiet=True)
+    seed = canonical["seed"]
+    try:
+        result = _execute(canonical, out_dir, quiet=True)
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(f"seed {seed}: {exc}", jitter=exc.jitter) from exc
+    except (FileNotFoundError, ConfigurationError, ContractViolationError) as exc:
+        raise type(exc)(f"seed {seed}: {exc}") from exc
     last = result.records[-1]
-    return canonical["seed"], last.best, last.R
+    return seed, last.best, last.R
 
 
 def cmd_sweep(args) -> int:

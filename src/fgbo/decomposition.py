@@ -6,13 +6,16 @@ evidence of the induced additive kernel under shared hyperparameters (total
 signal variance split equally among factors, one lengthscale per dimension),
 so that evidence comparisons are about structure, not hyperparameter fit.
 
-The Metropolis-Hastings sampler proposes uniformly among four move families:
-(a) move a dimension from one subset to another, (b) split a subset, (c)
-merge two subsets when the union fits the size bound, (d) add or remove a
-single membership subject to coverage.  Proposals that would orphan a
-dimension, create a duplicate subset, or exceed max_factor_size are simply
-absent from the move list; the acceptance ratio carries the Hastings
-correction for the asymmetric move counts.
+The Metropolis-Hastings sampler proposes uniformly from a move list built by
+six move families: (a) move a dimension from one subset to another, (b)
+split a subset, (c) merge two subsets when the union fits the size bound,
+(d) add or remove a single membership subject to coverage, (e) re-pair two
+subsets into another two-subset cover of their union, (f) spawn a strict
+sub-subset as a new factor.  Proposals that would orphan a dimension, create
+a duplicate subset, or exceed max_factor_size are simply absent from the
+move list; the acceptance ratio carries the Hastings correction for the
+asymmetric move counts.  The sampler draws a proposal by its index in the
+list, so the order of the list is part of a seeded chain's reproducibility.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,116 +181,129 @@ def default_hypers(obs: ObservationSet) -> SharedHypers:
 State = tuple  # canonical tuple of sorted subset tuples
 
 
+@lru_cache(maxsize=None)
+def _cover_pairs(p: int, max_size: int) -> tuple:
+    """Index pairs (a, b), a < b, of the distinct two-subset covers of
+    range(p) with parts of size 1..max_size.
+
+    The order is that of the first appearance of {a, b} in a scan over amask,
+    then bmask, both increasing.  Since b must contain every index a leaves
+    out, bmask = restmask | sub over the submasks sub of amask, taken in
+    increasing order.
+    """
+    if p > 2 * max_size:
+        return ()  # no two parts of at most max_size cover the pool
+    full = (1 << p) - 1
+    pairs = []
+    seen = set()
+    for amask in range(1, full + 1):
+        restmask = full & ~amask
+        if amask.bit_count() > max_size or restmask.bit_count() > max_size:
+            continue
+        a = tuple(q for q in range(p) if amask >> q & 1)
+        sub = 0
+        while True:
+            bmask = restmask | sub
+            if bmask and bmask != amask and bmask.bit_count() <= max_size:
+                b = tuple(q for q in range(p) if bmask >> q & 1)
+                pair = (a, b) if a <= b else (b, a)
+                if pair not in seen:
+                    seen.add(pair)
+                    pairs.append(pair)
+            if sub == amask:
+                break
+            sub = (sub - amask) & amask  # next submask of amask
+    return tuple(pairs)
+
+
 def enumerate_moves(state: State, d: int, max_size: int) -> list[State]:
-    """All single-step successors (with multiplicity) of a canonical state."""
+    """All single-step successors (with multiplicity) of a canonical state,
+    in the order families (a)-(f) build them."""
     subs = list(state)
+    n = len(subs)
     existing = set(subs)
     counts = Counter()
     for s in subs:
         counts.update(s)
+    # the subsets other than subs[si], and other than both subs[si] and subs[di]
+    without = [subs[:si] + subs[si + 1 :] for si in range(n)]
+    without_set = [set(rest) for rest in without]
+    without_pair = [
+        [[s for q, s in enumerate(subs) if q != si and q != di] for di in range(n)]
+        for si in range(n)
+    ]
+    without_pair_set = [[set(rest) for rest in row] for row in without_pair]
     moves: list[State] = []
 
-    def replaced(idx, *new):
-        out = [s for q, s in enumerate(subs) if q != idx]
-        out.extend(n for n in new if n)
-        return _canonical(out)
-
-    def valid(parts) -> bool:
-        seen = set()
-        for p in parts:
-            if p in seen:
-                return False
-            seen.add(p)
-        return True
-
+    # Every subset built below is already a sorted tuple, so sorting the
+    # outer list is enough to canonicalise a successor.
     # (a) move one dimension from subset src to subset dst
     for si, src in enumerate(subs):
         if len(src) < 2:
             continue
         for j in src:
+            new_src = tuple(v for v in src if v != j)
             for di, dst in enumerate(subs):
                 if di == si or j in dst or len(dst) + 1 > max_size:
                     continue
-                new_src = tuple(v for v in src if v != j)
                 new_dst = tuple(sorted(dst + (j,)))
-                others = existing - {src, dst}
-                if new_src in others or new_dst in others or new_src == new_dst:
+                others = without_pair_set[si][di]
+                if new_src in others or new_dst in others:
                     continue
-                out = [s for q, s in enumerate(subs) if q not in (si, di)]
-                out.extend([new_src, new_dst])
-                moves.append(_canonical(out))
+                moves.append(tuple(sorted(without_pair[si][di] + [new_src, new_dst])))
     # (b) split a subset into two nonempty parts
     for si, src in enumerate(subs):
         k = len(src)
         if k < 2:
             continue
+        others = without_set[si]
         for mask in range(1, 2 ** (k - 1)):
             a = tuple(src[q] for q in range(k) if mask >> q & 1)
             b = tuple(src[q] for q in range(k) if not mask >> q & 1)
-            others = existing - {src}
             if a in others or b in others:
                 continue
-            moves.append(replaced(si, a, b))
+            moves.append(tuple(sorted(without[si] + [a, b])))
     # (c) merge two subsets when the union fits
-    for si in range(len(subs)):
-        for di in range(si + 1, len(subs)):
+    for si in range(n):
+        for di in range(si + 1, n):
             merged = tuple(sorted(set(subs[si]) | set(subs[di])))
-            if len(merged) > max_size:
+            if len(merged) > max_size or merged in without_pair_set[si][di]:
                 continue
-            others = existing - {subs[si], subs[di]}
-            if merged in others:
-                continue
-            out = [s for q, s in enumerate(subs) if q not in (si, di)]
-            out.append(merged)
-            moves.append(_canonical(out))
+            moves.append(tuple(sorted(without_pair[si][di] + [merged])))
     # (d) add or remove one membership, keeping coverage
     for si, src in enumerate(subs):
+        others = without_set[si]
         if len(src) + 1 <= max_size:
             for j in range(d):
                 if j in src:
                     continue
                 grown = tuple(sorted(src + (j,)))
-                if grown in existing - {src}:
+                if grown in others:
                     continue
-                moves.append(replaced(si, grown))
+                moves.append(tuple(sorted(without[si] + [grown])))
         if len(src) >= 2:
             for j in src:
                 if counts[j] < 2:
                     continue  # removal would orphan j
                 shrunk = tuple(v for v in src if v != j)
-                if shrunk in existing - {src}:
+                if shrunk in others:
                     continue
-                moves.append(replaced(si, shrunk))
+                moves.append(tuple(sorted(without[si] + [shrunk])))
     # (e) re-pair two subsets: any other two-subset cover of their union.
     # This jumps directly between pairings that single moves can only reach
     # through deep evidence valleys, and it is closed under reversal since
     # the union is preserved.
-    for si in range(len(subs)):
-        for di in range(si + 1, len(subs)):
+    for si in range(n):
+        for di in range(si + 1, n):
             pool = tuple(sorted(set(subs[si]) | set(subs[di])))
-            p = len(pool)
-            others = existing - {subs[si], subs[di]}
-            seen_pairs = set()
-            for amask in range(1, 2**p - 1 + 1):
-                a = tuple(pool[q] for q in range(p) if amask >> q & 1)
-                if not a or len(a) > max_size:
+            current = (subs[si], subs[di])
+            others = without_pair_set[si][di]
+            for ia, ib in _cover_pairs(len(pool), max_size):
+                a = tuple([pool[q] for q in ia])
+                b = tuple([pool[q] for q in ib])
+                if (a, b) == current or a in others or b in others:
                     continue
-                rest = [pool[q] for q in range(p) if not amask >> q & 1]
-                for bmask in range(2**p):
-                    b = tuple(pool[q] for q in range(p) if bmask >> q & 1)
-                    if not b or len(b) > max_size or b == a:
-                        continue
-                    if set(a) | set(b) != set(pool):
-                        continue
-                    pair = (a, b) if a <= b else (b, a)
-                    if pair in seen_pairs or pair == (subs[si], subs[di]):
-                        continue
-                    seen_pairs.add(pair)
-                    if pair[0] in others or pair[1] in others:
-                        continue
-                    out = [s for q, s in enumerate(subs) if q not in (si, di)]
-                    out.extend(pair)
-                    moves.append(_canonical(out))
+                moves.append(tuple(sorted(without_pair[si][di] + [a, b])))
     # (f) spawn a strict sub-subset as a new factor (reverse of a merge
     # whose union coincides with one operand)
     for src in subs:
@@ -297,7 +314,7 @@ def enumerate_moves(state: State, d: int, max_size: int) -> list[State]:
             t = tuple(src[q] for q in range(k) if mask >> q & 1)
             if t in existing:
                 continue
-            moves.append(_canonical(subs + [t]))
+            moves.append(tuple(sorted(subs + [t])))
     return moves
 
 

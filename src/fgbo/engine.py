@@ -109,6 +109,8 @@ class RunConfig:
             raise ConfigurationError("initial_evaluations must be >= 1")
         if not isinstance(self.seed, (int, np.integer)):
             raise ConfigurationError("seed must be an integer (no entropy default)")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "grid_caps", tuple(int(c) for c in self.grid_caps))
 
     def to_canonical_dict(self) -> dict:
@@ -157,7 +159,7 @@ class IterationRecord:
     t: int
     x: np.ndarray  # natural coordinates
     y: float  # observed (noisy) value, maximization orientation
-    f: float  # true value, maximization orientation
+    f: float  # true value, natural orientation
     r: float  # instantaneous regret (nan when optimum unknown)
     R: float  # cumulative regret
     best: float  # best-so-far simple regret
@@ -366,6 +368,11 @@ def run_resolved(res: ResolvedRun) -> RunResult:
         f_nat = evaluate(obj, x_nat)
         g_true = sign * f_nat
         y = sign * noisy_evaluate(obj, x_nat, config.noise_variance, noise_rng)
+        if not (math.isfinite(f_nat) and math.isfinite(y)):
+            raise NumericalFailureError(
+                f"evaluation {len(y_obs) + 1}: objective value is not finite "
+                f"(f={f_nat!r}, y={y!r})"
+            )
         X_unit.append(u)
         y_obs.append(y)
         visited.add(tuple(u))

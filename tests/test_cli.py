@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,6 +106,19 @@ def test_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def _nan_shekel4(name):
+    return replace(bench.shekel4(), batch_fn=lambda X: np.full(len(X), np.nan))
+
+
+def test_non_finite_objective_exits_4(tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path, RANDOM_CFG)
+    monkeypatch.setattr(cli.engine, "make_objective", _nan_shekel4)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "not finite" in err
+
+
 def test_out_dir_env_and_flag_precedence(tmp_path, monkeypatch):
     cfg = _write(tmp_path, RANDOM_CFG)
     env_dir = tmp_path / "from_env"
@@ -134,6 +148,27 @@ def test_sweep_writes_summary_and_per_seed_runs(tmp_path, capsys):
     # summary floats round-trip at 17 significant digits
     best = float(lines[1].split(",")[1])
     assert np.isfinite(best)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_error_names_the_failing_seed(tmp_path, capsys, jobs):
+    cfg = _write(tmp_path, RANDOM_CFG)
+    out = str(tmp_path / "s")
+    argv = ["sweep", "--config", cfg, "--out", out, "--seeds", "0,-1,2", "--jobs", jobs]
+    assert main(argv + ["--quiet"]) == 3
+    assert "invalid configuration: seed -1: " in capsys.readouterr().err
+
+
+def test_sweep_and_table1_failures_keep_their_exit_code(tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path, RANDOM_CFG)
+    monkeypatch.setattr(cli.engine, "make_objective", _nan_shekel4)
+    out = str(tmp_path / "s")
+    assert main(["sweep", "--config", cfg, "--out", out, "--seeds", "4"]) == 4
+    assert "numerical failure: seed 4: " in capsys.readouterr().err
+    argv = ["table1", "--out", str(tmp_path / "t"), "--iterations", "2"]
+    argv += ["--num-seeds", "1", "--benchmarks", "shekel4", "--labels", "add"]
+    assert main(argv + ["--quiet"]) == 4
+    assert "numerical failure: seed 0: " in capsys.readouterr().err
 
 
 def test_table1_small_matrix(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from fgbo.bench import evaluate_batch, hartmann6
 from fgbo.decomposition import (
     Decomposition,
     DecompositionEnsemble,
@@ -137,6 +139,68 @@ def test_repair_move_crosses_pairings_directly():
     state = (((0, 1)), (2, 3))
     state = tuple(sorted([(0, 2), (1, 3)]))
     assert tuple(sorted([(0, 1), (2, 3)])) in enumerate_moves(state, 4, 2)
+
+
+# SHA-256 of the ordered move lists over _move_list_digest(), recorded from the
+# original enumeration, which scanned all 2^p x 2^p mask pairs for move (e).
+# sample_posterior proposes moves[rng.integers(len(moves))], so the order of
+# the list, not only its multiset, fixes a seeded chain.
+MOVE_LIST_SHA256 = "5515d465a4a0425b1018e9ce0a521c9c19d7aea55b2f72ca981c3be655f8c30c"
+
+
+def _move_list_digest() -> tuple[str, int]:
+    """Digest and count of the move lists of seeded random covering states
+    and a few random-walk steps from each."""
+    digest = hashlib.sha256()
+    num_states = 0
+    for d, max_size in ((3, 2), (4, 2), (6, 3), (6, 4), (8, 3)):
+        rng = np.random.default_rng(100 * d + max_size)
+        for _ in range(6):
+            extras = int(rng.integers(0, 3))
+            state = random_covering_decomposition(d, max_size, rng, extras).subsets
+            for _ in range(5):
+                moves = enumerate_moves(state, d, max_size)
+                digest.update(repr((d, max_size, state, moves)).encode())
+                num_states += 1
+                state = moves[int(rng.integers(len(moves)))]
+    return digest.hexdigest(), num_states
+
+
+def test_move_list_order_is_pinned():
+    digest, num_states = _move_list_digest()
+    assert num_states == 150
+    assert digest == MOVE_LIST_SHA256
+
+
+def _hartmann6_obs(n: int = 24) -> ObservationSet:
+    rng = np.random.default_rng(6)
+    X = rng.uniform(size=(n, 6))
+    y = -evaluate_batch(hartmann6(), X)
+    return ObservationSet(X, y - y.mean(), 0.01)
+
+
+def _hartmann6_ensemble():
+    ens = sample_posterior(
+        _hartmann6_obs(),
+        PriorConfig(max_factor_size=3, size_penalty=1.0),
+        McmcConfig(chain_length=16, burn_in=4, thinning=3, num_samples=5),
+        rng=np.random.default_rng(0),
+    )
+    return [dec.subsets for dec in ens.samples]
+
+
+# recorded from the original enumeration, like MOVE_LIST_SHA256
+HARTMANN6_ENSEMBLE = [
+    ((0, 3), (1,), (1, 2), (2,), (4,), (5,)),
+    ((0, 1, 4), (1,), (1, 2, 4), (2,), (3,), (5,)),
+    ((0, 1, 2), (0, 4, 5), (1,), (1, 4, 5), (2,), (3,)),
+    ((0,), (0, 4, 5), (1,), (1, 2), (1, 4, 5), (2,), (3,)),
+    ((0, 1, 2), (0, 4, 5), (1,), (1, 5), (2,), (3,), (4,)),
+]
+
+
+def test_sample_posterior_hartmann6_ensemble_is_pinned():
+    assert _hartmann6_ensemble() == HARTMANN6_ENSEMBLE
 
 
 def test_mh_kernel_leaves_exact_posterior_invariant():

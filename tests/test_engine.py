@@ -2,11 +2,12 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fgbo.bench import make_objective, shekel4
+from fgbo.bench import hartmann6, make_objective, shekel4
 from fgbo.engine import (
     IterationRecord,
     RunConfig,
@@ -18,7 +19,11 @@ from fgbo.engine import (
     write_manifest,
     write_trace_csv,
 )
-from fgbo.errors import ConfigurationError, ContractViolationError
+from fgbo.errors import (
+    ConfigurationError,
+    ContractViolationError,
+    NumericalFailureError,
+)
 from fgbo.kernels import AdditiveKernel, FactorKernel
 
 PRIOR_2D = {
@@ -49,6 +54,8 @@ def test_run_config_validation():
         )
     with pytest.raises(ConfigurationError):
         RunConfig(objective="shekel4", algorithm="random_search", iterations=5, seed=None)
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        RunConfig(objective="shekel4", algorithm="random_search", iterations=5, seed=-1)
 
 
 def test_random_search_rows_and_regret_accounting():
@@ -336,4 +343,35 @@ def test_dec_hbo_requires_decomposition():
         objective="shekel4", algorithm="dec_hbo", iterations=2, seed=0
     )
     with pytest.raises(ConfigurationError):
+        run(config)
+
+
+def _hartmann6_bad_from_call(call: int, value: float):
+    """Hartmann-6 whose batch function returns value from its call-th call on."""
+    obj = hartmann6()
+    calls = [0]
+
+    def batch_fn(X):
+        calls[0] += 1
+        out = obj.batch_fn(X)
+        return np.full_like(out, value) if calls[0] >= call else out
+
+    return replace(obj, batch_fn=batch_fn)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("algorithm", ["dec_hbo", "random_search"])
+def test_non_finite_objective_value_fails_closed(algorithm, value):
+    # the 7th call is the 4th observation's true value: without the check a
+    # NaN reaches the Cholesky fit as a raw ValueError, or the trace silently
+    config = RunConfig(
+        objective=_hartmann6_bad_from_call(7, value),
+        algorithm=algorithm,
+        iterations=3,
+        seed=0,
+        initial_evaluations=5,
+        decomposition={"mode": "static", "subsets": [[0, 1, 2], [3, 4, 5]]},
+        grid_caps=(2, 4),
+    )
+    with pytest.raises(NumericalFailureError, match="evaluation 4: .*not finite"):
         run(config)
