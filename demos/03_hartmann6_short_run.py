@@ -16,8 +16,7 @@ config = RunConfig(
     initial_evaluations=5,
     noise_variance=0.01,
     decomposition={"mode": "random", "max_factor_size": 3, "num_extra_overlaps": 1},
-    beta={"mode": "fixed_constant", "fixed_value": 4.0,
-          "delta": 0.1, "lipschitz_a": 1.0, "lipschitz_b": 1.0},
+    beta={"mode": "fixed_constant", "fixed_value": 4.0},
     grid_caps=(2, 32),
 )
 

@@ -24,7 +24,7 @@ truth = Decomposition(d=4, subsets=((0, 1), (2, 3)), max_factor_size=2)
 hypers = SharedHypers(total_signal_variance=2.0, lengthscales=0.25)
 
 X = rng.uniform(size=(60, 4))
-K = gram(induced_kernel(truth, hypers), X)
+K = gram(induced_kernel(truth.subsets, hypers), X)
 L = np.linalg.cholesky(K + 1e-10 * np.eye(60))
 y = L @ rng.standard_normal(60) + 0.05 * rng.standard_normal(60)
 

@@ -10,8 +10,7 @@ import numpy as np
 
 from fgbo.engine import RunConfig, run
 
-BETA = {"mode": "fixed_constant", "fixed_value": 4.0,
-        "delta": 0.1, "lipschitz_a": 1.0, "lipschitz_b": 1.0}
+BETA = {"mode": "fixed_constant", "fixed_value": 4.0}
 
 
 def lookups(algorithm: str, tau: int, decomposition=None) -> float:

@@ -250,14 +250,6 @@ class DiscretizedAcquisition:
     def factor_weight(self, i: int) -> float:
         return 1.0 if self.weights is None else self.weights[i]
 
-    def total_value(self, indices) -> float:
-        """Weighted sum of factor tables at one joint grid-index assignment."""
-        indices = tuple(int(i) for i in indices)
-        total = 0.0
-        for i, (s, tab) in enumerate(zip(self.subsets, self.tables)):
-            total += self.factor_weight(i) * float(tab[tuple(indices[j] for j in s)])
-        return total
-
 
 def tabulate(
     posterior: FactorPosterior, grid: GridSpec, beta_value: float

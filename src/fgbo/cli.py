@@ -26,11 +26,10 @@ import numpy as np
 
 from . import __version__, bench, config as config_mod, engine
 from .acquisition import BetaMode, BetaSchedule, beta
-from .decomposition import Decomposition
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
-from .gp import ObservationSet, chol_with_jitter, fit
+from .gp import ObservationSet, dense_cholesky_with_jitter, fit
 from .kernels import AdditiveKernel, FactorKernel, gram
-from .maxsum import FactorGraph, MessageTable, decode, run_rounds
+from .maxsum import FactorGraph, decode, run_rounds
 
 EXIT_OK = 0
 EXIT_MISSING_FILE = 2
@@ -85,7 +84,7 @@ def _out_dir(flag_value: str | None) -> str:
 
 
 def _load_canonical(path: str) -> dict:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):  # a directory is a missing file too
         raise FileNotFoundError(path)
     return config_mod.validate_config(config_mod.load_config_file(path))
 
@@ -128,9 +127,19 @@ def _sweep_worker(job) -> tuple:
     return seed, last.best, last.R
 
 
+def _parse_seeds(text: str) -> list[int]:
+    seeds = []
+    for token in text.split(","):
+        try:
+            seeds.append(int(token))
+        except ValueError:
+            raise ConfigurationError(f"--seeds entry {token!r} is not an integer") from None
+    return seeds
+
+
 def cmd_sweep(args) -> int:
     canonical = _load_canonical(args.config)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = _parse_seeds(args.seeds)
     base = _out_dir(args.out)
     jobs = []
     for seed in seeds:
@@ -259,7 +268,7 @@ def _selftest_checks():
     K = gram(kernel, Xo)
     sym = float(np.abs(K - K.T).max())
     try:
-        chol_with_jitter(K + 0.05 * np.eye(len(Xo)))
+        dense_cholesky_with_jitter(K + 0.05 * np.eye(len(Xo)))
         psd = True
     except NumericalFailureError:
         psd = False

@@ -1,18 +1,35 @@
-"""Fail-closed validation of run configuration documents.
+"""Run configuration: the schema, every default, and fail-closed validation.
 
-A configuration is a JSON object; validate_config fills defaults and
-rejects unknown keys, wrong types, and cross-field inconsistencies with a
-ConfigurationError naming the offending path.  The returned canonical dict
-is what manifests embed, so validating it again is a no-op.
+This module is the only place that knows what a run config may hold.  A
+configuration is a JSON object, or the fields of engine.RunConfig, which
+passes them through here on construction; so the CLI and the Python API
+accept and reject the same inputs, with the same exceptions.
+validate_config fills the defaults and rejects unknown keys, wrong types,
+and cross-field inconsistencies with a ConfigurationError naming the
+offending path.  The returned canonical dict holds every key, nested ones
+included, and is what manifests embed, so validating it again is a no-op.
+An in-memory SyntheticObjective passes through unchanged.
 """
 
 from __future__ import annotations
 
-import copy
 import json
+import numbers
 
-from .engine import ALGORITHMS, DEFAULT_BETA, DEFAULT_GP, DEFAULT_MAXSUM
+from .bench import SyntheticObjective
 from .errors import ConfigurationError
+
+ALGORITHMS = ("dec_hbo", "add_independent", "centralized_gp_ucb", "random_search")
+
+DEFAULT_BETA = {
+    "mode": "discrete_domain",
+    "delta": 0.1,
+    "fixed_value": None,
+    "lipschitz_a": 1.0,
+    "lipschitz_b": 1.0,
+}
+DEFAULT_MAXSUM = {"rounds": 30, "damping": 0.0, "tol": 1e-8}
+DEFAULT_GP = {"signal_variance": None, "lengthscale": 0.2, "center_observations": True}
 
 _OBJECTIVE_NAMES = ("shekel4", "hartmann6", "michalewicz10")
 _BETA_MODES = ("discrete_domain", "continuous_lipschitz", "fixed_constant")
@@ -41,7 +58,8 @@ def _check_keys(doc: dict, allowed, path: str):
 
 
 def _as_int(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
+    # numbers.Integral admits numpy integers; bool is one too, and is refused
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         _fail(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(path, f"must be >= {minimum}, got {value}")
@@ -78,6 +96,8 @@ def _validate_subsets(value, path):
 
 
 def _validate_objective(value, path):
+    if isinstance(value, SyntheticObjective):
+        return value
     if isinstance(value, str):
         if value not in _OBJECTIVE_NAMES:
             _fail(path, f"unknown objective {value!r}; choose from {_OBJECTIVE_NAMES}")
@@ -219,7 +239,11 @@ _REQUIRED = ("objective", "algorithm", "iterations", "seed")
 
 
 def validate_config(raw: dict) -> dict:
-    """Validate a raw config document into canonical form (fail-closed)."""
+    """Validate a raw config document into canonical form (fail-closed).
+
+    Every nested container of the result is built here, so it shares no
+    state with the input or with the defaults above.
+    """
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
     _check_keys(raw, _TOP_KEYS, "config")
@@ -233,7 +257,7 @@ def validate_config(raw: dict) -> dict:
         "objective": _validate_objective(raw["objective"], "config.objective"),
         "algorithm": algorithm,
         "iterations": _as_int(raw["iterations"], "config.iterations", minimum=1),
-        "seed": _as_int(raw["seed"], "config.seed"),
+        "seed": _as_int(raw["seed"], "config.seed", minimum=0),
         "initial_evaluations": _as_int(
             raw.get("initial_evaluations", 5), "config.initial_evaluations", 1
         ),
@@ -270,15 +294,15 @@ def validate_config(raw: dict) -> dict:
         )
     if algorithm != "random_search" and out["noise_variance"] <= 0:
         _fail("config.noise_variance", "model-based algorithms need noise_variance > 0")
-    return copy.deepcopy(out)
+    return out
 
 
 def load_config_file(path: str) -> dict:
     """Read a JSON config or manifest file; manifests are unwrapped."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
     if isinstance(doc, dict) and "fgbo_version" in doc and "config" in doc:
         doc = doc["config"]

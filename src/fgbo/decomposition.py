@@ -146,8 +146,9 @@ class SharedHypers:
         return float(self.lengthscales[dim])
 
 
-def induced_kernel(dec: Decomposition, hypers: SharedHypers) -> AdditiveKernel:
-    per_factor = hypers.total_signal_variance / dec.num_factors
+def induced_kernel(subsets, hypers: SharedHypers) -> AdditiveKernel:
+    """Additive kernel over the subsets, total signal variance split equally."""
+    per_factor = hypers.total_signal_variance / len(subsets)
     return AdditiveKernel(
         factors=tuple(
             FactorKernel(
@@ -155,7 +156,7 @@ def induced_kernel(dec: Decomposition, hypers: SharedHypers) -> AdditiveKernel:
                 signal_variance=per_factor,
                 lengthscales=tuple(hypers.lengthscale_for(j) for j in s),
             )
-            for s in dec.subsets
+            for s in subsets
         )
     )
 
@@ -164,7 +165,7 @@ def log_evidence(
     dec: Decomposition, obs: ObservationSet, hypers: SharedHypers
 ) -> float:
     """GP log marginal likelihood of the induced additive kernel."""
-    return log_marginal_likelihood(induced_kernel(dec, hypers), obs)
+    return log_marginal_likelihood(induced_kernel(dec.subsets, hypers), obs)
 
 
 def default_hypers(obs: ObservationSet) -> SharedHypers:

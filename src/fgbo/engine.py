@@ -14,6 +14,12 @@ objective's natural box for evaluation and logging.  Objectives flagged
 minimize=True are negated, so the engine always maximizes g and reports the
 regret r_t = g(x*) - g(x_t).
 
+Configuration: RunConfig runs its fields through config.validate_config, so
+it holds canonical values with every nested key present, and this module
+reads them directly; the defaults and the checks live only in config.
+resolve draws any random decomposition once and hands the static structure
+to run_resolved.
+
 Reproducibility: the seed spawns three independent child streams
 (decomposition, queries, noise), so re-running a manifest whose random
 decomposition was resolved to static subsets leaves the query and noise
@@ -24,11 +30,12 @@ timing would break that byte-identity.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -47,9 +54,9 @@ from .bench import (
     noisy_evaluate,
     prior_sample_objective,
 )
+from .config import validate_config
 from .decomposition import (
     Decomposition,
-    DecompositionEnsemble,
     McmcConfig,
     PriorConfig,
     SharedHypers,
@@ -64,94 +71,50 @@ from .gp import ObservationSet, fit
 from .kernels import AdditiveKernel, FactorKernel, cross_factor
 from .maxsum import MaxSumConfig, solve
 
-ALGORITHMS = ("dec_hbo", "add_independent", "centralized_gp_ucb", "random_search")
-
-DEFAULT_BETA = {
-    "mode": "discrete_domain",
-    "delta": 0.1,
-    "fixed_value": None,
-    "lipschitz_a": 1.0,
-    "lipschitz_b": 1.0,
-}
-DEFAULT_MAXSUM = {"rounds": 30, "damping": 0.0, "tol": 1e-8}
-DEFAULT_GP = {"signal_variance": None, "lengthscale": 0.2, "center_observations": True}
-
 # refuse centralized joint grids beyond this many points
 MAX_JOINT_GRID = 4_000_000
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Plain-data run description; nested specs are canonical dicts."""
+    """A run description, validated on construction like a CLI config.
+
+    The fields are the keys of a config document (see fgbo.config); a field
+    left None takes config's default, and nested dicts may be partial.
+    Construction runs them through config.validate_config, so a bad value
+    raises ConfigurationError, and stores the canonical values.
+    """
 
     objective: object  # name, prior-sample spec dict, or SyntheticObjective
     algorithm: str
     iterations: int
     seed: int
-    initial_evaluations: int = 5
-    noise_variance: float = 0.01
+    initial_evaluations: int | None = None
+    noise_variance: float | None = None
     decomposition: dict | None = None
-    beta: dict = field(default_factory=lambda: dict(DEFAULT_BETA))
-    grid_caps: tuple[int, int] = (2, 64)
-    maxsum: dict = field(default_factory=lambda: dict(DEFAULT_MAXSUM))
-    gp: dict = field(default_factory=lambda: dict(DEFAULT_GP))
-    measure_wall_time: bool = False
+    beta: dict | None = None
+    grid_caps: list | tuple | None = None
+    maxsum: dict | None = None
+    gp: dict | None = None
+    measure_wall_time: bool | None = None
     optimum_value: float | None = None
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(
-                f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
-            )
-        if self.iterations < 1:
-            raise ConfigurationError("iterations must be >= 1")
-        if self.initial_evaluations < 1:
-            raise ConfigurationError("initial_evaluations must be >= 1")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ConfigurationError("seed must be an integer (no entropy default)")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "grid_caps", tuple(int(c) for c in self.grid_caps))
+        given = {f.name: getattr(self, f.name) for f in fields(self)}
+        canonical = validate_config({k: v for k, v in given.items() if v is not None})
+        for name, value in canonical.items():
+            object.__setattr__(self, name, value)
 
     def to_canonical_dict(self) -> dict:
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
         if isinstance(self.objective, SyntheticObjective):
-            obj: object = {"kind": self.objective.kind.value, "in_memory": True}
-        else:
-            obj = self.objective
-        return {
-            "objective": obj,
-            "algorithm": self.algorithm,
-            "iterations": self.iterations,
-            "seed": int(self.seed),
-            "initial_evaluations": self.initial_evaluations,
-            "noise_variance": self.noise_variance,
-            "decomposition": self.decomposition,
-            "beta": dict(self.beta),
-            "grid_caps": list(self.grid_caps),
-            "maxsum": dict(self.maxsum),
-            "gp": dict(self.gp),
-            "measure_wall_time": self.measure_wall_time,
-            "optimum_value": self.optimum_value,
-        }
+            doc["objective"] = {"kind": self.objective.kind.value, "in_memory": True}
+        return copy.deepcopy(doc)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        doc = dict(doc)
-        return cls(
-            objective=doc["objective"],
-            algorithm=doc["algorithm"],
-            iterations=doc["iterations"],
-            seed=doc["seed"],
-            initial_evaluations=doc.get("initial_evaluations", 5),
-            noise_variance=doc.get("noise_variance", 0.01),
-            decomposition=doc.get("decomposition"),
-            beta=dict(doc.get("beta") or DEFAULT_BETA),
-            grid_caps=tuple(doc.get("grid_caps", (2, 64))),
-            maxsum=dict(doc.get("maxsum") or DEFAULT_MAXSUM),
-            gp=dict(doc.get("gp") or DEFAULT_GP),
-            measure_wall_time=doc.get("measure_wall_time", False),
-            optimum_value=doc.get("optimum_value"),
-        )
+        """Construct from a config document or a manifest's canonical config."""
+        return cls(**validate_config(doc))
 
 
 @dataclass(frozen=True)
@@ -190,25 +153,20 @@ def _resolve_objective(spec) -> SyntheticObjective:
         return spec
     if isinstance(spec, str):
         return make_objective(spec)
-    if isinstance(spec, dict) and spec.get("kind") == "prior_sample":
-        d = int(spec["dims"])
-        ls = float(spec.get("lengthscale", 0.2))
-        sv = float(spec.get("signal_variance", 1.0))
-        kernel = AdditiveKernel(
-            factors=tuple(
-                FactorKernel(
-                    subset=tuple(s),
-                    signal_variance=sv,
-                    lengthscales=(ls,) * len(s),
-                )
-                for s in spec["subsets"]
+    kernel = AdditiveKernel(
+        factors=tuple(
+            FactorKernel(
+                subset=tuple(s),
+                signal_variance=spec["signal_variance"],
+                lengthscales=(spec["lengthscale"],) * len(s),
             )
+            for s in spec["subsets"]
         )
-        rng = np.random.default_rng(int(spec["sample_seed"]))
-        return prior_sample_objective(
-            kernel, ((0.0, 1.0),) * d, int(spec.get("grid_points", 7)), rng
-        )
-    raise ConfigurationError(f"cannot resolve objective spec {spec!r}")
+    )
+    rng = np.random.default_rng(spec["sample_seed"])
+    return prior_sample_objective(
+        kernel, ((0.0, 1.0),) * spec["dims"], spec["grid_points"], rng
+    )
 
 
 def _resolve_decomposition(config: RunConfig, d: int, decomp_rng) -> tuple:
@@ -224,24 +182,19 @@ def _resolve_decomposition(config: RunConfig, d: int, decomp_rng) -> tuple:
         return Decomposition(d=d, subsets=(tuple(range(d)),), max_factor_size=d), None
     if alg == "add_independent":
         return singleton_decomposition(d), None
-    if spec is None:
-        raise ConfigurationError("dec_hbo requires a decomposition spec")
-    mode = spec.get("mode")
-    if mode == "static":
-        subsets = tuple(tuple(int(j) for j in s) for s in spec["subsets"])
-        m = int(spec.get("max_factor_size") or max(len(s) for s in subsets))
-        return Decomposition(d=d, subsets=subsets, max_factor_size=m), None
-    if mode == "random":
+    if spec["mode"] == "static":
+        subsets = tuple(tuple(s) for s in spec["subsets"])
+        dec = Decomposition(d=d, subsets=subsets, max_factor_size=spec["max_factor_size"])
+        return dec, None
+    if spec["mode"] == "random":
         dec = random_covering_decomposition(
             d,
-            int(spec["max_factor_size"]),
+            spec["max_factor_size"],
             decomp_rng,
-            num_extra_overlaps=int(spec.get("num_extra_overlaps", 0)),
+            num_extra_overlaps=spec["num_extra_overlaps"],
         )
         return dec, None
-    if mode == "mcmc":
-        return None, dict(spec)
-    raise ConfigurationError(f"unknown decomposition mode {mode!r}")
+    return None, spec
 
 
 @dataclass
@@ -249,6 +202,8 @@ class ResolvedRun:
     config: RunConfig  # decomposition resolved to static where applicable
     objective: SyntheticObjective
     manifest: dict
+    decomposition: Decomposition | None  # the static structure, if any
+    mcmc: dict | None  # the mcmc spec when the structure is learned
 
 
 def resolve(config: RunConfig) -> ResolvedRun:
@@ -272,7 +227,13 @@ def resolve(config: RunConfig) -> ResolvedRun:
         "fgbo_version": __version__,
         "config": config.to_canonical_dict(),
     }
-    return ResolvedRun(config=config, objective=obj, manifest=manifest)
+    return ResolvedRun(
+        config=config,
+        objective=obj,
+        manifest=manifest,
+        decomposition=dec,
+        mcmc=mcmc_spec,
+    )
 
 
 def _nearest_unvisited(grid, start_idx: tuple, visited: set) -> tuple:
@@ -305,27 +266,10 @@ def _nearest_unvisited(grid, start_idx: tuple, visited: set) -> tuple:
 
 
 def _shared_hypers(config: RunConfig, y_model: np.ndarray) -> SharedHypers:
-    sv = config.gp.get("signal_variance")
+    sv = config.gp["signal_variance"]
     if sv is None:
         sv = max(float(np.var(y_model)), 1e-6)
-    return SharedHypers(
-        total_signal_variance=float(sv),
-        lengthscales=float(config.gp.get("lengthscale", 0.2)),
-    )
-
-
-def _build_kernel(subsets, hypers: SharedHypers) -> AdditiveKernel:
-    per = hypers.total_signal_variance / len(subsets)
-    return AdditiveKernel(
-        factors=tuple(
-            FactorKernel(
-                subset=s,
-                signal_variance=per,
-                lengthscales=tuple(hypers.lengthscale_for(j) for j in s),
-            )
-            for s in subsets
-        )
-    )
+    return SharedHypers(total_signal_variance=sv, lengthscales=config.gp["lengthscale"])
 
 
 def run_resolved(res: ResolvedRun) -> RunResult:
@@ -347,10 +291,7 @@ def run_resolved(res: ResolvedRun) -> RunResult:
     query_rng = np.random.default_rng(streams[1])
     noise_rng = np.random.default_rng(streams[2])
 
-    static_dec, mcmc_spec = _resolve_decomposition(config, d, decomp_rng)
-    needs_model = config.algorithm != "random_search"
-    if needs_model and config.noise_variance <= 0:
-        raise ConfigurationError("model-based algorithms need noise_variance > 0")
+    static_dec, mcmc_spec = res.decomposition, res.mcmc
 
     X_unit: list = []
     y_obs: list = []
@@ -409,11 +350,11 @@ def run_resolved(res: ResolvedRun) -> RunResult:
     weights_now = None
 
     bcfg = config.beta
-    mode = BetaMode(bcfg.get("mode", "discrete_domain"))
+    mode = BetaMode(bcfg["mode"])
     mscfg = MaxSumConfig(
-        max_rounds=int(config.maxsum.get("rounds", 30)),
-        damping=float(config.maxsum.get("damping", 0.0)),
-        tol=float(config.maxsum.get("tol", 1e-8)),
+        max_rounds=config.maxsum["rounds"],
+        damping=config.maxsum["damping"],
+        tol=config.maxsum["tol"],
     )
 
     for i in range(1, config.iterations + 1):
@@ -426,45 +367,39 @@ def run_resolved(res: ResolvedRun) -> RunResult:
                 rounds, converged = 0, 1
             else:
                 y_arr = np.asarray(y_obs)
-                center = (
-                    float(y_arr.mean())
-                    if config.gp.get("center_observations", True)
-                    else 0.0
-                )
+                center = float(y_arr.mean()) if config.gp["center_observations"] else 0.0
                 y_model = y_arr - center
                 hypers = _shared_hypers(config, y_model)
-                if mcmc_spec is not None and (i - 1) % int(
-                    mcmc_spec.get("interval", 10)
-                ) == 0:
+                if mcmc_spec is not None and (i - 1) % mcmc_spec["interval"] == 0:
                     obs_for_mcmc = ObservationSet(
                         np.asarray(X_unit), y_model, config.noise_variance
                     )
                     ensemble = sample_posterior(
                         obs_for_mcmc,
                         PriorConfig(
-                            max_factor_size=int(mcmc_spec["max_factor_size"]),
-                            size_penalty=float(mcmc_spec.get("size_penalty", 0.0)),
+                            max_factor_size=mcmc_spec["max_factor_size"],
+                            size_penalty=mcmc_spec["size_penalty"],
                         ),
                         McmcConfig(
-                            chain_length=int(mcmc_spec["chain_length"]),
-                            burn_in=int(mcmc_spec.get("burn_in", 0)),
-                            thinning=int(mcmc_spec.get("thinning", 1)),
-                            num_samples=int(mcmc_spec.get("num_samples", 1)),
+                            chain_length=mcmc_spec["chain_length"],
+                            burn_in=mcmc_spec["burn_in"],
+                            thinning=mcmc_spec["thinning"],
+                            num_samples=mcmc_spec["num_samples"],
                         ),
                         decomp_rng,
                         hypers=hypers,
                     )
                     subsets_now, weights_now = merge_for_acquisition(ensemble)
-                kernel = _build_kernel(subsets_now, hypers)
+                kernel = induced_kernel(subsets_now, hypers)
                 schedule = BetaSchedule(
                     mode=mode,
-                    delta=float(bcfg.get("delta", 0.1)),
+                    delta=bcfg["delta"],
                     num_factors=len(subsets_now),
                     dims=d,
                     box_edge=1.0,
-                    lipschitz_a=float(bcfg.get("lipschitz_a", 1.0)),
-                    lipschitz_b=float(bcfg.get("lipschitz_b", 1.0)),
-                    fixed_value=bcfg.get("fixed_value"),
+                    lipschitz_a=bcfg["lipschitz_a"],
+                    lipschitz_b=bcfg["lipschitz_b"],
+                    fixed_value=bcfg["fixed_value"],
                 )
                 grid = grid_for_iteration(schedule, t_sel, config.grid_caps)
                 if mode is BetaMode.DISCRETE_DOMAIN:

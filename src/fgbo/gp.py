@@ -79,12 +79,6 @@ def dense_cholesky_with_jitter(A: np.ndarray):
     )
 
 
-def chol_with_jitter(A: np.ndarray):
-    """Like dense_cholesky_with_jitter but in scipy cho_solve form."""
-    L, jitter = dense_cholesky_with_jitter(A)
-    return (L, True), jitter
-
-
 class FactorPosterior:
     """Cached solve state for all per-factor posteriors of one kernel + data.
 
@@ -97,13 +91,13 @@ class FactorPosterior:
         self.observations = observations
         t = len(observations)
         if t == 0:
-            self._cho = None
+            self._L = None
             self.weights = np.zeros(0)
         else:
             K = gram(kernel, observations.X)
             C = K + observations.noise_variance * np.eye(t)
-            self._cho, self.jitter = chol_with_jitter(C)
-            self.weights = cho_solve(self._cho, observations.y)
+            self._L, self.jitter = dense_cholesky_with_jitter(C)
+            self.weights = cho_solve((self._L, True), observations.y)
 
     @property
     def num_observations(self) -> int:
@@ -125,11 +119,11 @@ class FactorPosterior:
         f = self.kernel.factors[factor_index]
         U = np.atleast_2d(np.asarray(U, dtype=float))
         prior = np.full(U.shape[0], f.signal_variance)
-        if self._cho is None:
+        if self._L is None:
             return np.zeros(U.shape[0]), prior
         Kxg = cross_factor(f, U, f.restrict(self.observations.X))  # (m, t)
         mean = Kxg @ self.weights
-        V = solve_triangular(self._cho[0], Kxg.T, lower=True)  # L^-1 Kxg'
+        V = solve_triangular(self._L, Kxg.T, lower=True)  # L^-1 Kxg'
         var = prior - np.einsum("tm,tm->m", V, V)
         low = var.min(initial=0.0)
         if low < -VARIANCE_CLAMP:
@@ -150,11 +144,11 @@ class FactorPosterior:
         """Posterior of f itself under the full additive kernel, at X (m, d)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         prior = np.full(X.shape[0], self.kernel.prior_variance(X))
-        if self._cho is None:
+        if self._L is None:
             return np.zeros(X.shape[0]), prior
         Kxg = cross_additive(self.kernel, X, self.observations.X)
         mean = Kxg @ self.weights
-        V = solve_triangular(self._cho[0], Kxg.T, lower=True)
+        V = solve_triangular(self._L, Kxg.T, lower=True)
         var = prior - np.einsum("tm,tm->m", V, V)
         low = var.min(initial=0.0)
         if low < -VARIANCE_CLAMP:
@@ -166,24 +160,6 @@ class FactorPosterior:
     def objective_mean_var(self, x):
         mean, var = self.objective_mean_var_batch(np.asarray(x, dtype=float).reshape(1, -1))
         return float(mean[0]), float(var[0])
-
-    def factor_only_variance(self, factor_index: int, x) -> float:
-        """Hypothetical posterior variance of a factor were ITS OWN noisy
-        outputs observed (Gram of the factor kernel alone).  Diagnostic
-        helper for probing how the sum-observation variance compares; not
-        used by the optimizer."""
-        self._check_factor_index(factor_index)
-        f = self.kernel.factors[factor_index]
-        u = f.restrict(np.asarray(x, dtype=float).reshape(1, -1))
-        if self.num_observations == 0:
-            return float(f.signal_variance)
-        G = f.restrict(self.observations.X)
-        Kff = cross_factor(f, G, G)
-        C = Kff + self.observations.noise_variance * np.eye(len(G))
-        cf, _ = chol_with_jitter(C)
-        kx = cross_factor(f, u, G).ravel()
-        var = f.signal_variance - kx @ cho_solve(cf, kx)
-        return float(max(var, 0.0))
 
 
 def fit(kernel: AdditiveKernel, observations: ObservationSet) -> FactorPosterior:
@@ -198,7 +174,7 @@ def log_marginal_likelihood(kernel: AdditiveKernel, observations: ObservationSet
         raise ContractViolationError("evidence needs at least one observation")
     K = gram(kernel, observations.X)
     C = K + observations.noise_variance * np.eye(t)
-    (L, _), _ = chol_with_jitter(C)
+    L, _ = dense_cholesky_with_jitter(C)
     alpha = cho_solve((L, True), observations.y)
     return float(
         -0.5 * observations.y @ alpha

@@ -13,16 +13,11 @@ functions here are pure and operate on immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError
-
-
-class KernelKind(Enum):
-    SQUARED_EXPONENTIAL = "squared_exponential"
 
 
 @dataclass(frozen=True)
@@ -37,7 +32,6 @@ class FactorKernel:
     subset: tuple[int, ...]
     signal_variance: float
     lengthscales: tuple[float, ...]
-    kind: KernelKind = KernelKind.SQUARED_EXPONENTIAL
 
     def __post_init__(self):
         subset = tuple(int(i) for i in self.subset)

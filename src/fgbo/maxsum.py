@@ -279,26 +279,9 @@ class SolveResult:
     diagnostics: Diagnostics
 
 
-def solve(
-    acq: DiscretizedAcquisition,
-    decomposition=None,
-    config: MaxSumConfig | None = None,
-) -> SolveResult:
-    """Build the graph from an acquisition, run rounds, decode, map back.
-
-    `decomposition` (anything with a .subsets attribute, or a sequence of
-    subsets) is cross-checked against the acquisition when given.
-    """
+def solve(acq: DiscretizedAcquisition, config: MaxSumConfig | None = None) -> SolveResult:
+    """Build the graph from an acquisition, run rounds, decode, map back."""
     cfg = config if config is not None else MaxSumConfig()
-    if decomposition is not None:
-        dec_subsets = tuple(
-            tuple(int(j) for j in s)
-            for s in getattr(decomposition, "subsets", decomposition)
-        )
-        if dec_subsets != acq.subsets:
-            raise ContractViolationError(
-                "decomposition subsets do not match the tabulated acquisition"
-            )
     tables = tuple(
         acq.factor_weight(i) * acq.tables[i] for i in range(acq.num_factors)
     )

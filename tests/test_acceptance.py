@@ -350,7 +350,7 @@ def test_criterion_09_decomposition_recovery():
     for data_seed in range(10):
         rng = np.random.default_rng(data_seed)
         X = rng.uniform(size=(60, 4))
-        K = gram(induced_kernel(truth, hypers), X)
+        K = gram(induced_kernel(truth.subsets, hypers), X)
         L = np.linalg.cholesky(K + 1e-10 * np.eye(60))
         y = L @ rng.standard_normal(60) + 0.05 * rng.standard_normal(60)
         ensemble = sample_posterior(

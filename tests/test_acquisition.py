@@ -15,6 +15,7 @@ from fgbo.acquisition import (
 from fgbo.errors import ConfigurationError, ContractViolationError
 from fgbo.gp import ObservationSet, fit
 from fgbo.kernels import AdditiveKernel, FactorKernel
+from fgbo.maxsum import solve
 
 # Frozen from an independent arbitrary-precision (mpmath, 60 digits)
 # evaluation of the schedule formulas.  The discrete case at
@@ -213,9 +214,10 @@ def test_total_value_sums_tables():
     _, post = _toy_posterior(rng)
     grid = GridSpec(per_dim_points=3, box=((0.0, 1.0),) * 3)
     acq = tabulate(post, grid, 2.0)
-    idx = (1, 2, 0)
-    want = acq.tables[0][1, 2] + acq.tables[1][0]
-    assert acq.total_value(idx) == pytest.approx(want, rel=1e-12)
+    sol = solve(acq)
+    i0, i1, i2 = (int(v) for v in sol.indices)
+    want = acq.tables[0][i0, i1] + acq.tables[1][i2]
+    assert sol.value == pytest.approx(want, rel=1e-12)
 
 
 def test_acquisition_weights_scale_factors():
@@ -231,9 +233,10 @@ def test_acquisition_weights_scale_factors():
         weights=(0.5, 1.0),
     )
     assert weighted.factor_weight(0) == 0.5
-    idx = (2, 1, 1)
-    want = 0.5 * acq.tables[0][2, 1] + acq.tables[1][1]
-    assert weighted.total_value(idx) == pytest.approx(want, rel=1e-12)
+    sol = solve(weighted)
+    i0, i1, i2 = (int(v) for v in sol.indices)
+    want = 0.5 * acq.tables[0][i0, i1] + acq.tables[1][i2]
+    assert sol.value == pytest.approx(want, rel=1e-12)
 
 
 def test_ucb_covers_prior_draws():

@@ -10,7 +10,8 @@ import pytest
 import fgbo.bench as bench
 import fgbo.cli as cli
 from fgbo.cli import benchmark_run_config, main
-from fgbo.errors import ConfigurationError, NumericalFailureError
+from fgbo.engine import RunConfig, run
+from fgbo.errors import ConfigurationError, ContractViolationError, NumericalFailureError
 
 RANDOM_CFG = {
     "objective": "shekel4",
@@ -95,6 +96,56 @@ def test_schema_violations_exit_3(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+def test_directory_as_config_exits_2(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path), "--quiet"]) == 2
+    assert "file not found" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_3(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"objective": "shekel4\xe9"}')
+    assert main(["run", "--config", str(bad), "--quiet"]) == 3
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+_MCMC_NO_CHAIN = {"mode": "mcmc", "max_factor_size": 2}
+
+# Each entry is a config the CLI refuses with exit 3; the Python API must
+# refuse it too, with one of the package's own exceptions.
+BAD_CONFIGS = {
+    "beta_key_typo": dict(
+        RANDOM_CFG, beta={"mode": "fixed_constant", "fixed_value": 4.0, "detla": 0.3}
+    ),
+    "random_search_with_decomposition": dict(
+        RANDOM_CFG, decomposition={"mode": "random", "max_factor_size": 2}
+    ),
+    "unknown_beta_mode": dict(RANDOM_CFG, beta={"mode": "bogus"}),
+    "iterations_as_string": dict(RANDOM_CFG, iterations="3"),
+    "mcmc_without_chain_length": dict(DEC_CFG, decomposition=_MCMC_NO_CHAIN),
+    "negative_seed": dict(RANDOM_CFG, seed=-1),
+    "fractional_seed": dict(RANDOM_CFG, seed=1.5),
+    "model_without_noise": dict(DEC_CFG, noise_variance=0.0),
+    "dec_hbo_without_decomposition": dict(DEC_CFG, decomposition=None),
+    "inverted_grid_caps": dict(RANDOM_CFG, grid_caps=[8, 4]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_python_api_and_cli_refuse_the_same_configs(name, tmp_path):
+    doc = BAD_CONFIGS[name]
+    with pytest.raises((ConfigurationError, ContractViolationError)):
+        run(RunConfig(**doc))
+    with pytest.raises((ConfigurationError, ContractViolationError)):
+        RunConfig.from_dict(doc)
+    cfg = _write(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+
+
+def test_from_dict_refuses_unknown_top_level_keys():
+    with pytest.raises(ConfigurationError, match="unknown key 'typo'"):
+        RunConfig.from_dict(dict(RANDOM_CFG, typo=1))
+
+
 def test_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path, RANDOM_CFG)
 
@@ -157,6 +208,15 @@ def test_sweep_error_names_the_failing_seed(tmp_path, capsys, jobs):
     argv = ["sweep", "--config", cfg, "--out", out, "--seeds", "0,-1,2", "--jobs", jobs]
     assert main(argv + ["--quiet"]) == 3
     assert "invalid configuration: seed -1: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds, token", [("0,x", "'x'"), ("0,,1", "''")])
+def test_sweep_refuses_non_integer_seeds(tmp_path, capsys, seeds, token):
+    cfg = _write(tmp_path, RANDOM_CFG)
+    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--seeds", seeds]
+    assert main(argv + ["--quiet"]) == 3
+    assert f"--seeds entry {token} is not an integer" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_and_table1_failures_keep_their_exit_code(tmp_path, monkeypatch, capsys):

@@ -2,10 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from fgbo.config import load_config_file, validate_config
-from fgbo.engine import DEFAULT_BETA
+from fgbo.bench import shekel4
+from fgbo.config import DEFAULT_BETA, load_config_file, validate_config
 from fgbo.errors import ConfigurationError
 
 MINIMAL = {
@@ -74,6 +75,13 @@ def test_unknown_keys_fail_closed_at_every_level():
             validate_config(raw)
 
 
+def test_numpy_seed_and_in_memory_objective_are_accepted():
+    obj = shekel4()
+    out = validate_config(dict(MINIMAL, seed=np.int64(3), objective=obj))
+    assert out["seed"] == 3 and type(out["seed"]) is int
+    assert out["objective"] is obj  # passed through unchanged
+
+
 def test_missing_required_keys():
     for key in ("objective", "algorithm", "iterations", "seed"):
         raw = dict(MINIMAL)
@@ -106,6 +114,7 @@ def test_missing_required_keys():
         ({"gp": {"center_observations": 1}}, "boolean"),
         ({"measure_wall_time": "yes"}, "boolean"),
         ({"optimum_value": "low"}, "number"),
+        ({"seed": -1}, "seed: must be >= 0"),
     ],
 )
 def test_type_and_range_errors(patch, fragment):

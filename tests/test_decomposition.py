@@ -70,7 +70,7 @@ def test_random_covering_decomposition():
 def test_induced_kernel_splits_variance_equally():
     dec = Decomposition(d=3, subsets=((0, 1), (2,)), max_factor_size=2)
     hypers = SharedHypers(total_signal_variance=3.0, lengthscales=(0.1, 0.2, 0.3))
-    k = induced_kernel(dec, hypers)
+    k = induced_kernel(dec.subsets, hypers)
     assert [f.signal_variance for f in k.factors] == [1.5, 1.5]
     assert k.factors[0].lengthscales == (0.1, 0.2)
     assert k.factors[1].lengthscales == (0.3,)
@@ -91,7 +91,7 @@ def test_log_evidence_zero_targets_drops_quadratic_term():
     hypers = SharedHypers(total_signal_variance=1.0, lengthscales=0.3)
     X = rng.uniform(size=(6, 2))
     obs = ObservationSet(X, np.zeros(6), 0.1)
-    K = gram(induced_kernel(dec, hypers), X) + 0.1 * np.eye(6)
+    K = gram(induced_kernel(dec.subsets, hypers), X) + 0.1 * np.eye(6)
     L = np.linalg.cholesky(K)
     want = -np.log(np.diag(L)).sum() - 3.0 * math.log(2 * math.pi)
     assert log_evidence(dec, obs, hypers) == pytest.approx(want, rel=1e-10)
@@ -251,7 +251,7 @@ def test_mcmc_matches_exact_posterior_total_variation():
     truth = Decomposition(d=3, subsets=((0, 1), (2,)), max_factor_size=2)
     hypers = SharedHypers(total_signal_variance=1.5, lengthscales=0.3)
     X = rng.uniform(size=(14, 3))
-    K = gram(induced_kernel(truth, hypers), X) + 1e-10 * np.eye(14)
+    K = gram(induced_kernel(truth.subsets, hypers), X) + 1e-10 * np.eye(14)
     y = np.linalg.cholesky(K) @ rng.normal(size=14) + 0.05 * rng.normal(size=14)
     obs = ObservationSet(X, y, 0.05**2 + 1e-4)
 
@@ -296,7 +296,7 @@ def test_recovery_smoke():
     truth = Decomposition(d=4, subsets=((0, 1), (2, 3)), max_factor_size=2)
     hypers = SharedHypers(total_signal_variance=2.0, lengthscales=0.25)
     X = rng.uniform(size=(60, 4))
-    K = gram(induced_kernel(truth, hypers), X) + 1e-10 * np.eye(60)
+    K = gram(induced_kernel(truth.subsets, hypers), X) + 1e-10 * np.eye(60)
     y = np.linalg.cholesky(K) @ rng.normal(size=60) + 0.05 * rng.normal(size=60)
     obs = ObservationSet(X, y, 0.01)
     ens = sample_posterior(

@@ -54,7 +54,7 @@ def test_run_config_validation():
         )
     with pytest.raises(ConfigurationError):
         RunConfig(objective="shekel4", algorithm="random_search", iterations=5, seed=None)
-    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+    with pytest.raises(ConfigurationError, match="config.seed: must be >= 0"):
         RunConfig(objective="shekel4", algorithm="random_search", iterations=5, seed=-1)
 
 
@@ -314,15 +314,14 @@ def test_config_dict_round_trip():
 
 
 def test_model_algorithms_need_positive_noise():
-    config = RunConfig(
-        objective="shekel4",
-        algorithm="centralized_gp_ucb",
-        iterations=2,
-        seed=0,
-        noise_variance=0.0,
-    )
     with pytest.raises(ConfigurationError):
-        run(config)
+        RunConfig(
+            objective="shekel4",
+            algorithm="centralized_gp_ucb",
+            iterations=2,
+            seed=0,
+            noise_variance=0.0,
+        )
 
 
 def test_centralized_joint_grid_guard():
@@ -339,11 +338,8 @@ def test_centralized_joint_grid_guard():
 
 
 def test_dec_hbo_requires_decomposition():
-    config = RunConfig(
-        objective="shekel4", algorithm="dec_hbo", iterations=2, seed=0
-    )
     with pytest.raises(ConfigurationError):
-        run(config)
+        RunConfig(objective="shekel4", algorithm="dec_hbo", iterations=2, seed=0)
 
 
 def _hartmann6_bad_from_call(call: int, value: float):
@@ -364,13 +360,14 @@ def _hartmann6_bad_from_call(call: int, value: float):
 def test_non_finite_objective_value_fails_closed(algorithm, value):
     # the 7th call is the 4th observation's true value: without the check a
     # NaN reaches the Cholesky fit as a raw ValueError, or the trace silently
+    decomposition = {"mode": "static", "subsets": [[0, 1, 2], [3, 4, 5]]}
     config = RunConfig(
         objective=_hartmann6_bad_from_call(7, value),
         algorithm=algorithm,
         iterations=3,
         seed=0,
         initial_evaluations=5,
-        decomposition={"mode": "static", "subsets": [[0, 1, 2], [3, 4, 5]]},
+        decomposition=decomposition if algorithm == "dec_hbo" else None,
         grid_caps=(2, 4),
     )
     with pytest.raises(NumericalFailureError, match="evaluation 4: .*not finite"):
