@@ -24,7 +24,7 @@ grid resolution.  Grids are linspace-style and include both box endpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -125,10 +125,14 @@ def beta(schedule: BetaSchedule, t: int) -> float:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform per-dimension grid over a box, endpoints included."""
+    """Uniform per-dimension grid over a box, endpoints included.
+
+    The per-dimension axes are built once, as read-only arrays.
+    """
 
     per_dim_points: int
     box: tuple[tuple[float, float], ...]
+    _axes: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         box = tuple((float(lo), float(hi)) for lo, hi in self.box)
@@ -137,6 +141,10 @@ class GridSpec:
             raise ContractViolationError("grids need >= 2 points per dimension")
         if any(hi <= lo for lo, hi in box):
             raise ContractViolationError("box bounds must satisfy low < high")
+        axes = tuple(np.linspace(lo, hi, self.per_dim_points) for lo, hi in box)
+        for axis in axes:
+            axis.flags.writeable = False
+        object.__setattr__(self, "_axes", axes)
 
     @property
     def num_dims(self) -> int:
@@ -147,8 +155,14 @@ class GridSpec:
         return self.per_dim_points ** self.num_dims
 
     def values(self, dim: int) -> np.ndarray:
-        lo, hi = self.box[dim]
-        return np.linspace(lo, hi, self.per_dim_points)
+        return self._axes[dim]
+
+    def axes(self, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """The per-dim grids of `dims`, standing for their Cartesian product.
+
+        This is the axes form of subgrid(dims) that kernels and gp accept.
+        """
+        return tuple(self._axes[j] for j in dims)
 
     def subgrid(self, dims: tuple[int, ...]) -> np.ndarray:
         """Cartesian product of the per-dim grids of `dims`.
@@ -156,12 +170,12 @@ class GridSpec:
         Rows are in C order over the index tuple: row r holds the point whose
         indices are np.unravel_index(r, (tau,)*len(dims)).
         """
-        mesh = np.meshgrid(*(self.values(j) for j in dims), indexing="ij")
+        mesh = np.meshgrid(*self.axes(dims), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def point_at(self, indices) -> np.ndarray:
         return np.array(
-            [self.values(j)[i] for j, i in enumerate(indices)], dtype=float
+            [self._axes[j][i] for j, i in enumerate(indices)], dtype=float
         )
 
     def nearest_indices(self, x) -> tuple[int, ...]:
@@ -256,7 +270,9 @@ def tabulate(
 ) -> DiscretizedAcquisition:
     """Fill every factor's phi table on its sub-grid.
 
-    Work is O(sum_I tau^|I| t^2 |I|) thanks to the cached Cholesky weights.
+    Each factor's sub-grid travels as axes, so its cross-covariance costs
+    O(|I| tau t) exponentials and tau^|I| t products (kernels), and its
+    variances one (tau^|I| x t)(t x t) GEMM against the cached L^-1 (gp).
     """
     if beta_value <= 0:
         raise ContractViolationError("beta must be positive")
@@ -265,8 +281,7 @@ def tabulate(
     subsets = []
     tables = []
     for i, f in enumerate(posterior.kernel.factors):
-        U = grid.subgrid(f.subset)
-        mean, var = posterior.factor_mean_var_batch(i, U)
+        mean, var = posterior.factor_mean_var_batch(i, grid.axes(f.subset))
         phi = mean + root_beta * np.sqrt(var)
         subsets.append(f.subset)
         tables.append(phi.reshape((tau,) * f.arity))

@@ -417,8 +417,9 @@ def run_resolved(res: ResolvedRun) -> RunResult:
                             f"joint grid of {grid.joint_size} points exceeds "
                             f"centralized limit {MAX_JOINT_GRID}; lower grid_caps"
                         )
-                    pts = grid.subgrid(tuple(range(d)))
-                    mean, var = posterior.objective_mean_var_batch(pts)
+                    mean, var = posterior.objective_mean_var_batch(
+                        grid.axes(tuple(range(d)))
+                    )
                     ucb = mean + math.sqrt(beta_value) * np.sqrt(var)
                     idx = tuple(
                         int(v)
@@ -426,7 +427,7 @@ def run_resolved(res: ResolvedRun) -> RunResult:
                             int(np.argmax(ucb)), (grid.per_dim_points,) * d
                         )
                     )
-                    lookups = pts.shape[0]
+                    lookups = grid.joint_size
                     rounds, converged = 0, 1
                 else:
                     acq = tabulate(posterior, grid, beta_value)

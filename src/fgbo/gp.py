@@ -9,6 +9,13 @@ where k_I(x) is the cross-covariance of factor I between x and the observed
 inputs and K is the Gram matrix of the full additive kernel.  The sum of the
 factor means equals the additive GP's posterior mean of f, which the engine
 relies on; no analogous identity holds for variances.
+
+A fit factorizes K + sn2 I = L L' once and caches the weights
+(K + sn2 I)^-1 y and the inverse factor L^-1, so a batch of m inputs costs
+one (m x t) cross-covariance, one matrix-vector product for the means and
+one (m x t)(t x t) GEMM for the variances, var = prior - rowsum((Kxg L^-T)^2).
+Batch inputs are points, or axes (a tuple of 1-D arrays) standing for their
+Cartesian grid; see kernels.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dtrtri
 
 from .errors import ContractViolationError, NumericalFailureError
 from .kernels import AdditiveKernel, cross_additive, cross_factor, gram
@@ -79,6 +87,24 @@ def dense_cholesky_with_jitter(A: np.ndarray):
     )
 
 
+def _batch_inputs(U):
+    """Points (m, k) or a tuple of k axes, as floats, and their row count m.
+
+    Raises ContractViolationError on a NaN or infinite coordinate.
+    """
+    if isinstance(U, tuple):
+        U = tuple(np.asarray(axis, dtype=float) for axis in U)
+        finite = all(np.isfinite(axis).all() for axis in U)
+        m = math.prod(len(axis) for axis in U)
+    else:
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        finite = np.isfinite(U).all()
+        m = U.shape[0]
+    if not finite:
+        raise ContractViolationError("posterior inputs must be finite")
+    return U, m
+
+
 class FactorPosterior:
     """Cached solve state for all per-factor posteriors of one kernel + data.
 
@@ -91,13 +117,20 @@ class FactorPosterior:
         self.observations = observations
         t = len(observations)
         if t == 0:
-            self._L = None
+            self.jitter = 0.0
+            self._Linv = None
             self.weights = np.zeros(0)
         else:
             K = gram(kernel, observations.X)
             C = K + observations.noise_variance * np.eye(t)
-            self._L, self.jitter = dense_cholesky_with_jitter(C)
-            self.weights = cho_solve((self._L, True), observations.y)
+            L, self.jitter = dense_cholesky_with_jitter(C)
+            self.weights = cho_solve((L, True), observations.y)
+            self._Linv, info = dtrtri(L, lower=1)
+            if info != 0:
+                raise NumericalFailureError(
+                    f"inverting the Cholesky factor failed (LAPACK info {info})",
+                    jitter=self.jitter,
+                )
 
     @property
     def num_observations(self) -> int:
@@ -110,27 +143,36 @@ class FactorPosterior:
                 f"[0, {self.kernel.num_factors})"
             )
 
-    def factor_mean_var_batch(self, factor_index: int, U: np.ndarray):
-        """Posterior mean and variance of one factor at sub-inputs U (m, |I|).
+    def _mean_var(self, Kxg: np.ndarray, prior: float, what: str):
+        """Posterior (mean, variance) from the cross-covariance Kxg (m, t).
 
-        Variances in [-VARIANCE_CLAMP, 0) clamp to 0; anything lower raises.
+        A non-finite variance raises; variances in [-VARIANCE_CLAMP, 0) clamp
+        to 0 and anything lower raises.
         """
-        self._check_factor_index(factor_index)
-        f = self.kernel.factors[factor_index]
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        prior = np.full(U.shape[0], f.signal_variance)
-        if self._L is None:
-            return np.zeros(U.shape[0]), prior
-        Kxg = cross_factor(f, U, f.restrict(self.observations.X))  # (m, t)
         mean = Kxg @ self.weights
-        V = solve_triangular(self._L, Kxg.T, lower=True)  # L^-1 Kxg'
-        var = prior - np.einsum("tm,tm->m", V, V)
+        W = Kxg @ self._Linv.T  # (L^-1 Kxg')'
+        var = prior - np.einsum("mt,mt->m", W, W)
+        if not np.isfinite(var).all():
+            raise NumericalFailureError(f"{what} posterior variance is not finite")
         low = var.min(initial=0.0)
         if low < -VARIANCE_CLAMP:
             raise NumericalFailureError(
-                f"factor posterior variance {low:.3e} below -{VARIANCE_CLAMP:.0e}"
+                f"{what} posterior variance {low:.3e} below -{VARIANCE_CLAMP:.0e}"
             )
         return mean, np.maximum(var, 0.0)
+
+    def factor_mean_var_batch(self, factor_index: int, U):
+        """Posterior mean and variance of one factor at sub-inputs U.
+
+        U is (m, |I|) points or a tuple of |I| axes (m = product of lengths).
+        """
+        self._check_factor_index(factor_index)
+        f = self.kernel.factors[factor_index]
+        U, m = _batch_inputs(U)
+        if self._Linv is None:
+            return np.zeros(m), np.full(m, f.signal_variance)
+        Kxg = cross_factor(f, U, f.restrict(self.observations.X))
+        return self._mean_var(Kxg, f.signal_variance, "factor")
 
     def factor_mean_var(self, factor_index: int, x):
         """Posterior (mean, variance) of factor `factor_index` at full input x."""
@@ -140,22 +182,17 @@ class FactorPosterior:
         mean, var = self.factor_mean_var_batch(factor_index, u)
         return float(mean[0]), float(var[0])
 
-    def objective_mean_var_batch(self, X: np.ndarray):
-        """Posterior of f itself under the full additive kernel, at X (m, d)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        prior = np.full(X.shape[0], self.kernel.prior_variance(X))
-        if self._L is None:
-            return np.zeros(X.shape[0]), prior
+    def objective_mean_var_batch(self, X):
+        """Posterior of f itself under the full additive kernel.
+
+        X is (m, d) points or a tuple of d axes (m = product of lengths).
+        """
+        X, m = _batch_inputs(X)
+        prior = self.kernel.prior_variance(X)
+        if self._Linv is None:
+            return np.zeros(m), np.full(m, prior)
         Kxg = cross_additive(self.kernel, X, self.observations.X)
-        mean = Kxg @ self.weights
-        V = solve_triangular(self._L, Kxg.T, lower=True)
-        var = prior - np.einsum("tm,tm->m", V, V)
-        low = var.min(initial=0.0)
-        if low < -VARIANCE_CLAMP:
-            raise NumericalFailureError(
-                f"objective posterior variance {low:.3e} below -{VARIANCE_CLAMP:.0e}"
-            )
-        return mean, np.maximum(var, 0.0)
+        return self._mean_var(Kxg, prior, "objective")
 
     def objective_mean_var(self, x):
         mean, var = self.objective_mean_var_batch(np.asarray(x, dtype=float).reshape(1, -1))

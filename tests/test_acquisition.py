@@ -269,3 +269,22 @@ def test_grid_spec_validation():
         GridSpec(per_dim_points=1, box=((0.0, 1.0),))
     with pytest.raises(ContractViolationError):
         GridSpec(per_dim_points=4, box=((1.0, 0.0),))
+
+
+def test_grid_axes_are_stored_read_only_linspace():
+    box = ((0.0, 1.0), (-2.0, 3.0), (0.1, 0.7))
+    grid = GridSpec(per_dim_points=9, box=box)
+    for j, (lo, hi) in enumerate(box):
+        np.testing.assert_array_equal(grid.values(j), np.linspace(lo, hi, 9))
+        assert grid.values(j) is grid.values(j)
+        assert not grid.values(j).flags.writeable
+    assert grid.axes((2, 0)) == (grid.values(2), grid.values(0))
+    mesh = np.meshgrid(*(np.linspace(lo, hi, 9) for lo, hi in box[:2]), indexing="ij")
+    np.testing.assert_array_equal(
+        grid.subgrid((0, 1)), np.stack([m.ravel() for m in mesh], axis=-1)
+    )
+    np.testing.assert_array_equal(
+        grid.point_at((3, 8, 1)),
+        [np.linspace(0.0, 1.0, 9)[3], 3.0, np.linspace(0.1, 0.7, 9)[1]],
+    )
+    assert grid == GridSpec(per_dim_points=9, box=box)

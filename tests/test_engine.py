@@ -337,6 +337,20 @@ def test_centralized_joint_grid_guard():
         run(config)
 
 
+def test_centralized_lookups_are_the_joint_grid_size():
+    tau = 5
+    config = RunConfig(
+        objective="shekel4",
+        algorithm="centralized_gp_ucb",
+        iterations=3,
+        seed=2,
+        initial_evaluations=2,
+        grid_caps=(tau, tau),
+        beta={"mode": "fixed_constant", "fixed_value": 4.0},
+    )
+    assert run(config).lookups_per_iteration == [tau**4] * 3
+
+
 def test_dec_hbo_requires_decomposition():
     with pytest.raises(ConfigurationError):
         RunConfig(objective="shekel4", algorithm="dec_hbo", iterations=2, seed=0)

@@ -199,3 +199,87 @@ def test_log_marginal_likelihood_needs_data():
     )
     with pytest.raises(ContractViolationError):
         log_marginal_likelihood(kernel, ObservationSet(np.zeros((0, 1)), np.zeros(0), 0.1))
+
+
+def test_zero_observation_fit_has_zero_jitter():
+    kernel = AdditiveKernel(
+        factors=(FactorKernel(subset=(0, 1), signal_variance=1.0, lengthscales=(0.3, 0.3)),)
+    )
+    post = fit(kernel, ObservationSet(np.zeros((0, 2)), np.zeros(0), 0.1))
+    assert post.jitter == 0.0
+    mean, var = post.factor_mean_var_batch(0, (np.linspace(0, 1, 3), np.linspace(0, 1, 4)))
+    np.testing.assert_array_equal(mean, np.zeros(12))
+    np.testing.assert_array_equal(var, np.ones(12))
+
+
+def _cartesian(axes):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def test_batch_posteriors_agree_between_axes_and_points():
+    rng = np.random.default_rng(77)
+    kernel = AdditiveKernel(
+        factors=(
+            FactorKernel(subset=(0, 1, 2), signal_variance=1.2, lengthscales=(0.3, 0.5, 0.4)),
+            FactorKernel(subset=(1, 3), signal_variance=0.8, lengthscales=(0.4, 0.6)),
+            FactorKernel(subset=(3,), signal_variance=0.5, lengthscales=(0.3,)),
+        )
+    )
+    obs = ObservationSet(rng.uniform(size=(30, 4)), rng.normal(size=30), 0.1)
+    post = fit(kernel, obs)
+    axes = tuple(np.sort(rng.uniform(size=n)) for n in (5, 4, 6, 3))
+    for i, f in enumerate(kernel.factors):
+        sub = tuple(axes[j] for j in f.subset)
+        for got, want in zip(
+            post.factor_mean_var_batch(i, sub),
+            post.factor_mean_var_batch(i, _cartesian(sub)),
+        ):
+            assert np.abs(got - want).max() <= 1e-12
+    for got, want in zip(
+        post.objective_mean_var_batch(axes),
+        post.objective_mean_var_batch(_cartesian(axes)),
+    ):
+        assert got.shape == (360,)
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_batch_inputs_raise_contract_violation(bad):
+    rng = np.random.default_rng(5)
+    kernel = AdditiveKernel(
+        factors=(FactorKernel(subset=(0, 1), signal_variance=1.0, lengthscales=(0.3, 0.3)),)
+    )
+    for t in (0, 6):
+        post = fit(kernel, ObservationSet(rng.uniform(size=(t, 2)), rng.normal(size=t), 0.1))
+        points = np.array([[0.2, 0.3], [0.4, bad]])
+        axes = (np.array([0.2, bad]), np.array([0.1, 0.5]))
+        for inputs in (points, axes, [[bad, 0.5]]):
+            with pytest.raises(ContractViolationError):
+                post.factor_mean_var_batch(0, inputs)
+            with pytest.raises(ContractViolationError):
+                post.objective_mean_var_batch(inputs)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_variance_raises_numerical_failure(monkeypatch):
+    import fgbo.gp
+
+    rng = np.random.default_rng(6)
+    kernel = AdditiveKernel(
+        factors=(FactorKernel(subset=(0,), signal_variance=1.0, lengthscales=(0.3,)),)
+    )
+    post = fit(kernel, ObservationSet(rng.uniform(size=(5, 1)), rng.normal(size=5), 0.1))
+
+    def overflowing(*args):  # a cross-covariance that overflowed
+        K = np.ones((3, 5))
+        K[1, 2] = math.inf
+        return K
+
+    monkeypatch.setattr(fgbo.gp, "cross_factor", overflowing)
+    monkeypatch.setattr(fgbo.gp, "cross_additive", overflowing)
+    axes = (np.linspace(0.0, 1.0, 3),)
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        post.factor_mean_var_batch(0, axes)
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        post.objective_mean_var_batch(axes[0].reshape(-1, 1))

@@ -112,3 +112,57 @@ def test_cross_additive_consistent_with_gram():
 def test_additive_kernel_requires_factors():
     with pytest.raises(ContractViolationError):
         AdditiveKernel(factors=())
+
+
+def _cartesian(axes):
+    """C-order Cartesian product rows of 1-D axes (the dense oracle's input)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_cross_factor_axes_match_cartesian_points(arity):
+    rng = np.random.default_rng(40 + arity)
+    f = FactorKernel(
+        subset=tuple(range(arity)),
+        signal_variance=1.7,
+        lengthscales=tuple(rng.uniform(0.1, 0.9, size=arity).tolist()),
+    )
+    V = rng.uniform(-0.2, 1.2, size=(13, arity))
+    equal = tuple(np.linspace(0.0, 1.0, 6) for _ in range(arity))
+    unequal = tuple(np.sort(rng.uniform(size=n)) for n in (5, 2, 7, 3)[:arity])
+    for axes in (equal, unequal):
+        got = cross_factor(f, axes, V)
+        want = cross_factor(f, _cartesian(axes), V)
+        assert got.shape == want.shape == (math.prod(len(a) for a in axes), 13)
+        assert np.abs(got - want).max() <= 1e-14
+    if arity == 1:  # one axis is the point form, bit for bit
+        np.testing.assert_array_equal(cross_factor(f, unequal, V), want)
+
+
+def test_cross_additive_axes_match_cartesian_points():
+    rng = np.random.default_rng(12)
+    k = AdditiveKernel(
+        factors=(
+            FactorKernel(subset=(0, 1, 2), signal_variance=1.1, lengthscales=(0.3, 0.5, 0.2)),
+            FactorKernel(subset=(1, 3), signal_variance=0.6, lengthscales=(0.4, 0.7)),
+            FactorKernel(subset=(0, 3), signal_variance=0.9, lengthscales=(0.25, 0.35)),
+            FactorKernel(subset=(2,), signal_variance=0.4, lengthscales=(0.3,)),
+        )
+    )
+    Y = rng.uniform(size=(11, 4))
+    axes = tuple(np.sort(rng.uniform(size=n)) for n in (4, 3, 5, 2))
+    got = cross_additive(k, axes, Y)
+    want = cross_additive(k, _cartesian(axes), Y)
+    assert got.shape == want.shape == (120, 11)
+    assert np.abs(got - want).max() <= 1e-14
+
+
+def test_axes_count_must_match_arity():
+    f = FactorKernel(subset=(0, 1), signal_variance=1.0, lengthscales=(0.2, 0.2))
+    k = AdditiveKernel(factors=(f,))
+    V = np.zeros((3, 2))
+    with pytest.raises(ContractViolationError):
+        cross_factor(f, (np.linspace(0, 1, 4),), V)
+    with pytest.raises(ContractViolationError):
+        cross_additive(k, (np.linspace(0, 1, 4),) * 3, V)
