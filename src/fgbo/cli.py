@@ -29,7 +29,7 @@ from .acquisition import BetaMode, BetaSchedule, beta
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
 from .gp import ObservationSet, dense_cholesky_with_jitter, fit
 from .kernels import AdditiveKernel, FactorKernel, gram
-from .maxsum import FactorGraph, decode, run_rounds
+from .maxsum import FactorGraph, run_rounds
 
 EXIT_OK = 0
 EXIT_MISSING_FILE = 2
@@ -283,8 +283,7 @@ def _selftest_checks():
         subsets += [(j, j + 1) for j in range(n_vars - 1)]  # a chain: acyclic
         tables = [rng.normal(size=(tau,) * len(s)) for s in subsets]
         g = FactorGraph(n_vars, tau, subsets, tables)
-        msgs, _, _ = run_rounds(g, max_rounds=4 * n_vars)
-        got_val = g.value_of(decode(g, msgs))
+        got_val = run_rounds(g, max_rounds=4 * n_vars).best_value
         best = -math.inf
         for flat in range(tau**n_vars):
             idx = np.unravel_index(flat, (tau,) * n_vars)

@@ -17,6 +17,7 @@ import json
 import numbers
 
 from .bench import SyntheticObjective
+from .decomposition import McmcConfig
 from .errors import ConfigurationError
 
 ALGORITHMS = ("dec_hbo", "add_independent", "centralized_gp_ucb", "random_search")
@@ -163,7 +164,7 @@ def _validate_decomposition(value, path):
     for key in ("max_factor_size", "chain_length"):
         if key not in value:
             _fail(path, f"mcmc mode requires {key!r}")
-    return {
+    out = {
         "mode": "mcmc",
         "max_factor_size": _as_int(value["max_factor_size"], f"{path}.max_factor_size", 1),
         "chain_length": _as_int(value["chain_length"], f"{path}.chain_length", 0),
@@ -173,6 +174,13 @@ def _validate_decomposition(value, path):
         "interval": _as_int(value.get("interval", 10), f"{path}.interval", 1),
         "size_penalty": _as_number(value.get("size_penalty", 0.0), f"{path}.size_penalty", 0.0),
     }
+    try:  # the sampler's own chain-length check, before anything runs
+        McmcConfig(
+            **{k: out[k] for k in ("chain_length", "burn_in", "thinning", "num_samples")}
+        )
+    except ConfigurationError as exc:
+        _fail(path, str(exc))
+    return out
 
 
 def _validate_beta(value, path):

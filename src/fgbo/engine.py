@@ -69,7 +69,7 @@ from .decomposition import (
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
 from .gp import ObservationSet, fit
 from .kernels import AdditiveKernel, FactorKernel, cross_factor
-from .maxsum import MaxSumConfig, solve
+from .maxsum import solve
 
 # refuse centralized joint grids beyond this many points
 MAX_JOINT_GRID = 4_000_000
@@ -351,11 +351,6 @@ def run_resolved(res: ResolvedRun) -> RunResult:
 
     bcfg = config.beta
     mode = BetaMode(bcfg["mode"])
-    mscfg = MaxSumConfig(
-        max_rounds=config.maxsum["rounds"],
-        damping=config.maxsum["damping"],
-        tol=config.maxsum["tol"],
-    )
 
     for i in range(1, config.iterations + 1):
         clock = time.monotonic() if config.measure_wall_time else None
@@ -433,7 +428,7 @@ def run_resolved(res: ResolvedRun) -> RunResult:
                     acq = tabulate(posterior, grid, beta_value)
                     if weights_now is not None:
                         acq = replace(acq, weights=weights_now)
-                    sol = solve(acq, config=mscfg)
+                    sol = solve(acq, **config.maxsum)
                     idx = tuple(int(v) for v in sol.indices)
                     lookups = sol.diagnostics.total_lookups + sum(
                         tab.size for tab in acq.tables

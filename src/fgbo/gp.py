@@ -59,6 +59,8 @@ class ObservationSet:
             )
         if self.noise_variance <= 0:
             raise ContractViolationError("noise variance must be > 0")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ContractViolationError("observations must be finite")
 
     def __len__(self) -> int:
         return len(self.y)

@@ -9,31 +9,39 @@ values) and one factor node per subset I with table phi_I.  Messages follow
     m_{x_i->phi}(h) = sum over other incident factors of m_{phi'->x_i}(h)
 
 with synchronous (Jacobi) rounds: every round-k message is a function of the
-round-(k-1) table only, which makes runs deterministic and lets workers fill
-disjoint slots of the next table.  Each message is blended with its
-predecessor (damping) and normalized to max entry 0, which leaves argmaxes
-unchanged but prevents drift on loopy graphs.
+round-(k-1) messages only, which makes runs deterministic.  Each message is
+computed once per round, blended with its predecessor (damping) and
+normalized to max entry 0, which leaves argmaxes unchanged but prevents
+drift on loopy graphs.
 
 Decoding picks, per variable, the incident factor with the smallest
-lexicographic subset and takes argmax_h of the edge belief
-m_{phi->x_i}(h) + m_{x_i->phi}(h); ties break to the lowest grid index.
-On trees this attains the exact maximum of sum_I phi_I.  On loopy graphs
-messages may oscillate, so the solver decodes after every round and keeps
-the assignment with the best achieved sum (anytime decoding); on trees the
-best round coincides with the converged one.
+lexicographic subset (its decoding edge) and takes argmax_h of the edge
+belief m_{phi->x_i}(h) + m_{x_i->phi}(h), both computed from the round being
+decoded; ties break to the lowest grid index.  On trees this attains the
+exact maximum of sum_I phi_I.  On loopy graphs messages may oscillate, so
+the solver decodes every round and keeps the assignment with the best
+achieved sum (anytime decoding); on trees the best round coincides with the
+converged one.
+
+Round k's beliefs are exactly the raw (unblended, unnormalized) messages
+that round k+1 computes from round k's messages, so decoding reuses them
+instead of recomputing.  Only the last round's messages need an extra pass,
+and that pass computes the decoding edges alone.  Lookup accounting follows:
+message_lookups counts tau^|I| per factor-to-variable message per round, and
+decode_lookups counts the table entries of that one final pass, one
+decoding-edge message per variable per solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .acquisition import DiscretizedAcquisition
+from .config import DEFAULT_MAXSUM
 from .errors import ContractViolationError
-
-DEFAULT_ROUNDS = 30
-DEFAULT_TOL = 1e-8
 
 
 class FactorGraph:
@@ -83,6 +91,12 @@ class FactorGraph:
         self.edges = tuple(
             (fi, v) for fi, s in enumerate(self.subsets) for v in s
         )
+        # per variable, the incident factor with the smallest subset
+        # (lexicographic; the lowest factor index among equal subsets)
+        self.decoding_edges = tuple(
+            (min(nbhd, key=lambda f: self.subsets[f]), v)
+            for v, nbhd in enumerate(self.neighborhoods)
+        )
 
     @property
     def num_factors(self) -> int:
@@ -99,21 +113,6 @@ class FactorGraph:
         )
 
 
-@dataclass(frozen=True)
-class MessageTable:
-    """All edge messages of one round; vectors indexed by grid value."""
-
-    factor_to_var: dict
-    var_to_factor: dict
-    round: int
-
-    @classmethod
-    def zeros(cls, g: FactorGraph) -> "MessageTable":
-        z = {e: np.zeros(g.num_values) for e in g.edges}
-        zv = {(v, fi): np.zeros(g.num_values) for fi, v in g.edges}
-        return cls(factor_to_var=z, var_to_factor=zv, round=0)
-
-
 def _along_axis(msg: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     shape = [1] * ndim
     shape[axis] = msg.shape[0]
@@ -121,7 +120,7 @@ def _along_axis(msg: np.ndarray, axis: int, ndim: int) -> np.ndarray:
 
 
 def factor_to_variable_message(
-    g: FactorGraph, msgs: MessageTable, factor_index: int, variable: int
+    g: FactorGraph, var_to_factor: dict, factor_index: int, variable: int
 ) -> np.ndarray:
     """Max over the factor's other variables of (incoming messages + phi)."""
     s = g.subsets[factor_index]
@@ -135,14 +134,14 @@ def factor_to_variable_message(
     for q, j in enumerate(s):
         if j == variable:
             continue
-        aug = aug + _along_axis(msgs.var_to_factor[(j, factor_index)], q, k)
+        aug = aug + _along_axis(var_to_factor[(j, factor_index)], q, k)
     if k == 1:
         return aug.copy()
     return aug.max(axis=tuple(q for q in range(k) if q != pos))
 
 
 def variable_to_factor_message(
-    g: FactorGraph, msgs: MessageTable, variable: int, factor_index: int
+    g: FactorGraph, factor_to_var: dict, variable: int, factor_index: int
 ) -> np.ndarray:
     """Pointwise sum of the other incident factors' messages; zero if none."""
     if factor_index not in g.neighborhoods[variable]:
@@ -152,7 +151,7 @@ def variable_to_factor_message(
     out = np.zeros(g.num_values)
     for f2 in g.neighborhoods[variable]:
         if f2 != factor_index:
-            out = out + msgs.factor_to_var[(f2, variable)]
+            out = out + factor_to_var[(f2, variable)]
     return out
 
 
@@ -162,12 +161,10 @@ class Diagnostics:
 
     rounds_used: int = 0
     converged: bool = False
-    deltas: list = field(default_factory=list)
     message_lookups: int = 0
     decode_lookups: int = 0
-    round_factor_lookups: list = field(default_factory=list)
     trace: list = field(default_factory=list)  # (round, max_delta, sigma_phi)
-    best_value: float | None = None  # anytime decoding, filled by keep_best
+    best_value: float | None = None  # anytime decoding: best round so far
     best_indices: np.ndarray | None = None
 
     @property
@@ -175,22 +172,31 @@ class Diagnostics:
         return self.message_lookups + self.decode_lookups
 
 
+def _damped(old: dict, raw: dict, damping: float):
+    """Blended messages normalized to max entry 0, and their max change."""
+    new, delta = {}, 0.0
+    for e, r in raw.items():
+        blended = damping * old[e] + (1.0 - damping) * r
+        nrm = blended - blended.max()
+        delta = max(delta, float(np.abs(nrm - old[e]).max()))
+        new[e] = nrm
+    return new, delta
+
+
 def run_rounds(
     g: FactorGraph,
     max_rounds: int,
-    damping: float = 0.0,
-    tol: float = DEFAULT_TOL,
-    diagnostics: Diagnostics | None = None,
-    record_trace: bool = False,
-    keep_best: bool = False,
-):
+    damping: float = DEFAULT_MAXSUM["damping"],
+    tol: float = DEFAULT_MAXSUM["tol"],
+) -> Diagnostics:
     """Synchronous rounds until the max message change falls below tol.
 
-    Returns (messages, rounds_used, converged).  Every stored message is
-    normalized to max entry 0; damping blends lambda*old + (1-lambda)*new
-    before normalizing.  With keep_best (needs diagnostics) every round is
-    decoded and the best assignment by summed table value is kept on the
-    diagnostics; earlier rounds win ties.
+    Every stored message is normalized to max entry 0; damping blends
+    lambda*old + (1-lambda)*new before normalizing.  Every round is decoded
+    and the assignment with the best summed table value is kept; earlier
+    rounds win ties.  A round's messages are decoded from the raw messages
+    the next round computes from them, so after the last round only the
+    decoding edges are computed, and those are the decode lookups.
     """
     if max_rounds < 1:
         raise ContractViolationError("max_rounds must be >= 1")
@@ -198,77 +204,47 @@ def run_rounds(
         raise ContractViolationError("damping must lie in [0, 1)")
     if tol < 0:
         raise ContractViolationError("tol must be >= 0")
-    msgs = MessageTable.zeros(g)
-    converged = False
-    rounds_used = 0
-    for rnd in range(1, max_rounds + 1):
-        delta = 0.0
-        new_f2v = {}
-        round_counts = [0] * g.num_factors
-        for fi, v in g.edges:
-            raw = factor_to_variable_message(g, msgs, fi, v)
-            round_counts[fi] += g.tables[fi].size
-            blended = damping * msgs.factor_to_var[(fi, v)] + (1.0 - damping) * raw
-            nrm = blended - blended.max()
-            delta = max(delta, float(np.abs(nrm - msgs.factor_to_var[(fi, v)]).max()))
-            new_f2v[(fi, v)] = nrm
-        new_v2f = {}
-        for fi, v in g.edges:
-            raw = variable_to_factor_message(g, msgs, v, fi)
-            blended = damping * msgs.var_to_factor[(v, fi)] + (1.0 - damping) * raw
-            nrm = blended - blended.max()
-            delta = max(delta, float(np.abs(nrm - msgs.var_to_factor[(v, fi)]).max()))
-            new_v2f[(v, fi)] = nrm
-        msgs = MessageTable(factor_to_var=new_f2v, var_to_factor=new_v2f, round=rnd)
-        rounds_used = rnd
-        if diagnostics is not None:
-            diagnostics.deltas.append(delta)
-            diagnostics.message_lookups += sum(round_counts)
-            diagnostics.round_factor_lookups.append(round_counts)
-            if record_trace or keep_best:
-                idx = decode(g, msgs, diagnostics=diagnostics)
-                val = g.value_of(idx)
-                if record_trace:
-                    diagnostics.trace.append((rnd, delta, val))
-                if keep_best and (
-                    diagnostics.best_value is None or val > diagnostics.best_value
-                ):
-                    diagnostics.best_value = val
-                    diagnostics.best_indices = idx
-        if delta < tol:
-            converged = True
-            break
-    if diagnostics is not None:
-        diagnostics.rounds_used = rounds_used
-        diagnostics.converged = converged
-    return msgs, rounds_used, converged
+    diag = Diagnostics()
+    f2v = {e: np.zeros(g.num_values) for e in g.edges}
+    v2f = {(v, fi): np.zeros(g.num_values) for fi, v in g.edges}
+    delta = math.inf
+    for rnd in range(max_rounds + 1):  # f2v and v2f hold round rnd
+        last = rnd == max_rounds or delta < tol
+        edges = g.decoding_edges if last else g.edges
+        raw_f2v = {(fi, v): factor_to_variable_message(g, v2f, fi, v) for fi, v in edges}
+        raw_v2f = {(v, fi): variable_to_factor_message(g, f2v, v, fi) for fi, v in edges}
+        lookups = sum(g.tables[fi].size for fi, _ in edges)
+        if rnd > 0:
+            idx = decode(g, raw_f2v, raw_v2f)
+            val = g.value_of(idx)
+            diag.trace.append((rnd, delta, val))
+            if diag.best_value is None or val > diag.best_value:
+                diag.best_value = val
+                diag.best_indices = idx
+        if last:
+            diag.decode_lookups = lookups
+            diag.rounds_used = rnd
+            diag.converged = delta < tol
+            return diag
+        diag.message_lookups += lookups
+        f2v, delta_f2v = _damped(f2v, raw_f2v, damping)
+        v2f, delta_v2f = _damped(v2f, raw_v2f, damping)
+        delta = max(delta_f2v, delta_v2f)
 
 
-def decode(
-    g: FactorGraph, msgs: MessageTable, diagnostics: Diagnostics | None = None
-) -> np.ndarray:
+def decode(g: FactorGraph, factor_to_var: dict, var_to_factor: dict) -> np.ndarray:
     """Per-variable argmax of the edge belief; deterministic tie-breaking.
 
-    The incident factor is the one with the smallest lexicographic subset
-    (then lowest factor index); value ties go to the lowest grid index.
+    The messages are the raw ones computed from the round being decoded,
+    and only the decoding edges (g.decoding_edges) are read: the belief of
+    variable v is factor_to_var[(fi, v)] + var_to_factor[(v, fi)] for the
+    incident factor fi with the smallest lexicographic subset (then lowest
+    factor index).  Value ties go to the lowest grid index.
     """
     out = np.empty(g.num_variables, dtype=int)
-    for v in range(g.num_variables):
-        fi = min(g.neighborhoods[v], key=lambda f: g.subsets[f])
-        score = factor_to_variable_message(g, msgs, fi, v)
-        score = score + variable_to_factor_message(g, msgs, v, fi)
-        if diagnostics is not None:
-            diagnostics.decode_lookups += g.tables[fi].size
-        out[v] = int(np.argmax(score))
+    for fi, v in g.decoding_edges:
+        out[v] = int(np.argmax(factor_to_var[(fi, v)] + var_to_factor[(v, fi)]))
     return out
-
-
-@dataclass(frozen=True)
-class MaxSumConfig:
-    max_rounds: int = DEFAULT_ROUNDS
-    damping: float = 0.0
-    tol: float = DEFAULT_TOL
-    record_trace: bool = False
 
 
 @dataclass(frozen=True)
@@ -279,9 +255,13 @@ class SolveResult:
     diagnostics: Diagnostics
 
 
-def solve(acq: DiscretizedAcquisition, config: MaxSumConfig | None = None) -> SolveResult:
-    """Build the graph from an acquisition, run rounds, decode, map back."""
-    cfg = config if config is not None else MaxSumConfig()
+def solve(
+    acq: DiscretizedAcquisition,
+    rounds: int = DEFAULT_MAXSUM["rounds"],
+    damping: float = DEFAULT_MAXSUM["damping"],
+    tol: float = DEFAULT_MAXSUM["tol"],
+) -> SolveResult:
+    """Build the graph from an acquisition, run rounds, map the best back."""
     tables = tuple(
         acq.factor_weight(i) * acq.tables[i] for i in range(acq.num_factors)
     )
@@ -291,19 +271,11 @@ def solve(acq: DiscretizedAcquisition, config: MaxSumConfig | None = None) -> So
         subsets=acq.subsets,
         tables=tables,
     )
-    diag = Diagnostics()
-    run_rounds(
-        g,
-        cfg.max_rounds,
-        damping=cfg.damping,
-        tol=cfg.tol,
-        diagnostics=diag,
-        record_trace=cfg.record_trace,
-        keep_best=True,
+    diag = run_rounds(g, rounds, damping=damping, tol=tol)
+    idx = diag.best_indices
+    return SolveResult(
+        x=acq.grid.point_at(idx), indices=idx, value=diag.best_value, diagnostics=diag
     )
-    idx = diag.best_indices  # every round decodes, so this is never None
-    x = acq.grid.point_at(idx)
-    return SolveResult(x=x, indices=idx, value=g.value_of(idx), diagnostics=diag)
 
 
 def dump_trace(diagnostics: Diagnostics, path) -> None:

@@ -109,6 +109,10 @@ def test_non_utf8_config_exits_3(tmp_path, capsys):
 
 
 _MCMC_NO_CHAIN = {"mode": "mcmc", "max_factor_size": 2}
+# 4 burn-in steps + 2 gaps of 3 steps between 3 samples need a 10-step chain
+_MCMC_SHORT_CHAIN = dict(
+    _MCMC_NO_CHAIN, chain_length=5, burn_in=4, thinning=3, num_samples=3
+)
 
 # Each entry is a config the CLI refuses with exit 3; the Python API must
 # refuse it too, with one of the package's own exceptions.
@@ -122,6 +126,7 @@ BAD_CONFIGS = {
     "unknown_beta_mode": dict(RANDOM_CFG, beta={"mode": "bogus"}),
     "iterations_as_string": dict(RANDOM_CFG, iterations="3"),
     "mcmc_without_chain_length": dict(DEC_CFG, decomposition=_MCMC_NO_CHAIN),
+    "mcmc_chain_too_short": dict(DEC_CFG, decomposition=_MCMC_SHORT_CHAIN),
     "negative_seed": dict(RANDOM_CFG, seed=-1),
     "fractional_seed": dict(RANDOM_CFG, seed=1.5),
     "model_without_noise": dict(DEC_CFG, noise_variance=0.0),
@@ -139,6 +144,7 @@ def test_python_api_and_cli_refuse_the_same_configs(name, tmp_path):
         RunConfig.from_dict(doc)
     cfg = _write(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    assert not (tmp_path / "o").exists()  # refused before anything was written
 
 
 def test_from_dict_refuses_unknown_top_level_keys():

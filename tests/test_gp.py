@@ -173,6 +173,14 @@ def test_observation_set_validation():
         ObservationSet(np.zeros((2, 2)), np.zeros(2), 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_observations_raise_contract_violation(bad):
+    with pytest.raises(ContractViolationError, match="finite"):
+        ObservationSet([[0.1], [bad]], [0.0, 1.0], 0.1)
+    with pytest.raises(ContractViolationError, match="finite"):
+        ObservationSet([[0.1], [0.2]], [0.0, bad], 0.1)
+
+
 def test_log_marginal_likelihood_matches_mvn_logpdf():
     rng = np.random.default_rng(31)
     kernel = random_kernel(rng, 3)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,10 +9,7 @@ from fgbo.errors import ContractViolationError
 from fgbo.gp import ObservationSet, fit
 from fgbo.kernels import AdditiveKernel, FactorKernel
 from fgbo.maxsum import (
-    Diagnostics,
     FactorGraph,
-    MaxSumConfig,
-    MessageTable,
     decode,
     dump_trace,
     factor_to_variable_message,
@@ -68,31 +66,32 @@ def test_tree_exactness_sample():
     rng = np.random.default_rng(123)
     for _ in range(40):
         g = random_acyclic_graph(rng)
-        msgs, _, _ = run_rounds(g, max_rounds=4 * g.num_variables)
-        idx = decode(g, msgs)
+        diag = run_rounds(g, max_rounds=4 * g.num_variables)
         want_val, _ = brute_force_max(g)
-        assert g.value_of(idx) == want_val  # bitwise on the table sums
+        assert g.value_of(diag.best_indices) == diag.best_value
+        assert diag.best_value == want_val  # bitwise on the table sums
+        assert diag.trace[-1][2] == want_val  # the last round's decode too
 
 
-def _message_table(g, rng):
+def _messages(g, rng):
     f2v = {e: rng.normal(size=g.num_values) for e in g.edges}
     v2f = {(v, fi): rng.normal(size=g.num_values) for fi, v in g.edges}
-    return MessageTable(factor_to_var=f2v, var_to_factor=v2f, round=1)
+    return f2v, v2f
 
 
 def test_factor_to_variable_message_oracle():
     rng = np.random.default_rng(5)
     tau = 4
     g = FactorGraph(3, tau, [(0, 1, 2)], [rng.normal(size=(tau, tau, tau))])
-    msgs = _message_table(g, rng)
+    _, v2f = _messages(g, rng)
     for target in range(3):
-        got = factor_to_variable_message(g, msgs, 0, target)
+        got = factor_to_variable_message(g, v2f, 0, target)
         want = np.full(tau, -math.inf)
         for idx in np.ndindex(tau, tau, tau):
             total = g.tables[0][idx]
             for pos, var in enumerate(g.subsets[0]):
                 if var != target:
-                    total += msgs.var_to_factor[(var, 0)][idx[pos]]
+                    total += v2f[(var, 0)][idx[pos]]
             h = idx[g.subsets[0].index(target)]
             want[h] = max(want[h], total)
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -102,9 +101,9 @@ def test_variable_to_factor_message_oracle():
     rng = np.random.default_rng(6)
     tau = 3
     g = FactorGraph(1, tau, [(0,), (0,), (0,)], [rng.normal(size=tau) for _ in range(3)])
-    msgs = _message_table(g, rng)
-    got = variable_to_factor_message(g, msgs, 0, 1)
-    want = msgs.factor_to_var[(0, 0)] + msgs.factor_to_var[(2, 0)]
+    f2v, _ = _messages(g, rng)
+    got = variable_to_factor_message(g, f2v, 0, 1)
+    want = f2v[(0, 0)] + f2v[(2, 0)]
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -112,25 +111,27 @@ def test_unary_chain_trivial():
     # single variable, single factor: decode is the table argmax
     table = np.array([0.3, 1.7, -0.2, 1.7])
     g = FactorGraph(1, 4, [(0,)], [table])
-    msgs, _, _ = run_rounds(g, max_rounds=3)
-    assert tuple(decode(g, msgs)) == (1,)  # ties break to the lowest index
+    assert tuple(run_rounds(g, max_rounds=3).best_indices) == (1,)  # lowest index
 
 
 def test_tie_breaking_lowest_index():
     g = FactorGraph(2, 3, [(0, 1)], [np.zeros((3, 3))])
-    msgs, _, _ = run_rounds(g, max_rounds=5)
-    assert tuple(decode(g, msgs)) == (0, 0)
+    assert tuple(run_rounds(g, max_rounds=5).best_indices) == (0, 0)
 
 
 def test_decode_uses_lexicographically_smallest_incident_factor():
-    # with zeroed messages the belief comes from the chosen factor's table
+    # decoding zeroed messages: the belief comes from the chosen factor's table
     t01 = np.zeros((4, 4))
     t02 = np.zeros((4, 4))
     t01[3, :] = 1.0  # factor (0,1) votes x0=3
     t02[1, :] = 5.0  # factor (0,2) votes x0=1, and louder
     g = FactorGraph(3, 4, [(0, 1), (0, 2)], [t01, t02])
-    fresh = MessageTable.zeros(g)
-    idx = decode(g, fresh)
+    assert g.decoding_edges == ((0, 0), (0, 1), (1, 2))
+    zero_f2v = {e: np.zeros(4) for e in g.edges}
+    zero_v2f = {(v, fi): np.zeros(4) for fi, v in g.edges}
+    f2v = {e: factor_to_variable_message(g, zero_v2f, *e) for e in g.edges}
+    v2f = {(v, fi): variable_to_factor_message(g, zero_f2v, v, fi) for fi, v in g.edges}
+    idx = decode(g, f2v, v2f)
     assert idx[0] == 3
 
 
@@ -140,49 +141,49 @@ def test_normalization_invariance_of_argmax():
     tables = [rng.normal(size=(5, 5)) for _ in subsets]
     g1 = FactorGraph(3, 5, subsets, tables)
     g2 = FactorGraph(3, 5, subsets, [t + 13.7 for t in tables])
-    m1, _, _ = run_rounds(g1, max_rounds=30)
-    m2, _, _ = run_rounds(g2, max_rounds=30)
-    np.testing.assert_array_equal(decode(g1, m1), decode(g2, m2))
+    d1 = run_rounds(g1, max_rounds=30)
+    d2 = run_rounds(g2, max_rounds=30)
+    np.testing.assert_array_equal(d1.best_indices, d2.best_indices)
 
 
 def test_damping_converges_to_same_tree_answer():
     rng = np.random.default_rng(31)
     for _ in range(10):
         g = random_acyclic_graph(rng, max_vars=5)
-        plain, _, _ = run_rounds(g, max_rounds=40)
-        damped, _, _ = run_rounds(g, max_rounds=200, damping=0.5)
-        assert g.value_of(decode(g, plain)) == g.value_of(decode(g, damped))
+        plain = run_rounds(g, max_rounds=40)
+        damped = run_rounds(g, max_rounds=200, damping=0.5)
+        assert plain.best_value == damped.best_value
 
 
 def test_convergence_flag_and_tolerance_zero():
     rng = np.random.default_rng(9)
     g = random_acyclic_graph(rng, max_vars=4)
-    _, rounds, converged = run_rounds(g, max_rounds=50)
-    assert converged
-    assert rounds < 50
-    _, rounds, converged = run_rounds(g, max_rounds=12, tol=0.0)
-    assert not converged
-    assert rounds == 12
+    diag = run_rounds(g, max_rounds=50)
+    assert diag.converged
+    assert diag.rounds_used < 50
+    diag = run_rounds(g, max_rounds=12, tol=0.0)
+    assert not diag.converged
+    assert diag.rounds_used == 12
+    assert [row[0] for row in diag.trace] == list(range(1, 13))
 
 
 def test_lookup_counting_exact():
     # each factor-to-variable message scans its full table once per round:
-    # per factor per round the count is arity * tau^arity
+    # per factor per round the count is arity * tau^arity.  Decoding reads
+    # one decoding-edge message per variable, once per solve: variable 0
+    # decodes on (0,), 1 on (0, 1), 2 and 3 on (1, 2, 3).
     rng = np.random.default_rng(14)
     tau = 5
     subsets = [(0, 1), (1, 2, 3), (0,)]
     tables = [rng.normal(size=(tau,) * len(s)) for s in subsets]
     g = FactorGraph(4, tau, subsets, tables)
-    diag = Diagnostics()
-    run_rounds(g, max_rounds=7, tol=0.0, diagnostics=diag)
-    assert diag.rounds_used == 7
-    for fi, s in enumerate(subsets):
-        want = len(s) * tau ** len(s)
-        for r in range(7):
-            assert diag.round_factor_lookups[r][fi] == want
     per_round = sum(len(s) * tau ** len(s) for s in subsets)
-    assert diag.message_lookups == 7 * per_round
-    assert diag.total_lookups == diag.message_lookups + diag.decode_lookups
+    for rounds in (1, 7):
+        diag = run_rounds(g, max_rounds=rounds, tol=0.0)
+        assert diag.rounds_used == rounds
+        assert diag.message_lookups == rounds * per_round
+        assert diag.decode_lookups == tau + tau**2 + 2 * tau**3
+        assert diag.total_lookups == diag.message_lookups + diag.decode_lookups
 
 
 def loopy_overlap_graph(rng, num_vars=4, tau=6):
@@ -211,8 +212,7 @@ def test_loopy_quality_smoke():
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
         g = loopy_overlap_graph(rng)
-        diag = Diagnostics()
-        run_rounds(g, max_rounds=30, diagnostics=diag, keep_best=True)
+        diag = run_rounds(g, max_rounds=30)
         best, _ = brute_force_max(g)
         if diag.best_value >= 0.95 * best:
             wins += 1
@@ -224,11 +224,10 @@ def test_determinism():
     rng2 = np.random.default_rng(2)
     g1 = random_acyclic_graph(rng1)
     g2 = random_acyclic_graph(rng2)
-    m1, _, _ = run_rounds(g1, max_rounds=20)
-    m2, _, _ = run_rounds(g2, max_rounds=20)
-    np.testing.assert_array_equal(decode(g1, m1), decode(g2, m2))
-    for key in m1.factor_to_var:
-        np.testing.assert_array_equal(m1.factor_to_var[key], m2.factor_to_var[key])
+    d1 = run_rounds(g1, max_rounds=20)
+    d2 = run_rounds(g2, max_rounds=20)
+    np.testing.assert_array_equal(d1.best_indices, d2.best_indices)
+    assert d1.trace == d2.trace
 
 
 def test_graph_validation():
@@ -254,7 +253,7 @@ def test_solve_on_acquisition_matches_brute_force():
     post = fit(kernel, obs)
     grid = GridSpec(per_dim_points=5, box=((0.0, 1.0),) * 3)
     acq = tabulate(post, grid, 2.5)
-    result = solve(acq, config=MaxSumConfig(max_rounds=40))
+    result = solve(acq, rounds=40)
     g = FactorGraph(3, 5, list(acq.subsets), list(acq.tables))
     want_val, _ = brute_force_max(g)
     assert result.value == pytest.approx(want_val, abs=1e-12)
@@ -269,7 +268,7 @@ def test_solve_records_trace_and_dump(tmp_path):
     )
     obs = ObservationSet(rng.uniform(size=(4, 1)), rng.normal(size=4), 0.1)
     acq = tabulate(fit(kernel, obs), GridSpec(per_dim_points=6, box=((0.0, 1.0),)), 2.0)
-    result = solve(acq, config=MaxSumConfig(max_rounds=10, record_trace=True))
+    result = solve(acq, rounds=10)
     trace = result.diagnostics.trace
     assert len(trace) == result.diagnostics.rounds_used
     out = tmp_path / "trace.csv"
@@ -277,3 +276,46 @@ def test_solve_records_trace_and_dump(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "round,max_delta,sigma_phi"
     assert len(lines) == 1 + len(trace)
+
+
+# SHA-256 over _maxsum_digest(), recorded from the solver that re-decoded
+# every round's messages from scratch.  It pins the best indices, the best
+# value, rounds_used, converged and every (round, max_delta, sigma_phi) row.
+MAXSUM_SHA256 = "c2d35f79f8fb3c619c81c62ac07aa75cb8a0ee99114d34f9ab77f03eba9de0ff"
+
+
+def _maxsum_digest() -> tuple[str, int, int]:
+    """Digest, run count and round-capped run count over seeded loopy and
+    acyclic graphs, undamped and damped; the acyclic caps vary from 2 to 7
+    rounds so that some runs stop before converging."""
+    digest = hashlib.sha256()
+    runs = capped = 0
+    for i in range(12):
+        graphs = (
+            (loopy_overlap_graph(np.random.default_rng(7000 + i)), 30),
+            (random_acyclic_graph(np.random.default_rng(8000 + i)), 2 + i % 6),
+        )
+        for g, max_rounds in graphs:
+            for damping in (0.0, 0.4):
+                diag = run_rounds(g, max_rounds, damping=damping)
+                rows = ["%d,%.17g,%.17g" % row for row in diag.trace]
+                digest.update(
+                    repr(
+                        (
+                            tuple(int(v) for v in diag.best_indices),
+                            "%.17g" % diag.best_value,
+                            diag.rounds_used,
+                            diag.converged,
+                            rows,
+                        )
+                    ).encode()
+                )
+                runs += 1
+                capped += not diag.converged
+    return digest.hexdigest(), runs, capped
+
+
+def test_maxsum_results_and_traces_are_pinned():
+    digest, runs, capped = _maxsum_digest()
+    assert (runs, capped) == (48, 35)
+    assert digest == MAXSUM_SHA256
