@@ -178,21 +178,6 @@ class GridSpec:
             [self._axes[j][i] for j, i in enumerate(indices)], dtype=float
         )
 
-    def nearest_indices(self, x) -> tuple[int, ...]:
-        """Per-dimension index of the grid point nearest to x."""
-        x = np.asarray(x, dtype=float).ravel()
-        if x.shape != (self.num_dims,):
-            raise ContractViolationError(
-                f"point has {x.shape} coordinates, grid has {self.num_dims} dims"
-            )
-        out = []
-        for j, v in enumerate(x):
-            lo, hi = self.box[j]
-            step = (hi - lo) / (self.per_dim_points - 1)
-            i = int(round((v - lo) / step))
-            out.append(min(max(i, 0), self.per_dim_points - 1))
-        return tuple(out)
-
 
 def grid_for_iteration(
     schedule: BetaSchedule, t: int, caps: tuple[int, int]
@@ -236,7 +221,6 @@ class DiscretizedAcquisition:
     subsets: tuple[tuple[int, ...], ...]
     tables: tuple[np.ndarray, ...]
     grid: GridSpec
-    beta_used: float
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -289,5 +273,4 @@ def tabulate(
         subsets=tuple(subsets),
         tables=tuple(tables),
         grid=grid,
-        beta_used=float(beta_value),
     )

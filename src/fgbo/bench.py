@@ -17,7 +17,7 @@ optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -81,7 +81,6 @@ class SyntheticObjective:
     minimize: bool
     known_optimum: float | None = None
     known_argmin: tuple[float, ...] | None = None
-    constants: dict = field(default_factory=dict)
     batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
@@ -136,7 +135,6 @@ def shekel4() -> SyntheticObjective:
         minimize=True,
         known_optimum=SHEKEL_OPTIMUM,
         known_argmin=(4.0, 4.0, 4.0, 4.0),
-        constants={"beta": SHEKEL_BETA.tolist(), "C": SHEKEL_C.tolist()},
         batch_fn=fn,
     )
 
@@ -154,11 +152,6 @@ def hartmann6() -> SyntheticObjective:
         minimize=True,
         known_optimum=HARTMANN6_OPTIMUM,
         known_argmin=HARTMANN6_ARGMIN,
-        constants={
-            "alpha": HARTMANN6_ALPHA.tolist(),
-            "A": HARTMANN6_A.tolist(),
-            "P": HARTMANN6_P.tolist(),
-        },
         batch_fn=fn,
     )
 
@@ -176,7 +169,6 @@ def michalewicz10() -> SyntheticObjective:
         minimize=True,
         known_optimum=MICHALEWICZ_OPTIMUM,
         known_argmin=None,  # not published; tests recover it per dimension
-        constants={"m": MICHALEWICZ_M, "d": MICHALEWICZ_D},
         batch_fn=fn,
     )
 
@@ -187,37 +179,32 @@ MAX_SAMPLE_GRID = 4000
 def prior_sample_objective(
     kernel: AdditiveKernel,
     box: tuple[tuple[float, float], ...],
-    grid,
+    grid_points: int,
     rng: np.random.Generator,
 ) -> SyntheticObjective:
     """A function drawn from the additive GP prior on a small grid.
 
-    grid is either an int (per-dimension linspace point count over the box)
-    or explicit per-dimension value arrays.  Factor values are sampled
-    exactly on each factor's sub-grid (independent draws, matching the
-    additive prior) and extended off-grid by noiseless posterior-mean
-    interpolation, so on-grid evaluations reproduce the draws up to jitter.
+    The grid has grid_points linspace values per dimension of the box.
+    Factor values are sampled exactly on each factor's sub-grid
+    (independent draws, matching the additive prior) and extended off-grid
+    by noiseless posterior-mean interpolation, so on-grid evaluations
+    reproduce the draws up to jitter.  Each factor's sub-grid may hold at
+    most MAX_SAMPLE_GRID points; the joint grid over all d dimensions is
+    never built, so d is unbounded.
     """
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     d = len(box)
-    if isinstance(grid, (int, np.integer)):
-        values = [np.linspace(lo, hi, int(grid)) for lo, hi in box]
-    else:
-        values = [np.asarray(v, dtype=float).ravel() for v in grid]
-        if len(values) != d:
-            raise ContractViolationError("need one grid array per dimension")
-    joint = 1
-    for v in values:
-        joint *= len(v)
-    if joint > MAX_SAMPLE_GRID:
-        raise ContractViolationError(
-            f"sampling grid has {joint} joint points, limit {MAX_SAMPLE_GRID}"
-        )
+    values = [np.linspace(lo, hi, grid_points) for lo, hi in box]
     interpolants = []
     for f in kernel.factors:
         if f.subset[-1] >= d:
             raise ContractViolationError(
                 f"kernel subset {f.subset} outside the {d}-dimensional box"
+            )
+        if grid_points**f.arity > MAX_SAMPLE_GRID:
+            raise ContractViolationError(
+                f"factor {f.subset} samples {grid_points**f.arity} grid points, "
+                f"limit {MAX_SAMPLE_GRID}"
             )
         mesh = np.meshgrid(*(values[j] for j in f.subset), indexing="ij")
         U = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -238,12 +225,6 @@ def prior_sample_objective(
         box=box,
         minimize=False,
         known_optimum=None,
-        constants={
-            "subsets": [list(f.subset) for f in kernel.factors],
-            "signal_variances": [f.signal_variance for f in kernel.factors],
-            "lengthscales": [list(f.lengthscales) for f in kernel.factors],
-            "grid_sizes": [len(v) for v in values],
-        },
         batch_fn=fn,
     )
 

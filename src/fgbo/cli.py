@@ -17,19 +17,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from dataclasses import replace
 from multiprocessing import get_context
 
 import numpy as np
 
 from . import __version__, bench, config as config_mod, engine
-from .acquisition import BetaMode, BetaSchedule, beta
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
-from .gp import ObservationSet, dense_cholesky_with_jitter, fit
-from .kernels import AdditiveKernel, FactorKernel, gram
-from .maxsum import FactorGraph, run_rounds
 
 EXIT_OK = 0
 EXIT_MISSING_FILE = 2
@@ -61,7 +57,6 @@ def benchmark_run_config(benchmark: str, label: str, seed: int, iterations: int 
         "noise_variance": 0.01,
         "beta": dict(_TABLE1_BETA),
         "grid_caps": [2, cap],
-        "maxsum": {"rounds": 30, "damping": 0.0, "tol": 1e-8},
     }
     if label == "add":
         raw["algorithm"] = "add_independent"
@@ -83,15 +78,15 @@ def _out_dir(flag_value: str | None) -> str:
     return os.environ.get(ENV_OUT_DIR) or "runs"
 
 
-def _load_canonical(path: str) -> dict:
+def _load_canonical(path: str) -> engine.RunConfig:
     if not os.path.isfile(path):  # a directory is a missing file too
         raise FileNotFoundError(path)
-    return config_mod.validate_config(config_mod.load_config_file(path))
+    return engine.RunConfig.from_dict(config_mod.load_config_file(path))
 
 
-def _execute(canonical: dict, out_dir: str, quiet: bool) -> engine.RunResult:
+def _execute(config: engine.RunConfig, out_dir: str, quiet: bool) -> engine.RunResult:
     os.makedirs(out_dir, exist_ok=True)
-    resolved = engine.resolve(engine.RunConfig.from_dict(canonical))
+    resolved = engine.resolve(config)
     engine.write_manifest(resolved.manifest, os.path.join(out_dir, "manifest.json"))
     result = engine.run_resolved(resolved)
     engine.write_trace_csv(result, os.path.join(out_dir, "trace.csv"))
@@ -105,26 +100,32 @@ def _execute(canonical: dict, out_dir: str, quiet: bool) -> engine.RunResult:
 
 
 def cmd_run(args) -> int:
-    canonical = _load_canonical(args.config)
+    config = _load_canonical(args.config)
     if args.seed is not None:
-        canonical["seed"] = args.seed
-    _execute(canonical, _out_dir(args.out), args.quiet)
+        config = replace(config, seed=args.seed)  # validated like the file
+    _execute(config, _out_dir(args.out), args.quiet)
     return EXIT_OK
 
 
 def _sweep_worker(job) -> tuple:
-    """One run of a sweep or table1; a failure names its seed and keeps its
-    exception type, so the exit code stays the same."""
-    canonical, out_dir = job
-    seed = canonical["seed"]
+    """One seed's run of a sweep or table1; a failure names its seed and
+    keeps its exception type, so the exit code stays the same."""
+    config, seed, out_dir = job
     try:
-        result = _execute(canonical, out_dir, quiet=True)
+        result = _execute(replace(config, seed=seed), out_dir, quiet=True)
     except NumericalFailureError as exc:
         raise NumericalFailureError(f"seed {seed}: {exc}", jitter=exc.jitter) from exc
     except (FileNotFoundError, ConfigurationError, ContractViolationError) as exc:
         raise type(exc)(f"seed {seed}: {exc}") from exc
     last = result.records[-1]
     return seed, last.best, last.R
+
+
+def _map_runs(jobs: list, processes: int) -> list:
+    if processes > 1:
+        with get_context("spawn").Pool(processes) as pool:
+            return pool.map(_sweep_worker, jobs)
+    return [_sweep_worker(job) for job in jobs]
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -138,18 +139,11 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    canonical = _load_canonical(args.config)
+    config = _load_canonical(args.config)
     seeds = _parse_seeds(args.seeds)
     base = _out_dir(args.out)
-    jobs = []
-    for seed in seeds:
-        per_seed = dict(canonical, seed=seed)
-        jobs.append((per_seed, os.path.join(base, f"seed{seed}")))
-    if args.jobs > 1:
-        with get_context("spawn").Pool(args.jobs) as pool:
-            rows = pool.map(_sweep_worker, jobs)
-    else:
-        rows = [_sweep_worker(job) for job in jobs]
+    jobs = [(config, seed, os.path.join(base, f"seed{seed}")) for seed in seeds]
+    rows = _map_runs(jobs, args.jobs)
     os.makedirs(base, exist_ok=True)
     summary = os.path.join(base, "summary.csv")
     with open(summary, "w") as fh:
@@ -167,29 +161,20 @@ def cmd_table1(args) -> int:
     benchmarks = [b.strip() for b in args.benchmarks.split(",")]
     labels = [l.strip() for l in args.labels.split(",")]
     seeds = list(range(args.num_seeds))
-    jobs = []
+    cells, jobs = [], []
     for benchmark in benchmarks:
         for label in labels:
+            config = engine.RunConfig.from_dict(
+                benchmark_run_config(benchmark, label, 0, iterations=args.iterations)
+            )
             for seed in seeds:
-                canonical = benchmark_run_config(
-                    benchmark, label, seed, iterations=args.iterations
-                )
                 out_dir = os.path.join(base, "table1", f"{benchmark}_{label}_seed{seed}")
-                jobs.append((canonical, out_dir))
-    if args.jobs > 1:
-        with get_context("spawn").Pool(args.jobs) as pool:
-            rows = pool.map(_sweep_worker, jobs)
-    else:
-        rows = [_sweep_worker(job) for job in jobs]
+                cells.append((benchmark, label))
+                jobs.append((config, seed, out_dir))
+    rows = _map_runs(jobs, args.jobs)
     finals = {}
-    for (canonical, _), (seed, best, _R) in zip(jobs, rows):
-        name = canonical["objective"]
-        label = (
-            "add"
-            if canonical["algorithm"] == "add_independent"
-            else f"mf{canonical['decomposition']['max_factor_size']}"
-        )
-        finals.setdefault((name, label), []).append((seed, best))
+    for cell, (seed, best, _R) in zip(cells, rows):
+        finals.setdefault(cell, []).append((seed, best))
     os.makedirs(base, exist_ok=True)
     summary = os.path.join(base, "table1_summary.csv")
     with open(summary, "w") as fh:
@@ -204,98 +189,11 @@ def cmd_table1(args) -> int:
     return EXIT_OK
 
 
-def _selftest_checks():
-    """Yield (name, passed, detail) for the quick audit battery."""
-    rng = np.random.default_rng(20240817)
-
-    s = bench.shekel4()
-    v = bench.evaluate(s, s.known_argmin)
-    yield "shekel_optimum", abs(v - bench.SHEKEL_OPTIMUM) <= 1e-3, f"f(x*)={v:.6f}"
-
-    h = bench.hartmann6()
-    v = bench.evaluate(h, h.known_argmin)
-    yield "hartmann_optimum", abs(v - bench.HARTMANN6_OPTIMUM) <= 1e-3, f"f(x*)={v:.6f}"
-
-    m = bench.michalewicz10()
-    total = 0.0
-    for i in range(1, bench.MICHALEWICZ_D + 1):
-        x = np.linspace(0.0, math.pi, 20001)
-        curve = -np.sin(x) * np.sin(i * x**2 / math.pi) ** (2 * bench.MICHALEWICZ_M)
-        total += float(curve.min())
-    yield (
-        "michalewicz_optimum",
-        abs(total - bench.MICHALEWICZ_OPTIMUM) <= 1e-2,
-        f"per-dim search={total:.6f}",
-    )
-
-    X = rng.uniform(0, 10, size=(1000, 4))
-    yield "shekel_negative", bool((bench.evaluate_batch(s, X) < 0).all()), "1000 points"
-
-    sched = BetaSchedule(
-        mode=BetaMode.DISCRETE_DOMAIN, delta=0.1, num_factors=3, domain_size=100
-    )
-    got = beta(sched, 1)
-    want = 2.0 * math.log(100 * 3 * (math.pi**2 / 6.0) / 0.1)
-    yield "beta_discrete_spot", abs(got - want) <= 1e-12, f"beta={got:.10f}"
-
-    sched = BetaSchedule(
-        mode=BetaMode.CONTINUOUS_LIPSCHITZ, delta=0.5, num_factors=1, dims=1
-    )
-    got = beta(sched, 1)
-    want = 2.0 * math.log(2 * (math.pi**2 / 6.0) / 0.5) + 2.0 * math.log(
-        math.sqrt(math.log(4.0))
-    )
-    yield "beta_continuous_spot", abs(got - want) <= 1e-12, f"beta={got:.10f}"
-
-    kernel = AdditiveKernel(
-        factors=(
-            FactorKernel(subset=(0, 1), signal_variance=1.3, lengthscales=(0.3, 0.4)),
-            FactorKernel(subset=(1, 2), signal_variance=0.7, lengthscales=(0.5, 0.2)),
-        )
-    )
-    Xo = rng.uniform(size=(12, 3))
-    yo = rng.normal(size=12)
-    post = fit(kernel, ObservationSet(Xo, yo, 0.05))
-    xq = rng.uniform(size=3)
-    total_mean = sum(post.factor_mean_var(i, xq)[0] for i in range(2))
-    full_mean = post.objective_mean_var(xq)[0]
-    yield (
-        "gp_mean_additivity",
-        abs(total_mean - full_mean) <= 1e-8,
-        f"|diff|={abs(total_mean - full_mean):.2e}",
-    )
-
-    K = gram(kernel, Xo)
-    sym = float(np.abs(K - K.T).max())
-    try:
-        dense_cholesky_with_jitter(K + 0.05 * np.eye(len(Xo)))
-        psd = True
-    except NumericalFailureError:
-        psd = False
-    yield "gram_symmetric_psd", sym == 0.0 and psd, f"max asym={sym:.1e}"
-
-    exact = 0
-    trials = 20
-    for _ in range(trials):
-        n_vars = int(rng.integers(2, 5))
-        tau = int(rng.integers(2, 6))
-        subsets = [(j,) for j in range(n_vars)]
-        subsets += [(j, j + 1) for j in range(n_vars - 1)]  # a chain: acyclic
-        tables = [rng.normal(size=(tau,) * len(s)) for s in subsets]
-        g = FactorGraph(n_vars, tau, subsets, tables)
-        got_val = run_rounds(g, max_rounds=4 * n_vars).best_value
-        best = -math.inf
-        for flat in range(tau**n_vars):
-            idx = np.unravel_index(flat, (tau,) * n_vars)
-            best = max(best, g.value_of(idx))
-        if got_val == best:
-            exact += 1
-    yield "maxsum_tree_exactness", exact == trials, f"{exact}/{trials} exact"
-
-
 def cmd_selftest(args) -> int:
+    from . import selftest  # imported here, so a run does not load the battery
+
     failures = 0
-    for name, passed, detail in _selftest_checks():
+    for name, passed, detail in selftest.checks():
         status = "PASS" if passed else "FAIL"
         if not passed:
             failures += 1

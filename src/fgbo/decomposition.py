@@ -71,28 +71,6 @@ class Decomposition:
                 f"dimensions {sorted(set(range(self.d)) - covered)} are uncovered"
             )
 
-    @property
-    def num_factors(self) -> int:
-        return len(self.subsets)
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "max_factor_size": self.max_factor_size,
-            "subsets": [list(s) for s in self.subsets],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Decomposition":
-        try:
-            return cls(
-                d=int(doc["d"]),
-                subsets=tuple(tuple(s) for s in doc["subsets"]),
-                max_factor_size=int(doc["max_factor_size"]),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"decomposition document misses key {exc}")
-
 
 def singleton_decomposition(d: int) -> Decomposition:
     return Decomposition(d=d, subsets=tuple((i,) for i in range(d)), max_factor_size=1)
@@ -337,7 +315,6 @@ class McmcConfig:
     burn_in: int = 0
     thinning: int = 1
     num_samples: int = 1
-    initial: Decomposition | None = None
 
     def __post_init__(self):
         if self.chain_length < 0 or self.burn_in < 0:
@@ -376,8 +353,9 @@ def sample_posterior(
 ) -> DecompositionEnsemble:
     """Metropolis-Hastings over decompositions; deterministic given the rng.
 
-    rng may be an integer seed or a numpy Generator.  chain_length 0 returns
-    num_samples copies of the initial state.
+    rng may be an integer seed or a numpy Generator.  The chain starts at
+    the singleton decomposition; chain_length 0 returns num_samples copies
+    of it.
     """
     if len(obs) == 0:
         raise ContractViolationError("posterior sampling needs observations")
@@ -386,25 +364,21 @@ def sample_posterior(
         hypers = default_hypers(obs)
     d = obs.X.shape[1]
     max_size = prior_config.max_factor_size
-    init = mcmc_config.initial or singleton_decomposition(d)
-    if init.d != d:
-        raise ContractViolationError("initial decomposition dimension mismatch")
-    state = _canonical(init.subsets)
+    state = singleton_decomposition(d).subsets
 
     cache: dict[State, tuple[float, list, Counter]] = {}
+
+    def make_dec(s: State) -> Decomposition:
+        return Decomposition(d=d, subsets=s, max_factor_size=max_size)
 
     def lookup(s: State):
         hit = cache.get(s)
         if hit is None:
-            dec = Decomposition(d=d, subsets=s, max_factor_size=max_size)
-            lp = log_evidence(dec, obs, hypers) + prior_config.log_prior(s)
+            lp = log_evidence(make_dec(s), obs, hypers) + prior_config.log_prior(s)
             moves = enumerate_moves(s, d, max_size)
             hit = (lp, moves, Counter(moves))
             cache[s] = hit
         return hit
-
-    def make_dec(s: State) -> Decomposition:
-        return Decomposition(d=d, subsets=s, max_factor_size=max_size)
 
     if mcmc_config.chain_length == 0:
         return DecompositionEnsemble(

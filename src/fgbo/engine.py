@@ -16,9 +16,10 @@ regret r_t = g(x*) - g(x_t).
 
 Configuration: RunConfig runs its fields through config.validate_config, so
 it holds canonical values with every nested key present, and this module
-reads them directly; the defaults and the checks live only in config.
-resolve draws any random decomposition once and hands the static structure
-to run_resolved.
+reads them directly; the defaults and the checks live only in config.  A
+CLI run builds its RunConfig once, from the config file, and nothing here
+validates it again.  resolve draws any random decomposition once, hands
+the static structure to run_resolved and writes it into the manifest.
 
 Reproducibility: the seed spawns three independent child streams
 (decomposition, queries, noise), so re-running a manifest whose random
@@ -62,13 +63,14 @@ from .decomposition import (
     SharedHypers,
     induced_kernel,
     merge_for_acquisition,
+    full_decomposition,
     random_covering_decomposition,
     sample_posterior,
     singleton_decomposition,
 )
-from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
+from .errors import ConfigurationError, NumericalFailureError
 from .gp import ObservationSet, fit
-from .kernels import AdditiveKernel, FactorKernel, cross_factor
+from .kernels import AdditiveKernel, FactorKernel
 from .maxsum import solve
 
 # refuse centralized joint grids beyond this many points
@@ -179,7 +181,7 @@ def _resolve_decomposition(config: RunConfig, d: int, decomp_rng) -> tuple:
     if alg == "random_search":
         return None, None
     if alg == "centralized_gp_ucb":
-        return Decomposition(d=d, subsets=(tuple(range(d)),), max_factor_size=d), None
+        return full_decomposition(d), None
     if alg == "add_independent":
         return singleton_decomposition(d), None
     if spec["mode"] == "static":
@@ -199,7 +201,7 @@ def _resolve_decomposition(config: RunConfig, d: int, decomp_rng) -> tuple:
 
 @dataclass
 class ResolvedRun:
-    config: RunConfig  # decomposition resolved to static where applicable
+    config: RunConfig  # as given; the manifest holds the resolved structure
     objective: SyntheticObjective
     manifest: dict
     decomposition: Decomposition | None  # the static structure, if any
@@ -216,17 +218,15 @@ def resolve(config: RunConfig) -> ResolvedRun:
     d = obj.dims
     decomp_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[0])
     dec, mcmc_spec = _resolve_decomposition(config, d, decomp_rng)
+    canonical = config.to_canonical_dict()
     if config.algorithm == "dec_hbo" and mcmc_spec is None:
-        resolved_spec = {
+        # the canonical static spec, as validate_config would write it
+        canonical["decomposition"] = {
             "mode": "static",
             "subsets": [list(s) for s in dec.subsets],
             "max_factor_size": dec.max_factor_size,
         }
-        config = replace(config, decomposition=resolved_spec)
-    manifest = {
-        "fgbo_version": __version__,
-        "config": config.to_canonical_dict(),
-    }
+    manifest = {"fgbo_version": __version__, "config": canonical}
     return ResolvedRun(
         config=config,
         objective=obj,
@@ -460,42 +460,6 @@ def run_resolved(res: ResolvedRun) -> RunResult:
 
 def run(config: RunConfig) -> RunResult:
     return run_resolved(resolve(config))
-
-
-def instantaneous_regret(
-    obj: SyntheticObjective, x, optimum_value: float | None = None
-) -> float:
-    """Regret g(x*) - g(x) in the maximization orientation.
-
-    optimum_value (natural orientation) overrides the objective's published
-    optimum; required for objectives without one.
-    """
-    f_star = optimum_value if optimum_value is not None else obj.known_optimum
-    if f_star is None:
-        raise ContractViolationError("objective has no known optimum")
-    sign = -1.0 if obj.minimize else 1.0
-    return sign * f_star - sign * evaluate(obj, x)
-
-
-def information_gain(
-    kernel: AdditiveKernel, X: np.ndarray, noise_variance: float
-) -> tuple[tuple[float, ...], float]:
-    """Realized information gain per factor: log det(I + K_I / sn2) / 2."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
-        raise ContractViolationError("information gain needs >= 1 query")
-    if noise_variance <= 0:
-        raise ContractViolationError("noise variance must be > 0")
-    gains = []
-    for f in kernel.factors:
-        U = f.restrict(X)
-        K = cross_factor(f, U, U)
-        M = np.eye(len(U)) + K / noise_variance
-        sdet, logdet = np.linalg.slogdet(M)
-        if sdet <= 0:
-            raise NumericalFailureError("information gain determinant not positive")
-        gains.append(max(0.5 * float(logdet), 0.0))
-    return tuple(gains), float(sum(gains))
 
 
 def write_trace_csv(result: RunResult, path) -> None:

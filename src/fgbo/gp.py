@@ -134,10 +134,6 @@ class FactorPosterior:
                     jitter=self.jitter,
                 )
 
-    @property
-    def num_observations(self) -> int:
-        return len(self.observations)
-
     def _check_factor_index(self, factor_index: int):
         if not 0 <= factor_index < self.kernel.num_factors:
             raise ContractViolationError(

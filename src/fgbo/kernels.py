@@ -103,19 +103,6 @@ class AdditiveKernel:
         return float(sum(f.signal_variance for f in self.factors))
 
 
-def eval_factor(kernel: FactorKernel, u, v) -> float:
-    """Evaluate one factor kernel on two sub-vectors of length |subset|."""
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if u.shape != (kernel.arity,) or v.shape != (kernel.arity,):
-        raise ContractViolationError(
-            f"sub-vectors must have length {kernel.arity}, "
-            f"got {u.shape} and {v.shape}"
-        )
-    z = (u - v) / np.asarray(kernel.lengthscales)
-    return float(kernel.signal_variance * np.exp(-0.5 * np.dot(z, z)))
-
-
 def cross_factor(kernel: FactorKernel, U, V: np.ndarray) -> np.ndarray:
     """Cross-covariance matrix of one factor between two sub-input sets.
 
@@ -145,20 +132,6 @@ def cross_factor(kernel: FactorKernel, U, V: np.ndarray) -> np.ndarray:
     ls = np.asarray(kernel.lengthscales)
     diff = U[:, None, :] / ls - V[None, :, :] / ls
     return kernel.signal_variance * np.exp(-0.5 * np.einsum("mnk,mnk->mn", diff, diff))
-
-
-def eval_additive(kernel: AdditiveKernel, x, y) -> float:
-    """Evaluate the additive kernel on two full d-dimensional inputs."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ContractViolationError(
-            f"inputs must share a length, got {x.shape} and {y.shape}"
-        )
-    total = 0.0
-    for f in kernel.factors:
-        total += eval_factor(f, f.restrict(x), f.restrict(y))
-    return total
 
 
 def gram(kernel: AdditiveKernel, X: np.ndarray) -> np.ndarray:

@@ -98,10 +98,6 @@ class FactorGraph:
             for v, nbhd in enumerate(self.neighborhoods)
         )
 
-    @property
-    def num_factors(self) -> int:
-        return len(self.subsets)
-
     def value_of(self, indices) -> float:
         """Sum of factor tables at one joint grid-index assignment."""
         indices = tuple(int(i) for i in indices)
@@ -249,9 +245,7 @@ def decode(g: FactorGraph, factor_to_var: dict, var_to_factor: dict) -> np.ndarr
 
 @dataclass(frozen=True)
 class SolveResult:
-    x: np.ndarray  # grid coordinates of the decoded assignment
-    indices: np.ndarray  # per-dimension grid indices
-    value: float  # achieved weighted sum of phi tables
+    indices: np.ndarray  # per-dimension grid indices of the best assignment
     diagnostics: Diagnostics
 
 
@@ -272,10 +266,7 @@ def solve(
         tables=tables,
     )
     diag = run_rounds(g, rounds, damping=damping, tol=tol)
-    idx = diag.best_indices
-    return SolveResult(
-        x=acq.grid.point_at(idx), indices=idx, value=diag.best_value, diagnostics=diag
-    )
+    return SolveResult(indices=diag.best_indices, diagnostics=diag)
 
 
 def dump_trace(diagnostics: Diagnostics, path) -> None:

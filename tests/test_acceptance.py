@@ -23,11 +23,18 @@ from fgbo.decomposition import (
 )
 from fgbo.engine import RunConfig, run
 from fgbo.gp import ObservationSet, dense_cholesky_with_jitter, fit
-from fgbo.kernels import AdditiveKernel, FactorKernel, cross_factor, gram
-from fgbo.maxsum import FactorGraph, run_rounds
+from fgbo.kernels import gram
+from fgbo.maxsum import run_rounds
+from fgbo.selftest import (
+    BETA_DISCRETE_CASES,
+    beta_errors,
+    brute_force_max,
+    dense_posterior,
+    michalewicz_per_dim_search,
+)
 
-from test_acquisition import BETA_DISCRETE_CASES, BETA_LIPSCHITZ_CASES, TAU_CASES
-from test_gp import oracle_factor_posterior, random_kernel
+from test_acquisition import TAU_CASES
+from test_gp import random_kernel
 from test_maxsum import loopy_overlap_graph, random_acyclic_graph
 
 
@@ -36,27 +43,10 @@ def _report(num: int, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _joint_table(g: FactorGraph) -> np.ndarray:
-    """Dense joint sum with the same left-to-right float addition order
-    as FactorGraph.value_of, so comparisons can be bitwise."""
-    joint = np.zeros((g.num_values,) * g.num_variables)
-    for s, tab in zip(g.subsets, g.tables):
-        view = tab
-        for axis in range(g.num_variables):
-            if axis not in s:
-                view = np.expand_dims(view, axis)
-        joint = joint + view
-    return joint
-
-
 def test_criterion_01_benchmark_ground_truth():
     s = evaluate(shekel4(), (4.0, 4.0, 4.0, 4.0))
     h = evaluate(hartmann6(), hartmann6().known_argmin)
-    grid = np.linspace(0.0, math.pi, 20001)
-    m = sum(
-        float((-np.sin(grid) * np.sin(i * grid**2 / math.pi) ** 20).min())
-        for i in range(1, 11)
-    )
+    m, _ = michalewicz_per_dim_search()
     assert evaluate(michalewicz10(), [math.pi / 2] * 10) <= 0  # sanity: callable
     ok = (
         abs(s - -10.5364) <= 1e-3
@@ -75,7 +65,7 @@ def test_criterion_02_maxsum_tree_exactness():
         rng = np.random.default_rng(5000 + i)
         g = random_acyclic_graph(rng)  # <=6 vars, arity <=3, <=8 values
         diag = run_rounds(g, max_rounds=4 * g.num_variables)
-        best = float(_joint_table(g).max())
+        best, _ = brute_force_max(g)
         # bitwise float equality, of the best round and of the last one
         exact += diag.best_value == best and diag.trace[-1][2] == best
     elapsed = time.time() - t0
@@ -92,7 +82,7 @@ def test_criterion_03_loopy_maxsum_quality():
         rng = np.random.default_rng(1000 + i)
         g = loopy_overlap_graph(rng)  # 4 vars, size-2/3 overlapping, tau=6
         diag = run_rounds(g, max_rounds=30)
-        best = float(_joint_table(g).max())
+        best, _ = brute_force_max(g)
         ratio = diag.best_value / best
         worst = min(worst, ratio)
         wins += diag.best_value >= 0.95 * best
@@ -118,7 +108,7 @@ def test_criterion_04_gp_oracle_equivalence():
         for x in rng.uniform(size=(5, d)):
             total_mean = 0.0
             for fi in range(kernel.num_factors):
-                om, ov = oracle_factor_posterior(kernel, fi, obs, x)
+                om, ov = dense_posterior(kernel, obs, x, fi)
                 gm, gv = post.factor_mean_var(fi, x)
                 total_mean += gm
                 denom_m = max(1.0, abs(om))
@@ -127,20 +117,7 @@ def test_criterion_04_gp_oracle_equivalence():
                     worst_rel, abs(gm - om) / denom_m, abs(gv - ov) / denom_v
                 )
             fm, fv = post.objective_mean_var(x)
-            K = gram(kernel, obs.X) + 0.05 * np.eye(n)
-            kx = np.array(
-                [
-                    sum(
-                        cross_factor(
-                            f, f.restrict(x.reshape(1, -1)), f.restrict(obs.X)
-                        ).ravel()[j]
-                        for f in kernel.factors
-                    )
-                    for j in range(n)
-                ]
-            )
-            om = kx @ np.linalg.inv(K) @ obs.y
-            ov = kernel.prior_variance(x) - kx @ np.linalg.inv(K) @ kx
+            om, ov = dense_posterior(kernel, obs, x)
             worst_rel = max(
                 worst_rel,
                 abs(fm - om) / max(1.0, abs(om)),
@@ -159,26 +136,7 @@ def test_criterion_04_gp_oracle_equivalence():
 def test_criterion_05_schedule_spot_checks():
     from fgbo.acquisition import BetaMode, BetaSchedule, beta, grid_for_iteration
 
-    worst = 0.0
-    for domain_size, num_factors, delta, t, expected in BETA_DISCRETE_CASES:
-        sched = BetaSchedule(
-            mode=BetaMode.DISCRETE_DOMAIN,
-            delta=delta,
-            num_factors=num_factors,
-            domain_size=domain_size,
-        )
-        worst = max(worst, abs(beta(sched, t) - expected))
-    for dims, edge, a, b, num_factors, delta, t, expected in BETA_LIPSCHITZ_CASES:
-        sched = BetaSchedule(
-            mode=BetaMode.CONTINUOUS_LIPSCHITZ,
-            delta=delta,
-            num_factors=num_factors,
-            dims=dims,
-            box_edge=edge,
-            lipschitz_a=a,
-            lipschitz_b=b,
-        )
-        worst = max(worst, abs(beta(sched, t) - expected))
+    worst = max(beta_errors())
 
     mono = True
     sched_d = BetaSchedule(
@@ -236,45 +194,51 @@ def test_criterion_06_table1_reproduction():
 # prior with two overlapping factors, true structure given to the
 # surrogate, tau capped at 16, fixed beta 4.0
 _C7_SUBSETS = ((0, 1), (1, 2, 3))
+_C7_LENGTHSCALE = 0.2
 
 
-def _c7_factor_interpolants(sample_seed: int):
-    """Replicate prior_sample_objective's seeded draws factor by factor."""
-    kernel = AdditiveKernel(
-        factors=tuple(
-            FactorKernel(subset=s, signal_variance=1.0, lengthscales=(0.2,) * len(s))
-            for s in _C7_SUBSETS
-        )
-    )
+def _c7_factor_weights(sample_seed: int) -> list:
+    """Replicate prior_sample_objective's seeded draws factor by factor:
+    (sub-grid nodes U, interpolation weights w), signal variance 1."""
     values = np.linspace(0.0, 1.0, 7)
     rng = np.random.default_rng(sample_seed)
     out = []
-    for f in kernel.factors:
-        mesh = np.meshgrid(*([values] * len(f.subset)), indexing="ij")
+    for s in _C7_SUBSETS:
+        mesh = np.meshgrid(*([values] * len(s)), indexing="ij")
         U = np.stack([m.ravel() for m in mesh], axis=-1)
-        L, _ = dense_cholesky_with_jitter(cross_factor(f, U, U))
+        ls = np.full(len(s), _C7_LENGTHSCALE)
+        diff = U[:, None, :] / ls - U[None, :, :] / ls  # the sampler's float ops
+        L, _ = dense_cholesky_with_jitter(
+            1.0 * np.exp(-0.5 * np.einsum("mnk,mnk->mn", diff, diff))
+        )
         draws = L @ rng.standard_normal(len(U))
-        w = np.linalg.solve(L.T, np.linalg.solve(L, draws))
-        out.append((f, U, w))
+        out.append((U, np.linalg.solve(L.T, np.linalg.solve(L, draws))))
     return out
 
 
-def _c7_chunked(fac, U, w, pts):
-    vals = np.empty(len(pts))
-    for lo in range(0, len(pts), 50_000):
-        vals[lo : lo + 50_000] = cross_factor(fac, pts[lo : lo + 50_000], U) @ w
-    return vals
+def _c7_axis_table(axis, nodes):
+    """E[a, n] = exp(-0.5 ((axis[a] - nodes[n]) / l)^2)."""
+    z = (axis[:, None] - nodes[None, :]) / _C7_LENGTHSCALE
+    return np.exp(-0.5 * z * z)
 
 
 def _c7_optimum(sample_seed: int, fine: int = 121, coarse: int = 61) -> float:
-    """Additive DP over the shared coordinate: max_{x1} of per-factor maxima."""
-    (f1, U1, w1), (f2, U2, w2) = _c7_factor_interpolants(sample_seed)
+    """Additive DP over the shared coordinate: max_{x1} of per-factor maxima.
+
+    A factor's interpolant sum_n w_n prod_j E_j[a_j, n] separates per
+    dimension, so its values on a grid come from per-axis exponential
+    tables and one matrix product.
+    """
+    (U1, w1), (U2, w2) = _c7_factor_weights(sample_seed)
     ax = np.linspace(0.0, 1.0, fine)
-    P1 = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
-    best1 = _c7_chunked(f1, U1, w1, P1).reshape(fine, fine).max(axis=0)
     xc = np.linspace(0.0, 1.0, coarse)
-    P2 = np.stack(np.meshgrid(ax, xc, xc, indexing="ij"), axis=-1).reshape(-1, 3)
-    best2 = _c7_chunked(f2, U2, w2, P2).reshape(fine, coarse, coarse).max(axis=(1, 2))
+    # factor (0, 1) on ax x ax, maximised over x0
+    F1 = (_c7_axis_table(ax, U1[:, 0]) * w1) @ _c7_axis_table(ax, U1[:, 1]).T
+    best1 = F1.max(axis=0)
+    # factor (1, 2, 3) on ax x xc x xc, maximised over x2 and x3
+    E12 = _c7_axis_table(ax, U2[:, 0])[:, None, :] * _c7_axis_table(xc, U2[:, 1])
+    F2 = (E12.reshape(-1, len(w2)) * w2) @ _c7_axis_table(xc, U2[:, 2]).T
+    best2 = F2.reshape(fine, coarse * coarse).max(axis=1)
     return float((best1 + best2).max())
 
 

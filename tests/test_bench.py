@@ -20,6 +20,7 @@ from fgbo.bench import (
 from fgbo.errors import ConfigurationError, ContractViolationError
 from fgbo.gp import dense_cholesky_with_jitter
 from fgbo.kernels import AdditiveKernel, FactorKernel, cross_factor
+from fgbo.selftest import michalewicz_per_dim_search
 
 
 def test_shekel_known_optimum():
@@ -40,15 +41,8 @@ def test_hartmann6_known_optimum():
 def test_michalewicz_optimum_recovered_per_dimension():
     # the objective is separable: optimize each coordinate independently
     obj = michalewicz10()
-    grid = np.linspace(0.0, math.pi, 20001)
-    total = 0.0
-    for i in range(1, 11):
-        total += np.min(-np.sin(grid) * np.sin(i * grid**2 / math.pi) ** 20)
+    total, x_best = michalewicz_per_dim_search()
     assert total == pytest.approx(-9.66015, abs=1e-2)
-    x_best = []
-    for i in range(1, 11):
-        curve = -np.sin(grid) * np.sin(i * grid**2 / math.pi) ** 20
-        x_best.append(grid[np.argmin(curve)])
     assert evaluate(obj, x_best) == pytest.approx(total, abs=1e-12)
 
 
@@ -171,13 +165,12 @@ def test_prior_sample_reproducible():
 def test_prior_sample_validation():
     kernel = _two_factor_kernel()
     box = ((0.0, 1.0),) * 3
+    # the cap holds per factor: 64 points on a 2-ary factor is 4096 > cap,
+    # while 20 points on each axis (8000 joint, 400 per factor) is fine
     with pytest.raises(ContractViolationError):
-        prior_sample_objective(kernel, box, 20, np.random.default_rng(0))  # 8000 > cap
-    assert 20**3 > MAX_SAMPLE_GRID
-    with pytest.raises(ContractViolationError):
-        prior_sample_objective(
-            kernel, box, [np.linspace(0, 1, 4)] * 2, np.random.default_rng(0)
-        )
+        prior_sample_objective(kernel, box, 64, np.random.default_rng(0))
+    assert 64**2 > MAX_SAMPLE_GRID >= 20**2
+    assert prior_sample_objective(kernel, box, 20, np.random.default_rng(0)).dims == 3
     with pytest.raises(ContractViolationError):
         prior_sample_objective(
             kernel, ((0.0, 1.0),) * 2, 5, np.random.default_rng(0)

@@ -3,16 +3,19 @@
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fgbo.bench as bench
 import fgbo.cli as cli
+import fgbo.config as config_mod
 from fgbo.cli import benchmark_run_config, main
 from fgbo.engine import RunConfig, run
 from fgbo.errors import ConfigurationError, ContractViolationError, NumericalFailureError
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 RANDOM_CFG = {
     "objective": "shekel4",
     "algorithm": "random_search",
@@ -55,6 +58,50 @@ def test_run_seed_override(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out), "--seed", "9", "--quiet"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 9
+    # the override is validated like the file
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "neg"), "--seed", "-1"]) == 3
+    assert not (tmp_path / "neg").exists()
+
+
+def test_run_validates_its_config_once(tmp_path, monkeypatch):
+    # one RunConfig.from_dict: validate_config on the file's document, then
+    # once more in RunConfig's construction; nothing after that
+    calls = []
+    validate = config_mod.validate_config
+
+    def counting(raw):
+        calls.append(raw)
+        return validate(raw)
+
+    monkeypatch.setattr(config_mod, "validate_config", counting)
+    monkeypatch.setattr(cli.engine, "validate_config", counting)
+    cfg = str(CONFIGS / "shekel4_mf2.json")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert len(calls) == 2
+
+
+def test_prior_sample_beyond_four_dimensions_runs(tmp_path):
+    # a chain of pairs over d = 5 at 7 points per axis: 49 sample points per
+    # factor, though the joint grid (16,807 points) exceeds the sample cap
+    subsets = [[0, 1], [1, 2], [2, 3], [3, 4]]
+    doc = {
+        "objective": {
+            "kind": "prior_sample",
+            "dims": 5,
+            "subsets": subsets,
+            "grid_points": 7,
+            "sample_seed": 3,
+        },
+        "algorithm": "dec_hbo",
+        "iterations": 3,
+        "seed": 0,
+        "initial_evaluations": 2,
+        "decomposition": {"mode": "static", "subsets": subsets},
+        "grid_caps": [4, 4],
+    }
+    out = tmp_path / "o"
+    assert main(["run", "--config", _write(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + 2 + 3
 
 
 def test_manifest_replay_is_byte_identical(tmp_path):
@@ -313,6 +360,7 @@ def test_benchmark_run_config_presets():
     assert mf2["grid_caps"] == [2, 32]
     mf3 = benchmark_run_config("hartmann6", "mf3", seed=0, iterations=20)
     assert mf3["decomposition"]["max_factor_size"] == 3
+    assert mf3["maxsum"] == config_mod.DEFAULT_MAXSUM
     assert mf3["iterations"] == 20
     add = benchmark_run_config("michalewicz10", "add", seed=1)
     assert add["algorithm"] == "add_independent"

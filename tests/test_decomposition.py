@@ -28,12 +28,9 @@ from fgbo.gp import ObservationSet, log_marginal_likelihood
 from fgbo.kernels import AdditiveKernel, FactorKernel, gram
 
 
-def test_decomposition_canonicalization_and_dict_roundtrip():
+def test_decomposition_canonicalization():
     dec = Decomposition(d=3, subsets=((2, 1), (0,)), max_factor_size=2)
     assert dec.subsets == ((0,), (1, 2))
-    doc = dec.to_dict()
-    back = Decomposition.from_dict(doc)
-    assert back == dec
 
 
 def test_decomposition_validation():
@@ -323,15 +320,15 @@ def test_sample_posterior_deterministic_given_seed():
 def test_chain_length_zero_returns_initial_copies():
     rng = np.random.default_rng(9)
     obs = ObservationSet(rng.uniform(size=(5, 2)), rng.normal(size=5), 0.1)
-    init = Decomposition(d=2, subsets=((0, 1),), max_factor_size=2)
     ens = sample_posterior(
         obs,
         PriorConfig(max_factor_size=2),
-        McmcConfig(chain_length=0, num_samples=3, initial=init),
+        McmcConfig(chain_length=0, num_samples=3),
         rng=0,
     )
     assert ens.k == 3
-    assert all(dec.subsets == ((0, 1),) for dec in ens.samples)
+    # the chain starts at the singleton decomposition
+    assert all(dec.subsets == ((0,), (1,)) for dec in ens.samples)
 
 
 def test_mcmc_config_validation():

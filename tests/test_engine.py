@@ -11,20 +11,13 @@ from fgbo.bench import hartmann6, make_objective, shekel4
 from fgbo.engine import (
     IterationRecord,
     RunConfig,
-    information_gain,
-    instantaneous_regret,
     resolve,
     run,
     run_resolved,
     write_manifest,
     write_trace_csv,
 )
-from fgbo.errors import (
-    ConfigurationError,
-    ContractViolationError,
-    NumericalFailureError,
-)
-from fgbo.kernels import AdditiveKernel, FactorKernel
+from fgbo.errors import ConfigurationError, NumericalFailureError
 
 PRIOR_2D = {
     "kind": "prior_sample",
@@ -165,50 +158,6 @@ def test_unknown_optimum_gives_nan_regret_and_override_restores_it():
     assert result.records[-1].R == pytest.approx(
         sum(rec.r for rec in result.records), abs=1e-12
     )
-
-
-def test_instantaneous_regret_helper():
-    obj = shekel4()
-    assert abs(instantaneous_regret(obj, obj.known_argmin)) < 1e-3
-    x = (1.0, 2.0, 3.0, 4.0)
-    assert instantaneous_regret(obj, x) > 1.0
-    # override shifts the reference point
-    base = instantaneous_regret(obj, x)
-    assert instantaneous_regret(obj, x, optimum_value=obj.known_optimum - 1.0) == (
-        pytest.approx(base + 1.0, abs=1e-12)
-    )
-    from fgbo.bench import prior_sample_objective
-    from fgbo.kernels import AdditiveKernel, FactorKernel
-
-    sampled = prior_sample_objective(
-        AdditiveKernel((FactorKernel((0,), 1.0, (0.3,)),)),
-        ((0.0, 1.0),),
-        5,
-        np.random.default_rng(0),
-    )
-    with pytest.raises(ContractViolationError):
-        instantaneous_regret(sampled, (0.5,))
-
-
-def test_information_gain():
-    kernel = AdditiveKernel((FactorKernel((0, 1), 1.3, (0.4, 0.5)),))
-    X = np.array([[0.2, 0.7]])
-    per, total = information_gain(kernel, X, 0.1)
-    expect = 0.5 * math.log(1.0 + 1.3 / 0.1)
-    assert per == (pytest.approx(expect, rel=1e-12),)
-    assert total == pytest.approx(expect, rel=1e-12)
-    # enormous noise: nearly nothing learned
-    _, tiny = information_gain(kernel, X, 1e8)
-    assert 0.0 <= tiny < 1e-4
-    # adding observations never loses information
-    rng = np.random.default_rng(4)
-    pts = rng.uniform(0, 1, size=(12, 2))
-    totals = [information_gain(kernel, pts[:k], 0.05)[1] for k in range(1, 13)]
-    assert all(b >= a - 1e-12 for a, b in zip(totals, totals[1:]))
-    with pytest.raises(ContractViolationError):
-        information_gain(kernel, np.empty((0, 2)), 0.1)
-    with pytest.raises(ContractViolationError):
-        information_gain(kernel, X, 0.0)
 
 
 def test_repeat_queries_are_perturbed():

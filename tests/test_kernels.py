@@ -9,8 +9,6 @@ from fgbo.kernels import (
     FactorKernel,
     cross_additive,
     cross_factor,
-    eval_additive,
-    eval_factor,
     gram,
 )
 
@@ -26,8 +24,9 @@ def test_factor_kernel_hand_value():
     z = np.array([0.2, 0.9, 0.7])
     # depends only on dims 0 and 2
     want = _rbf((0.1, 0.4), (0.2, 0.7), 1.7, (0.3, 0.9))
-    assert eval_factor(f, f.restrict(x), f.restrict(z)) == pytest.approx(want, rel=1e-14)
-    assert eval_factor(f, f.restrict(x), f.restrict(x)) == pytest.approx(1.7)
+    X, Z = f.restrict(x.reshape(1, -1)), f.restrict(z.reshape(1, -1))
+    assert cross_factor(f, X, Z)[0, 0] == pytest.approx(want, rel=1e-14)
+    assert cross_factor(f, X, X)[0, 0] == pytest.approx(1.7)
 
 
 def test_factor_kernel_validation():
@@ -75,7 +74,9 @@ def test_additive_kernel_sum_and_prior_variance():
     want = _rbf((x[0],), (z[0],), 0.5, (0.3,)) + _rbf(
         (x[1], x[2]), (z[1], z[2]), 1.5, (0.2, 0.7)
     )
-    assert eval_additive(k, x, z) == pytest.approx(want, rel=1e-12)
+    K = cross_additive(k, x.reshape(1, -1), z.reshape(1, -1))
+    assert K.shape == (1, 1)
+    assert K[0, 0] == pytest.approx(want, rel=1e-12)
     assert k.prior_variance(x) == pytest.approx(2.0)
 
 
