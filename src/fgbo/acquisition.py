@@ -5,6 +5,9 @@ Each factor I gets its own upper-confidence surrogate
     phi_I(u) = mean_I(u) + sqrt(beta) * std_I(u)
 
 tabulated over the factor's sub-grid of a shared per-dimension grid.  The
+tables are the factors of the maxsum.FactorGraph that tabulate returns, so
+the solver runs on them as they are; GP-UCB over the joint grid (the
+centralized baseline) is the graph of one factor over all d inputs.  The
 exploration coefficient beta_t comes from one of three schedules:
 
     DiscreteDomain      beta_t = 2 log(|D| |U| pi_t / delta),  pi_t = pi^2 t^2 / 6
@@ -31,6 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError
 from .gp import FactorPosterior
+from .maxsum import FactorGraph
 
 
 class BetaMode(Enum):
@@ -158,20 +162,9 @@ class GridSpec:
         return self._axes[dim]
 
     def axes(self, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """The per-dim grids of `dims`, standing for their Cartesian product.
-
-        This is the axes form of subgrid(dims) that kernels and gp accept.
-        """
+        """The per-dim grids of `dims`, standing for their Cartesian product
+        in C order (the axes form that kernels.cross_factor accepts)."""
         return tuple(self._axes[j] for j in dims)
-
-    def subgrid(self, dims: tuple[int, ...]) -> np.ndarray:
-        """Cartesian product of the per-dim grids of `dims`.
-
-        Rows are in C order over the index tuple: row r holds the point whose
-        indices are np.unravel_index(r, (tau,)*len(dims)).
-        """
-        mesh = np.meshgrid(*self.axes(dims), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def point_at(self, indices) -> np.ndarray:
         return np.array(
@@ -208,69 +201,31 @@ def grid_for_iteration(
     return GridSpec(per_dim_points=tau, box=((0.0, 1.0),) * schedule.dims)
 
 
-@dataclass(frozen=True)
-class DiscretizedAcquisition:
-    """Per-factor UCB tables over the factor sub-grids.
-
-    tables[i] has shape (tau,)*|subset_i| and holds raw phi values; weights,
-    when present, scale each factor's contribution to the summed objective
-    (used when averaging acquisitions across sampled decompositions) and are
-    applied by the solver, never baked into the tables.
-    """
-
-    subsets: tuple[tuple[int, ...], ...]
-    tables: tuple[np.ndarray, ...]
-    grid: GridSpec
-    weights: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "subsets", tuple(tuple(s) for s in self.subsets))
-        object.__setattr__(self, "tables", tuple(self.tables))
-        if len(self.subsets) != len(self.tables):
-            raise ContractViolationError("one table per subset required")
-        tau = self.grid.per_dim_points
-        for s, tab in zip(self.subsets, self.tables):
-            if tab.shape != (tau,) * len(s):
-                raise ContractViolationError(
-                    f"table for subset {s} has shape {tab.shape}, "
-                    f"expected {(tau,) * len(s)}"
-                )
-        if self.weights is not None:
-            w = tuple(float(v) for v in self.weights)
-            object.__setattr__(self, "weights", w)
-            if len(w) != len(self.subsets):
-                raise ContractViolationError("one weight per factor required")
-
-    @property
-    def num_factors(self) -> int:
-        return len(self.subsets)
-
-    def factor_weight(self, i: int) -> float:
-        return 1.0 if self.weights is None else self.weights[i]
-
-
 def tabulate(
-    posterior: FactorPosterior, grid: GridSpec, beta_value: float
-) -> DiscretizedAcquisition:
-    """Fill every factor's phi table on its sub-grid.
+    posterior: FactorPosterior, grid: GridSpec, beta_value: float, weights=None
+) -> FactorGraph:
+    """The acquisition factor graph: every factor's phi table on its sub-grid.
 
     Each factor's sub-grid travels as axes, so its cross-covariance costs
     O(|I| tau t) exponentials and tau^|I| t products (kernels), and its
     variances one (tau^|I| x t)(t x t) GEMM against the cached L^-1 (gp).
+    weights, one per factor, scale the tables (averaging acquisitions over
+    sampled decompositions).  A kernel with one factor over all d inputs
+    gives the centralized GP-UCB table over the joint grid.
     """
     if beta_value <= 0:
         raise ContractViolationError("beta must be positive")
+    factors = posterior.kernel.factors
     root_beta = math.sqrt(beta_value)
     tau = grid.per_dim_points
-    subsets = []
     tables = []
-    for i, f in enumerate(posterior.kernel.factors):
+    for i, f in enumerate(factors):
         mean, var = posterior.factor_mean_var_batch(i, grid.axes(f.subset))
-        phi = mean + root_beta * np.sqrt(var)
-        subsets.append(f.subset)
-        tables.append(phi.reshape((tau,) * f.arity))
-    return DiscretizedAcquisition(
-        subsets=tuple(subsets),
-        tables=tuple(tables),
-        grid=grid,
+        phi = (mean + root_beta * np.sqrt(var)).reshape((tau,) * f.arity)
+        tables.append(phi if weights is None else float(weights[i]) * phi)
+    return FactorGraph(
+        num_variables=grid.num_dims,
+        num_values=tau,
+        subsets=[f.subset for f in factors],
+        tables=tables,
     )

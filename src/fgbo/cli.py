@@ -85,8 +85,8 @@ def _load_canonical(path: str) -> engine.RunConfig:
 
 
 def _execute(config: engine.RunConfig, out_dir: str, quiet: bool) -> engine.RunResult:
+    resolved = engine.resolve(config)  # refusals here leave no directory behind
     os.makedirs(out_dir, exist_ok=True)
-    resolved = engine.resolve(config)
     engine.write_manifest(resolved.manifest, os.path.join(out_dir, "manifest.json"))
     result = engine.run_resolved(resolved)
     engine.write_trace_csv(result, os.path.join(out_dir, "trace.csv"))

@@ -2,12 +2,16 @@
 
 One run is: t0 seeded uniform-random evaluations, then n iterations of
 fit posterior -> beta(t+1) -> grid -> tabulate -> select -> evaluate.
-Selection depends on the algorithm:
+tabulate returns the acquisition factor graph for every model-based
+algorithm; they differ in its factors and in how the query is selected:
 
     dec_hbo             max-sum over the decomposition's factor graph
     add_independent     dec_hbo with per-dimension singleton factors
-    centralized_gp_ucb  UCB argmax over the full joint grid, one dense factor
+    centralized_gp_ucb  one factor over all d inputs; the first C-order
+                        argmax of its table, with no solver
     random_search       uniform random queries, no model
+
+An iteration's lookups are its table entries plus the solver's lookups.
 
 Everything runs internally on the unit box; queries are mapped back to the
 objective's natural box for evaluation and logging.  Objectives flagged
@@ -406,35 +410,25 @@ def run_resolved(res: ResolvedRun) -> RunResult:
                     np.asarray(X_unit), y_model, config.noise_variance
                 )
                 posterior = fit(kernel, observations)
-                if config.algorithm == "centralized_gp_ucb":
-                    if grid.joint_size > MAX_JOINT_GRID:
-                        raise ConfigurationError(
-                            f"joint grid of {grid.joint_size} points exceeds "
-                            f"centralized limit {MAX_JOINT_GRID}; lower grid_caps"
-                        )
-                    mean, var = posterior.objective_mean_var_batch(
-                        grid.axes(tuple(range(d)))
+                central = config.algorithm == "centralized_gp_ucb"
+                if central and grid.joint_size > MAX_JOINT_GRID:
+                    raise ConfigurationError(
+                        f"joint grid of {grid.joint_size} points exceeds "
+                        f"centralized limit {MAX_JOINT_GRID}; lower grid_caps"
                     )
-                    ucb = mean + math.sqrt(beta_value) * np.sqrt(var)
-                    idx = tuple(
-                        int(v)
-                        for v in np.unravel_index(
-                            int(np.argmax(ucb)), (grid.per_dim_points,) * d
-                        )
-                    )
-                    lookups = grid.joint_size
+                acq = tabulate(posterior, grid, beta_value, weights_now)
+                lookups = sum(tab.size for tab in acq.tables)
+                if central:  # one factor over all d inputs: scan its table
+                    table = acq.tables[0]
+                    idx = np.unravel_index(int(np.argmax(table)), table.shape)
                     rounds, converged = 0, 1
                 else:
-                    acq = tabulate(posterior, grid, beta_value)
-                    if weights_now is not None:
-                        acq = replace(acq, weights=weights_now)
                     sol = solve(acq, **config.maxsum)
-                    idx = tuple(int(v) for v in sol.indices)
-                    lookups = sol.diagnostics.total_lookups + sum(
-                        tab.size for tab in acq.tables
-                    )
+                    idx = sol.indices
+                    lookups += sol.diagnostics.total_lookups
                     rounds = sol.diagnostics.rounds_used
                     converged = int(sol.diagnostics.converged)
+                idx = tuple(int(v) for v in idx)
                 if tuple(grid.point_at(idx)) in visited:
                     idx = _nearest_unvisited(grid, idx, visited)
                     perturbations.append(t_sel)

@@ -14,8 +14,10 @@ A fit factorizes K + sn2 I = L L' once and caches the weights
 (K + sn2 I)^-1 y and the inverse factor L^-1, so a batch of m inputs costs
 one (m x t) cross-covariance, one matrix-vector product for the means and
 one (m x t)(t x t) GEMM for the variances, var = prior - rowsum((Kxg L^-T)^2).
-Batch inputs are points, or axes (a tuple of 1-D arrays) standing for their
-Cartesian grid; see kernels.
+Batch inputs are points; a factor's batch may also be axes (a tuple of 1-D
+arrays) standing for its Cartesian sub-grid, see kernels.  The objective
+posterior takes points only: on a grid, the centralized acquisition is the
+one-factor case of the factor path.
 """
 
 from __future__ import annotations
@@ -181,12 +183,15 @@ class FactorPosterior:
         return float(mean[0]), float(var[0])
 
     def objective_mean_var_batch(self, X):
-        """Posterior of f itself under the full additive kernel.
+        """Posterior of f itself under the full additive kernel at (m, d) points.
 
-        X is (m, d) points or a tuple of d axes (m = product of lengths).
+        A tuple of axes is refused rather than read as points; acquisition
+        over a grid goes through factor_mean_var_batch (see acquisition).
         """
+        if isinstance(X, tuple):
+            raise ContractViolationError("objective posteriors take (m, d) points, not axes")
         X, m = _batch_inputs(X)
-        prior = self.kernel.prior_variance(X)
+        prior = self.kernel.prior_variance()
         if self._Linv is None:
             return np.zeros(m), np.full(m, prior)
         Kxg = cross_additive(self.kernel, X, self.observations.X)

@@ -10,18 +10,19 @@ Inputs are dense real vectors in natural (unnormalized) coordinates; callers
 that want unit-box behaviour normalize before building kernels.  All
 functions here are pure and operate on immutable values.
 
-Grid inputs.  The first input of cross_factor and cross_additive may also be
-given as axes: a tuple of 1-D arrays, one per input coordinate, standing for
-the rows of their Cartesian product in C order (row r is the point whose
-per-axis indices are np.unravel_index(r, axis lengths)).  On such a grid the
-SE factor kernel separates per dimension,
+Grid inputs.  The first input of cross_factor (not of cross_additive) may
+also be given as axes: a tuple of 1-D arrays, one per factor coordinate,
+standing for the rows of their Cartesian product in C order (row r is the
+point whose per-axis indices are np.unravel_index(r, axis lengths)).  On
+such a grid the SE factor kernel separates per dimension,
 
     k_I(grid, V) = s2_I * (E_1 * E_2 * ... * E_|I|)   (row-wise Khatri-Rao)
     E_j[a, n]    = exp(-0.5 * ((axis_j[a] - V[n, j]) / l_j)^2)
 
 so a factor's block costs O(|I| tau t) exponentials and tau^|I| t products
 instead of tau^|I| t |I| differences and exponentials.  Results equal the
-point form to rounding; a single-axis block is bitwise equal to it.
+point form to rounding; a single-axis block is bitwise equal to it.  A
+centralized joint grid is the one-factor case: one factor over all d inputs.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ class AdditiveKernel:
     def num_factors(self) -> int:
         return len(self.factors)
 
-    def prior_variance(self, x: np.ndarray) -> float:
-        """k(x, x) = sum of factor signal variances (SE kernels)."""
+    def prior_variance(self) -> float:
+        """k(x, x) = sum of factor signal variances, the same at every x (SE)."""
         return float(sum(f.signal_variance for f in self.factors))
 
 
@@ -146,28 +147,10 @@ def gram(kernel: AdditiveKernel, X: np.ndarray) -> np.ndarray:
     return 0.5 * (K + K.T)
 
 
-def cross_additive(kernel: AdditiveKernel, X, Y: np.ndarray) -> np.ndarray:
-    """Cross-covariance of the additive kernel, (m, d) x (n, d) -> (m, n).
-
-    X may be a tuple of d axes; each factor's block on its own axes is then
-    broadcast over the joint grid.
-    """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if isinstance(X, tuple):
-        if len(X) != Y.shape[1]:
-            raise ContractViolationError(
-                f"need one axis per input column: {len(X)} != {Y.shape[1]}"
-            )
-        shape = tuple(len(axis) for axis in X)
-        K = np.zeros(shape + (Y.shape[0],))
-        for f in kernel.factors:
-            block = cross_factor(f, tuple(X[j] for j in f.subset), f.restrict(Y))
-            K += block.reshape(
-                tuple(n if j in f.subset else 1 for j, n in enumerate(shape))
-                + (Y.shape[0],)
-            )
-        return K.reshape(-1, Y.shape[0])
+def cross_additive(kernel: AdditiveKernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Cross-covariance of the additive kernel, (m, d) x (n, d) -> (m, n)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
     K = np.zeros((X.shape[0], Y.shape[0]))
     for f in kernel.factors:
         K += cross_factor(f, f.restrict(X), f.restrict(Y))

@@ -2,7 +2,8 @@
 
 The summed acquisition max_x sum_I phi_I(x^I) is optimized by a discrete
 factor graph: one variable node per input dimension (domain = the tau grid
-values) and one factor node per subset I with table phi_I.  Messages follow
+values) and one factor node per subset I with table phi_I.
+acquisition.tabulate builds that graph and solve runs on it.  Messages follow
 
     m_{phi->x_i}(h) = max over h^{I\\i} of [ sum_{j in I\\i} m_{x_j->phi}(h_j)
                                              + phi(h^{I\\i}, h) ]
@@ -39,7 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acquisition import DiscretizedAcquisition
 from .config import DEFAULT_MAXSUM
 from .errors import ContractViolationError
 
@@ -250,21 +250,12 @@ class SolveResult:
 
 
 def solve(
-    acq: DiscretizedAcquisition,
+    g: FactorGraph,
     rounds: int = DEFAULT_MAXSUM["rounds"],
     damping: float = DEFAULT_MAXSUM["damping"],
     tol: float = DEFAULT_MAXSUM["tol"],
 ) -> SolveResult:
-    """Build the graph from an acquisition, run rounds, map the best back."""
-    tables = tuple(
-        acq.factor_weight(i) * acq.tables[i] for i in range(acq.num_factors)
-    )
-    g = FactorGraph(
-        num_variables=acq.grid.num_dims,
-        num_values=acq.grid.per_dim_points,
-        subsets=acq.subsets,
-        tables=tables,
-    )
+    """Run rounds on the acquisition graph and return its best assignment."""
     diag = run_rounds(g, rounds, damping=damping, tol=tol)
     return SolveResult(indices=diag.best_indices, diagnostics=diag)
 

@@ -6,7 +6,6 @@ import pytest
 from fgbo.acquisition import (
     BetaMode,
     BetaSchedule,
-    DiscretizedAcquisition,
     GridSpec,
     beta,
     grid_for_iteration,
@@ -144,13 +143,10 @@ def test_grid_spec_geometry():
     np.testing.assert_allclose(grid.point_at((0, 4, 2)), [0.0, 2.0, 0.0])
 
 
-def test_grid_subgrid_is_c_order():
-    grid = GridSpec(per_dim_points=3, box=((0.0, 1.0), (0.0, 1.0)))
-    pts = grid.subgrid((0, 1))
-    assert pts.shape == (9, 2)
-    for flat in range(9):
-        idx = np.unravel_index(flat, (3, 3))
-        np.testing.assert_allclose(pts[flat], [grid.values(0)[idx[0]], grid.values(1)[idx[1]]])
+def _cartesian(axes):
+    """C-order Cartesian product rows of 1-D axes."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def _toy_posterior(rng, d=3):
@@ -206,13 +202,10 @@ def test_acquisition_weights_scale_factors():
     _, post = _toy_posterior(rng)
     grid = GridSpec(per_dim_points=3, box=((0.0, 1.0),) * 3)
     acq = tabulate(post, grid, 2.0)
-    weighted = DiscretizedAcquisition(
-        subsets=acq.subsets,
-        tables=acq.tables,
-        grid=grid,
-        weights=(0.5, 1.0),
-    )
-    assert weighted.factor_weight(0) == 0.5
+    weighted = tabulate(post, grid, 2.0, weights=(0.5, 1.0))
+    assert weighted.subsets == acq.subsets
+    for w, got, raw in zip((0.5, 1.0), weighted.tables, acq.tables):
+        np.testing.assert_array_equal(got, w * raw)
     sol = solve(weighted)
     i0, i1, i2 = (int(v) for v in sol.indices)
     want = 0.5 * acq.tables[0][i0, i1] + acq.tables[1][i2]
@@ -226,7 +219,7 @@ def test_ucb_covers_prior_draws():
         factors=(FactorKernel(subset=(0,), signal_variance=1.0, lengthscales=(0.25,)),)
     )
     grid = GridSpec(per_dim_points=21, box=((0.0, 1.0),))
-    pts = grid.subgrid((0,))
+    pts = _cartesian(grid.axes((0,)))
     from fgbo.kernels import gram
 
     K = gram(kernel, pts) + 1e-10 * np.eye(21)
@@ -259,10 +252,6 @@ def test_grid_axes_are_stored_read_only_linspace():
         assert grid.values(j) is grid.values(j)
         assert not grid.values(j).flags.writeable
     assert grid.axes((2, 0)) == (grid.values(2), grid.values(0))
-    mesh = np.meshgrid(*(np.linspace(lo, hi, 9) for lo, hi in box[:2]), indexing="ij")
-    np.testing.assert_array_equal(
-        grid.subgrid((0, 1)), np.stack([m.ravel() for m in mesh], axis=-1)
-    )
     np.testing.assert_array_equal(
         grid.point_at((3, 8, 1)),
         [np.linspace(0.0, 1.0, 9)[3], 3.0, np.linspace(0.1, 0.7, 9)[1]],

@@ -194,6 +194,38 @@ def test_python_api_and_cli_refuse_the_same_configs(name, tmp_path):
     assert not (tmp_path / "o").exists()  # refused before anything was written
 
 
+def _prior_sample_cfg(dims, subsets, grid_points=7):
+    objective = {
+        "kind": "prior_sample",
+        "dims": dims,
+        "subsets": subsets,
+        "grid_points": grid_points,
+        "sample_seed": 3,
+    }
+    return dict(RANDOM_CFG, objective=objective)
+
+
+def _static_cfg(objective, subsets):
+    return dict(DEC_CFG, objective=objective, decomposition={"mode": "static", "subsets": subsets})
+
+
+# Configs that pass validation and are refused by engine.resolve.
+RESOLVE_REFUSALS = {
+    "sample_factor_too_large": _prior_sample_cfg(2, [[0, 1]], grid_points=64),
+    "sample_subset_out_of_range": _prior_sample_cfg(2, [[0, 2]]),
+    "sample_subset_repeats_a_dim": _prior_sample_cfg(2, [[1, 1]]),
+    "static_subsets_leave_dims_uncovered": _static_cfg("hartmann6", [[0, 1], [2, 3]]),
+    "static_subset_out_of_range": _static_cfg("shekel4", [[4]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVE_REFUSALS))
+def test_resolve_refusal_leaves_no_output_directory(name, tmp_path):
+    cfg = _write(tmp_path, RESOLVE_REFUSALS[name])
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    assert not (tmp_path / "o").exists()
+
+
 def test_from_dict_refuses_unknown_top_level_keys():
     with pytest.raises(ConfigurationError, match="unknown key 'typo'"):
         RunConfig.from_dict(dict(RANDOM_CFG, typo=1))

@@ -227,12 +227,20 @@ def test_batch_posteriors_agree_between_axes_and_points():
             post.factor_mean_var_batch(i, _cartesian(sub)),
         ):
             assert np.abs(got - want).max() <= 1e-12
-    for got, want in zip(
-        post.objective_mean_var_batch(axes),
-        post.objective_mean_var_batch(_cartesian(axes)),
-    ):
-        assert got.shape == (360,)
-        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_objective_posterior_refuses_axes():
+    # d axes of length d would otherwise read as d points
+    rng = np.random.default_rng(78)
+    kernel = AdditiveKernel(
+        factors=(FactorKernel(subset=(0, 1), signal_variance=1.0, lengthscales=(0.3, 0.3)),)
+    )
+    axes = (np.array([0.1, 0.6]), np.array([0.2, 0.9]))
+    for t in (0, 5):
+        post = fit(kernel, ObservationSet(rng.uniform(size=(t, 2)), rng.normal(size=t), 0.1))
+        with pytest.raises(ContractViolationError, match="not axes"):
+            post.objective_mean_var_batch(axes)
+        assert post.objective_mean_var_batch(np.stack(axes))[0].shape == (2,)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

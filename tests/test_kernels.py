@@ -77,7 +77,7 @@ def test_additive_kernel_sum_and_prior_variance():
     K = cross_additive(k, x.reshape(1, -1), z.reshape(1, -1))
     assert K.shape == (1, 1)
     assert K[0, 0] == pytest.approx(want, rel=1e-12)
-    assert k.prior_variance(x) == pytest.approx(2.0)
+    assert k.prior_variance() == pytest.approx(2.0)
 
 
 def test_gram_symmetric_and_psd():
@@ -141,29 +141,8 @@ def test_cross_factor_axes_match_cartesian_points(arity):
         np.testing.assert_array_equal(cross_factor(f, unequal, V), want)
 
 
-def test_cross_additive_axes_match_cartesian_points():
-    rng = np.random.default_rng(12)
-    k = AdditiveKernel(
-        factors=(
-            FactorKernel(subset=(0, 1, 2), signal_variance=1.1, lengthscales=(0.3, 0.5, 0.2)),
-            FactorKernel(subset=(1, 3), signal_variance=0.6, lengthscales=(0.4, 0.7)),
-            FactorKernel(subset=(0, 3), signal_variance=0.9, lengthscales=(0.25, 0.35)),
-            FactorKernel(subset=(2,), signal_variance=0.4, lengthscales=(0.3,)),
-        )
-    )
-    Y = rng.uniform(size=(11, 4))
-    axes = tuple(np.sort(rng.uniform(size=n)) for n in (4, 3, 5, 2))
-    got = cross_additive(k, axes, Y)
-    want = cross_additive(k, _cartesian(axes), Y)
-    assert got.shape == want.shape == (120, 11)
-    assert np.abs(got - want).max() <= 1e-14
-
-
 def test_axes_count_must_match_arity():
     f = FactorKernel(subset=(0, 1), signal_variance=1.0, lengthscales=(0.2, 0.2))
-    k = AdditiveKernel(factors=(f,))
     V = np.zeros((3, 2))
     with pytest.raises(ContractViolationError):
         cross_factor(f, (np.linspace(0, 1, 4),), V)
-    with pytest.raises(ContractViolationError):
-        cross_additive(k, (np.linspace(0, 1, 4),) * 3, V)

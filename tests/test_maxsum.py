@@ -239,9 +239,8 @@ def test_solve_on_acquisition_matches_brute_force():
     obs = ObservationSet(rng.uniform(size=(7, 3)), rng.normal(size=7), 0.05)
     post = fit(kernel, obs)
     grid = GridSpec(per_dim_points=5, box=((0.0, 1.0),) * 3)
-    acq = tabulate(post, grid, 2.5)
-    result = solve(acq, rounds=40)
-    g = FactorGraph(3, 5, list(acq.subsets), list(acq.tables))
+    g = tabulate(post, grid, 2.5)
+    result = solve(g, rounds=40)
     want_val, _ = brute_force_max(g)
     assert result.diagnostics.best_value == pytest.approx(want_val, abs=1e-12)
     assert result.diagnostics.rounds_used >= 1

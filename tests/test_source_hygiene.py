@@ -1,0 +1,40 @@
+"""Static checks over the package source, with the standard library's ast."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fgbo"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imported_names(tree: ast.Module) -> set:
+    """The names the module's import statements bind."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def _exported_names(tree: ast.Module) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _used_names(tree: ast.Module) -> set:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = _imported_names(tree) - _used_names(tree) - _exported_names(tree)
+    assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
