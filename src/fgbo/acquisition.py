@@ -11,17 +11,18 @@ centralized baseline) is the graph of one factor over all d inputs.  The
 exploration coefficient beta_t comes from one of three schedules:
 
     DiscreteDomain      beta_t = 2 log(|D| |U| pi_t / delta),  pi_t = pi^2 t^2 / 6
-    ContinuousLipschitz beta_t = 2 log(2 |U| pi_t / delta)
-                                 + 2 d log(r d b t^2 sqrt(log(2 |U| a / delta)))
+    ContinuousLipschitz beta_t = 2 log(2 |U| pi_t / delta) + 2 d log(Delta_t)
     FixedConstant       beta_t = c
 
 and the per-dimension grid resolution follows
 
-    tau_t = ceil(r d b t^2 sqrt(log(2 |U| a / delta)))
+    tau_t = ceil(Delta_t),  Delta_t = r d b t^2 sqrt(log(2 |U| a / delta))
 
 clamped to configured caps, since the uncapped value is astronomically large
 for honest Lipschitz constants while the guarantee degrades gracefully to the
-grid resolution.  Grids are linspace-style and include both box endpoints.
+grid resolution.  Everything runs on the unit box, so the box edge r is 1,
+and Delta_t, the one discretization term of beta and tau, is computed in one
+place.  Grids are linspace-style and include both endpoints 0 and 1.
 """
 
 from __future__ import annotations
@@ -47,19 +48,16 @@ class BetaMode(Enum):
 class BetaSchedule:
     """Parameters of the exploration schedule.
 
-    domain_size is the joint domain cardinality |D| and only feeds the
-    DiscreteDomain mode; on a grid it is tau_t^d, so callers re-derive it per
-    iteration (see engine).  dims, box_edge and the Lipschitz constants feed
-    the ContinuousLipschitz mode and the grid schedule.  a and b default to
-    1.0 when unknown; they only shift beta by a constant.
+    dims and the Lipschitz constants a and b feed the ContinuousLipschitz
+    mode and the grid schedule; a and b default to 1.0 when unknown, and only
+    shift beta by a constant.  The joint domain size |D| of the
+    DiscreteDomain mode is tau_t^d, so it is an argument of beta.
     """
 
     mode: BetaMode
     delta: float
     num_factors: int
-    domain_size: int | None = None
-    dims: int | None = None
-    box_edge: float = 1.0
+    dims: int
     lipschitz_a: float = 1.0
     lipschitz_b: float = 1.0
     fixed_value: float | None = None
@@ -69,12 +67,10 @@ class BetaSchedule:
             raise ConfigurationError(f"delta must lie in (0,1), got {self.delta}")
         if self.num_factors < 1:
             raise ConfigurationError("num_factors must be >= 1")
-        if self.domain_size is not None and self.domain_size < 1:
-            raise ConfigurationError("domain_size must be a positive integer")
-        if self.dims is not None and self.dims < 1:
+        if self.dims < 1:
             raise ConfigurationError("dims must be a positive integer")
-        if self.box_edge <= 0 or self.lipschitz_a <= 0 or self.lipschitz_b <= 0:
-            raise ConfigurationError("box_edge, a and b must be positive")
+        if self.lipschitz_a <= 0 or self.lipschitz_b <= 0:
+            raise ConfigurationError("a and b must be positive")
         if self.mode is BetaMode.FIXED_CONSTANT:
             if self.fixed_value is None or self.fixed_value <= 0:
                 raise ConfigurationError(
@@ -88,71 +84,63 @@ def _log_arg(value: float, what: str) -> float:
     return math.log(value)
 
 
-def beta(schedule: BetaSchedule, t: int) -> float:
-    """Exploration coefficient at iteration t >= 1."""
+def _discretization(schedule: BetaSchedule, t: int) -> float:
+    """The term d b t^2 sqrt(log(2 |U| a / delta)) shared by beta and tau."""
+    inner = math.log(2.0 * schedule.num_factors * schedule.lipschitz_a / schedule.delta)
+    if inner <= 0:
+        raise ConfigurationError(
+            f"log(2|U|a/delta) = {inner:.3g} must be positive; raise lipschitz_a"
+        )
+    return schedule.dims * schedule.lipschitz_b * t * t * math.sqrt(inner)
+
+
+def beta(schedule: BetaSchedule, t: int, domain_size: int | None = None) -> float:
+    """Exploration coefficient at iteration t >= 1.
+
+    domain_size is |D|, which only the DiscreteDomain mode reads.
+    """
     if t < 1:
         raise ContractViolationError(f"iteration must be >= 1, got {t}")
     if schedule.mode is BetaMode.FIXED_CONSTANT:
         return float(schedule.fixed_value)
     pi_t = math.pi * math.pi * t * t / 6.0
     if schedule.mode is BetaMode.DISCRETE_DOMAIN:
-        if schedule.domain_size is None:
-            raise ConfigurationError("DiscreteDomain mode needs domain_size")
+        if domain_size is None:
+            raise ContractViolationError("DiscreteDomain mode needs the domain size")
         # sum of logs: |D| = tau^d may overflow a float as a product
         return 2.0 * (
-            _log_arg(schedule.domain_size, "domain size")
+            _log_arg(domain_size, "domain size")
             + math.log(schedule.num_factors)
             + math.log(pi_t)
             - math.log(schedule.delta)
         )
-    if schedule.dims is None:
-        raise ConfigurationError("ContinuousLipschitz mode needs dims")
-    inner = _log_arg(
-        2.0 * schedule.num_factors * schedule.lipschitz_a / schedule.delta,
-        "Lipschitz confidence term",
-    )
-    if inner <= 0:
-        raise ConfigurationError("log(2|U|a/delta) must be positive")
     first = 2.0 * _log_arg(
         2.0 * schedule.num_factors * pi_t / schedule.delta, "confidence term"
     )
-    arg = (
-        schedule.box_edge
-        * schedule.dims
-        * schedule.lipschitz_b
-        * t
-        * t
-        * math.sqrt(inner)
+    return first + 2.0 * schedule.dims * _log_arg(
+        _discretization(schedule, t), "discretization term"
     )
-    return first + 2.0 * schedule.dims * _log_arg(arg, "discretization term")
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform per-dimension grid over a box, endpoints included.
+    """Uniform grid over the unit box [0, 1]^num_dims, endpoints included.
 
-    The per-dimension axes are built once, as read-only arrays.
+    Every dimension shares one read-only axis, built once.
     """
 
     per_dim_points: int
-    box: tuple[tuple[float, float], ...]
+    num_dims: int
     _axes: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        box = tuple((float(lo), float(hi)) for lo, hi in self.box)
-        object.__setattr__(self, "box", box)
         if self.per_dim_points < 2:
             raise ContractViolationError("grids need >= 2 points per dimension")
-        if any(hi <= lo for lo, hi in box):
-            raise ContractViolationError("box bounds must satisfy low < high")
-        axes = tuple(np.linspace(lo, hi, self.per_dim_points) for lo, hi in box)
-        for axis in axes:
-            axis.flags.writeable = False
-        object.__setattr__(self, "_axes", axes)
-
-    @property
-    def num_dims(self) -> int:
-        return len(self.box)
+        if self.num_dims < 1:
+            raise ContractViolationError("grids need >= 1 dimension")
+        axis = np.linspace(0.0, 1.0, self.per_dim_points)
+        axis.flags.writeable = False
+        object.__setattr__(self, "_axes", (axis,) * self.num_dims)
 
     @property
     def joint_size(self) -> int:
@@ -183,22 +171,10 @@ def grid_for_iteration(
         raise ContractViolationError("caps.min must be >= 2")
     if max_pts < min_pts:
         raise ContractViolationError("caps.max must be >= caps.min")
-    if schedule.dims is None:
-        raise ConfigurationError("grid schedule needs dims")
-    inner = _log_arg(
-        2.0 * schedule.num_factors * schedule.lipschitz_a / schedule.delta,
-        "Lipschitz confidence term",
-    )
-    raw = (
-        schedule.box_edge
-        * schedule.dims
-        * schedule.lipschitz_b
-        * t
-        * t
-        * math.sqrt(inner)
-    )
-    tau = min(max(math.ceil(raw), min_pts), max_pts)
-    return GridSpec(per_dim_points=tau, box=((0.0, 1.0),) * schedule.dims)
+    raw = _discretization(schedule, t)
+    # compare before ceil: an overflowed raw is inf, which ceil refuses
+    tau = max_pts if raw >= max_pts else max(math.ceil(raw), min_pts)
+    return GridSpec(per_dim_points=tau, num_dims=schedule.dims)
 
 
 def tabulate(

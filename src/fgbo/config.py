@@ -14,6 +14,7 @@ An in-memory SyntheticObjective passes through unchanged.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 
 from .bench import SyntheticObjective
@@ -70,7 +71,12 @@ def _as_int(value, path, minimum=None):
 def _as_number(value, path, minimum=None, exclusive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        _fail(path, f"must be a finite number, got {value!r}")
     if minimum is not None:
         if exclusive and v <= minimum:
             _fail(path, f"must be > {minimum}, got {value}")

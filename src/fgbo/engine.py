@@ -1,7 +1,7 @@
 """The Bayesian-optimization outer loop and its baselines.
 
 One run is: t0 seeded uniform-random evaluations, then n iterations of
-fit posterior -> beta(t+1) -> grid -> tabulate -> select -> evaluate.
+fit posterior -> grid(t+1) -> beta(t+1) -> tabulate -> select -> evaluate.
 tabulate returns the acquisition factor graph for every model-based
 algorithm; they differ in its factors and in how the query is selected:
 
@@ -13,17 +13,18 @@ algorithm; they differ in its factors and in how the query is selected:
 
 An iteration's lookups are its table entries plus the solver's lookups.
 
-Everything runs internally on the unit box; queries are mapped back to the
-objective's natural box for evaluation and logging.  Objectives flagged
-minimize=True are negated, so the engine always maximizes g and reports the
-regret r_t = g(x*) - g(x_t).
+Everything runs internally on the unit box (the schedules' box edge r is
+1); queries are mapped back to the objective's natural box for evaluation
+and logging.  Objectives flagged minimize=True are negated, so the engine
+always maximizes g and reports the regret r_t = g(x*) - g(x_t).
 
 Configuration: RunConfig runs its fields through config.validate_config, so
 it holds canonical values with every nested key present, and this module
 reads them directly; the defaults and the checks live only in config.  A
 CLI run builds its RunConfig once, from the config file, and nothing here
 validates it again.  resolve draws any random decomposition once, hands
-the static structure to run_resolved and writes it into the manifest.
+the static structure to run_resolved and writes it into the manifest, and
+checks the exploration schedule once for every iteration.
 
 Reproducibility: the seed spawns three independent child streams
 (decomposition, queries, noise), so re-running a manifest whose random
@@ -40,7 +41,7 @@ import heapq
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -212,8 +213,24 @@ class ResolvedRun:
     mcmc: dict | None  # the mcmc spec when the structure is learned
 
 
+def _beta_schedule(config: RunConfig, num_factors: int, d: int) -> BetaSchedule:
+    bcfg = config.beta
+    return BetaSchedule(
+        mode=BetaMode(bcfg["mode"]),
+        delta=bcfg["delta"],
+        num_factors=num_factors,
+        dims=d,
+        lipschitz_a=bcfg["lipschitz_a"],
+        lipschitz_b=bcfg["lipschitz_b"],
+        fixed_value=bcfg["fixed_value"],
+    )
+
+
 def resolve(config: RunConfig) -> ResolvedRun:
-    """Materialize the objective and any random decomposition.
+    """Materialize the objective and any random decomposition, and check the
+    schedule: log(2|U|a/delta) grows with |U| and tau_t with t, so the grid
+    at the fewest factors and the last iteration refuses what any
+    iteration's would (a non-positive log, a joint grid over MAX_JOINT_GRID).
 
     The manifest this produces fully determines the run; writing it before
     compute is the caller's (cli's) responsibility.
@@ -222,6 +239,18 @@ def resolve(config: RunConfig) -> ResolvedRun:
     d = obj.dims
     decomp_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[0])
     dec, mcmc_spec = _resolve_decomposition(config, d, decomp_rng)
+    if config.algorithm != "random_search":
+        if dec is not None:
+            fewest = len(dec.subsets)
+        else:  # mcmc: each sample covers d inputs, max_factor_size at a time
+            fewest = math.ceil(d / mcmc_spec["max_factor_size"])
+        last = config.initial_evaluations + config.iterations
+        grid = grid_for_iteration(_beta_schedule(config, fewest, d), last, config.grid_caps)
+        if config.algorithm == "centralized_gp_ucb" and grid.joint_size > MAX_JOINT_GRID:
+            raise ConfigurationError(
+                f"joint grid of {grid.joint_size} points exceeds "
+                f"centralized limit {MAX_JOINT_GRID}; lower grid_caps"
+            )
     canonical = config.to_canonical_dict()
     if config.algorithm == "dec_hbo" and mcmc_spec is None:
         # the canonical static spec, as validate_config would write it
@@ -353,9 +382,6 @@ def run_resolved(res: ResolvedRun) -> RunResult:
     subsets_now = static_dec.subsets if static_dec is not None else None
     weights_now = None
 
-    bcfg = config.beta
-    mode = BetaMode(bcfg["mode"])
-
     for i in range(1, config.iterations + 1):
         clock = time.monotonic() if config.measure_wall_time else None
         t_sel = len(y_obs) + 1
@@ -390,35 +416,17 @@ def run_resolved(res: ResolvedRun) -> RunResult:
                     )
                     subsets_now, weights_now = merge_for_acquisition(ensemble)
                 kernel = induced_kernel(subsets_now, hypers)
-                schedule = BetaSchedule(
-                    mode=mode,
-                    delta=bcfg["delta"],
-                    num_factors=len(subsets_now),
-                    dims=d,
-                    box_edge=1.0,
-                    lipschitz_a=bcfg["lipschitz_a"],
-                    lipschitz_b=bcfg["lipschitz_b"],
-                    fixed_value=bcfg["fixed_value"],
-                )
+                schedule = _beta_schedule(config, len(subsets_now), d)
                 grid = grid_for_iteration(schedule, t_sel, config.grid_caps)
-                if mode is BetaMode.DISCRETE_DOMAIN:
-                    schedule = replace(
-                        schedule, domain_size=grid.per_dim_points**d
-                    )
-                beta_value = beta(schedule, t_sel)
+                beta_value = beta(schedule, t_sel, grid.joint_size)
                 observations = ObservationSet(
                     np.asarray(X_unit), y_model, config.noise_variance
                 )
                 posterior = fit(kernel, observations)
-                central = config.algorithm == "centralized_gp_ucb"
-                if central and grid.joint_size > MAX_JOINT_GRID:
-                    raise ConfigurationError(
-                        f"joint grid of {grid.joint_size} points exceeds "
-                        f"centralized limit {MAX_JOINT_GRID}; lower grid_caps"
-                    )
                 acq = tabulate(posterior, grid, beta_value, weights_now)
                 lookups = sum(tab.size for tab in acq.tables)
-                if central:  # one factor over all d inputs: scan its table
+                if config.algorithm == "centralized_gp_ucb":
+                    # one factor over all d inputs: scan its table
                     table = acq.tables[0]
                     idx = np.unravel_index(int(np.argmax(table)), table.shape)
                     rounds, converged = 0, 1

@@ -91,6 +91,18 @@ def dense_cholesky_with_jitter(A: np.ndarray):
     )
 
 
+def _factorize(kernel: AdditiveKernel, observations: ObservationSet):
+    """(L, jitter, alpha): the lower Cholesky factor of K + sn2 I, its
+    jitter, and alpha = (K + sn2 I)^-1 y, for t >= 1 observations."""
+    K = gram(kernel, observations.X)
+    C = K + observations.noise_variance * np.eye(len(observations))
+    L, jitter = dense_cholesky_with_jitter(C)
+    # LAPACK reads column-major arrays; one copy here spares the copies that
+    # cho_solve and dtrtri would each make of a row-major L
+    L = np.asfortranarray(L)
+    return L, jitter, cho_solve((L, True), observations.y)
+
+
 def _batch_inputs(U):
     """Points (m, k) or a tuple of k axes, as floats, and their row count m.
 
@@ -119,17 +131,13 @@ class FactorPosterior:
     def __init__(self, kernel: AdditiveKernel, observations: ObservationSet):
         self.kernel = kernel
         self.observations = observations
-        t = len(observations)
-        if t == 0:
+        if len(observations) == 0:
             self.jitter = 0.0
             self._Linv = None
             self.weights = np.zeros(0)
         else:
-            K = gram(kernel, observations.X)
-            C = K + observations.noise_variance * np.eye(t)
-            L, self.jitter = dense_cholesky_with_jitter(C)
-            self.weights = cho_solve((L, True), observations.y)
-            self._Linv, info = dtrtri(L, lower=1)
+            L, self.jitter, self.weights = _factorize(kernel, observations)
+            self._Linv, info = dtrtri(L, lower=1, overwrite_c=1)
             if info != 0:
                 raise NumericalFailureError(
                     f"inverting the Cholesky factor failed (LAPACK info {info})",
@@ -212,10 +220,7 @@ def log_marginal_likelihood(kernel: AdditiveKernel, observations: ObservationSet
     t = len(observations)
     if t == 0:
         raise ContractViolationError("evidence needs at least one observation")
-    K = gram(kernel, observations.X)
-    C = K + observations.noise_variance * np.eye(t)
-    L, _ = dense_cholesky_with_jitter(C)
-    alpha = cho_solve((L, True), observations.y)
+    L, _, alpha = _factorize(kernel, observations)
     return float(
         -0.5 * observations.y @ alpha
         - np.log(np.diag(L)).sum()

@@ -29,10 +29,10 @@ BETA_DISCRETE_CASES = [
 ]
 
 BETA_LIPSCHITZ_CASES = [
-    # (dims, box_edge, lipschitz_a, lipschitz_b, num_factors, delta, t, expected)
-    (1, 1.0, 1.0, 1.0, 1, 0.5, 1, 4.094623587159552915022),
-    (6, 1.0, 1.0, 1.0, 4, 0.1, 25, 130.2541585174663791523),
-    (4, 1.0, 2.0, 1.0, 2, 0.1, 3, 47.34580545291124490954),
+    # (dims, lipschitz_a, lipschitz_b, num_factors, delta, t, expected)
+    (1, 1.0, 1.0, 1, 0.5, 1, 4.094623587159552915022),
+    (6, 1.0, 1.0, 4, 0.1, 25, 130.2541585174663791523),
+    (4, 2.0, 1.0, 2, 0.1, 3, 47.34580545291124490954),
 ]
 
 
@@ -40,12 +40,11 @@ def beta_errors() -> tuple[float, float]:
     """Worst |beta - oracle| over the discrete cases and the Lipschitz ones."""
     discrete = lipschitz = 0.0
     for size, u, delta, t, want in BETA_DISCRETE_CASES:
-        sched = BetaSchedule(BetaMode.DISCRETE_DOMAIN, delta, u, domain_size=size)
-        discrete = max(discrete, abs(beta(sched, t) - want))
-    for dims, edge, a, b, u, delta, t, want in BETA_LIPSCHITZ_CASES:
+        sched = BetaSchedule(BetaMode.DISCRETE_DOMAIN, delta, u, dims=1)
+        discrete = max(discrete, abs(beta(sched, t, size) - want))
+    for dims, a, b, u, delta, t, want in BETA_LIPSCHITZ_CASES:
         sched = BetaSchedule(
-            BetaMode.CONTINUOUS_LIPSCHITZ, delta, u,
-            dims=dims, box_edge=edge, lipschitz_a=a, lipschitz_b=b,
+            BetaMode.CONTINUOUS_LIPSCHITZ, delta, u, dims, lipschitz_a=a, lipschitz_b=b
         )
         lipschitz = max(lipschitz, abs(beta(sched, t) - want))
     return discrete, lipschitz

@@ -140,23 +140,22 @@ def test_criterion_05_schedule_spot_checks():
 
     mono = True
     sched_d = BetaSchedule(
-        mode=BetaMode.DISCRETE_DOMAIN, delta=0.1, num_factors=3, domain_size=10_000
+        mode=BetaMode.DISCRETE_DOMAIN, delta=0.1, num_factors=3, dims=1
     )
     sched_c = BetaSchedule(
         mode=BetaMode.CONTINUOUS_LIPSCHITZ, delta=0.1, num_factors=2, dims=4
     )
     for sched in (sched_d, sched_c):
-        vals = [beta(sched, t) for t in range(1, 10_001)]
+        vals = [beta(sched, t, 10_000) for t in range(1, 10_001)]
         mono = mono and all(b2 >= b1 for b1, b2 in zip(vals, vals[1:]))
 
     tau_ok = True
-    for dims, edge, a, b, num_factors, delta, t, expected in TAU_CASES:
+    for dims, a, b, num_factors, delta, t, expected in TAU_CASES:
         sched = BetaSchedule(
             mode=BetaMode.CONTINUOUS_LIPSCHITZ,
             delta=delta,
             num_factors=num_factors,
             dims=dims,
-            box_edge=edge,
             lipschitz_a=a,
             lipschitz_b=b,
         )

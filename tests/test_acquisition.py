@@ -18,11 +18,11 @@ from fgbo.maxsum import solve
 from fgbo.selftest import BETA_DISCRETE_CASES, BETA_LIPSCHITZ_CASES
 
 TAU_CASES = [
-    # (dims, box_edge, lipschitz_a, lipschitz_b, num_factors, delta, t, expected)
-    (2, 1.0, 1.0, 1.0, 2, 0.1, 3, 35),
-    (4, 1.0, 1.0, 1.0, 3, 0.1, 2, 33),
-    (6, 1.0, 1.0, 2.0, 4, 0.05, 5, 676),
-    (1, 1.0, 1.0, 1.0, 1, 0.5, 1, 2),
+    # (dims, lipschitz_a, lipschitz_b, num_factors, delta, t, expected)
+    (2, 1.0, 1.0, 2, 0.1, 3, 35),
+    (4, 1.0, 1.0, 3, 0.1, 2, 33),
+    (6, 1.0, 2.0, 4, 0.05, 5, 676),
+    (1, 1.0, 1.0, 1, 0.5, 1, 2),
 ]
 
 
@@ -32,21 +32,18 @@ def test_beta_discrete_spot_values(domain_size, num_factors, delta, t, expected)
         mode=BetaMode.DISCRETE_DOMAIN,
         delta=delta,
         num_factors=num_factors,
-        domain_size=domain_size,
+        dims=1,
     )
-    assert abs(beta(sched, t) - expected) < 1e-9
+    assert abs(beta(sched, t, domain_size) - expected) < 1e-9
 
 
-@pytest.mark.parametrize(
-    "dims,box_edge,a,b,num_factors,delta,t,expected", BETA_LIPSCHITZ_CASES
-)
-def test_beta_lipschitz_spot_values(dims, box_edge, a, b, num_factors, delta, t, expected):
+@pytest.mark.parametrize("dims,a,b,num_factors,delta,t,expected", BETA_LIPSCHITZ_CASES)
+def test_beta_lipschitz_spot_values(dims, a, b, num_factors, delta, t, expected):
     sched = BetaSchedule(
         mode=BetaMode.CONTINUOUS_LIPSCHITZ,
         delta=delta,
         num_factors=num_factors,
         dims=dims,
-        box_edge=box_edge,
         lipschitz_a=a,
         lipschitz_b=b,
     )
@@ -55,7 +52,7 @@ def test_beta_lipschitz_spot_values(dims, box_edge, a, b, num_factors, delta, t,
 
 def test_beta_monotone_in_t():
     sched_d = BetaSchedule(
-        mode=BetaMode.DISCRETE_DOMAIN, delta=0.1, num_factors=3, domain_size=10_000
+        mode=BetaMode.DISCRETE_DOMAIN, delta=0.1, num_factors=3, dims=1
     )
     sched_c = BetaSchedule(
         mode=BetaMode.CONTINUOUS_LIPSCHITZ, delta=0.1, num_factors=3, dims=6
@@ -63,56 +60,50 @@ def test_beta_monotone_in_t():
     for sched in (sched_d, sched_c):
         prev = -math.inf
         for t in range(1, 10_001):
-            val = beta(sched, t)
+            val = beta(sched, t, 10_000)
             assert val > prev
             prev = val
 
 
 def test_beta_fixed_constant():
     sched = BetaSchedule(
-        mode=BetaMode.FIXED_CONSTANT, delta=0.1, num_factors=2, fixed_value=4.0
+        mode=BetaMode.FIXED_CONSTANT, delta=0.1, num_factors=2, dims=1, fixed_value=4.0
     )
     assert beta(sched, 1) == 4.0
     assert beta(sched, 9999) == 4.0
 
 
 def test_beta_schedule_validation():
-    # missing per-mode fields surface when beta is evaluated, since the
-    # engine fills domain_size in per iteration
     with pytest.raises(ConfigurationError):
-        beta(BetaSchedule(mode=BetaMode.DISCRETE_DOMAIN, delta=0.1, num_factors=2), 1)
+        BetaSchedule(mode=BetaMode.FIXED_CONSTANT, delta=0.1, num_factors=2, dims=1)
     with pytest.raises(ConfigurationError):
-        beta(
-            BetaSchedule(mode=BetaMode.CONTINUOUS_LIPSCHITZ, delta=0.1, num_factors=2),
-            1,
-        )
+        BetaSchedule(mode=BetaMode.DISCRETE_DOMAIN, delta=0.0, num_factors=2, dims=1)
     with pytest.raises(ConfigurationError):
-        BetaSchedule(mode=BetaMode.FIXED_CONSTANT, delta=0.1, num_factors=2)
-    with pytest.raises(ConfigurationError):
-        BetaSchedule(
-            mode=BetaMode.DISCRETE_DOMAIN, delta=0.0, num_factors=2, domain_size=10
-        )
-    with pytest.raises(ConfigurationError):
-        BetaSchedule(
-            mode=BetaMode.DISCRETE_DOMAIN, delta=1.0, num_factors=2, domain_size=10
-        )
+        BetaSchedule(mode=BetaMode.DISCRETE_DOMAIN, delta=1.0, num_factors=2, dims=1)
     with pytest.raises(ContractViolationError):
         beta(
-            BetaSchedule(
-                mode=BetaMode.DISCRETE_DOMAIN, delta=0.1, num_factors=1, domain_size=4
-            ),
+            BetaSchedule(mode=BetaMode.DISCRETE_DOMAIN, delta=0.1, num_factors=1, dims=1),
             0,
+            4,
         )
+    # with a = 1e-3, log(2|U|a/delta) < 0: both users of the discretization
+    # term refuse it
+    low_a = BetaSchedule(
+        mode=BetaMode.CONTINUOUS_LIPSCHITZ, delta=0.1, num_factors=3, dims=6, lipschitz_a=1e-3
+    )
+    with pytest.raises(ConfigurationError, match="log"):
+        grid_for_iteration(low_a, 1, caps=(2, 64))
+    with pytest.raises(ConfigurationError, match="log"):
+        beta(low_a, 1)
 
 
-@pytest.mark.parametrize("dims,box_edge,a,b,num_factors,delta,t,expected", TAU_CASES)
-def test_tau_formula_pre_cap(dims, box_edge, a, b, num_factors, delta, t, expected):
+@pytest.mark.parametrize("dims,a,b,num_factors,delta,t,expected", TAU_CASES)
+def test_tau_formula_pre_cap(dims, a, b, num_factors, delta, t, expected):
     sched = BetaSchedule(
         mode=BetaMode.CONTINUOUS_LIPSCHITZ,
         delta=delta,
         num_factors=num_factors,
         dims=dims,
-        box_edge=box_edge,
         lipschitz_a=a,
         lipschitz_b=b,
     )
@@ -133,14 +124,23 @@ def test_tau_caps_clamp():
         lipschitz_b=1e-9,
     )
     assert grid_for_iteration(tiny, 1, caps=(4, 32)).per_dim_points == 4
+    # the uncapped tau overflows to inf here; the cap still applies
+    huge = BetaSchedule(
+        mode=BetaMode.FIXED_CONSTANT,
+        delta=0.1,
+        num_factors=3,
+        dims=6,
+        lipschitz_b=1e308,
+        fixed_value=4.0,
+    )
+    assert grid_for_iteration(huge, 100, caps=(2, 32)).per_dim_points == 32
 
 
 def test_grid_spec_geometry():
-    box = ((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0))
-    grid = GridSpec(per_dim_points=5, box=box)
-    np.testing.assert_allclose(grid.values(1), [0.0, 0.5, 1.0, 1.5, 2.0])
+    grid = GridSpec(per_dim_points=5, num_dims=3)
+    np.testing.assert_allclose(grid.values(1), [0.0, 0.25, 0.5, 0.75, 1.0])
     assert grid.joint_size == 125
-    np.testing.assert_allclose(grid.point_at((0, 4, 2)), [0.0, 2.0, 0.0])
+    np.testing.assert_allclose(grid.point_at((0, 4, 2)), [0.0, 1.0, 0.5])
 
 
 def _cartesian(axes):
@@ -163,7 +163,7 @@ def _toy_posterior(rng, d=3):
 def test_tabulate_matches_pointwise_phi():
     rng = np.random.default_rng(8)
     kernel, post = _toy_posterior(rng)
-    grid = GridSpec(per_dim_points=4, box=((0.0, 1.0),) * 3)
+    grid = GridSpec(per_dim_points=4, num_dims=3)
     beta_value = 3.7
     acq = tabulate(post, grid, beta_value)
     for i, f in enumerate(kernel.factors):
@@ -181,7 +181,7 @@ def test_tabulate_prior_is_sqrt_beta_sigma():
         factors=(FactorKernel(subset=(0,), signal_variance=2.25, lengthscales=(0.3,)),)
     )
     post = fit(kernel, ObservationSet(np.zeros((0, 1)), np.zeros(0), 0.1))
-    grid = GridSpec(per_dim_points=3, box=((0.0, 1.0),))
+    grid = GridSpec(per_dim_points=3, num_dims=1)
     acq = tabulate(post, grid, 4.0)
     np.testing.assert_allclose(acq.tables[0], 2.0 * 1.5)
 
@@ -189,7 +189,7 @@ def test_tabulate_prior_is_sqrt_beta_sigma():
 def test_total_value_sums_tables():
     rng = np.random.default_rng(21)
     _, post = _toy_posterior(rng)
-    grid = GridSpec(per_dim_points=3, box=((0.0, 1.0),) * 3)
+    grid = GridSpec(per_dim_points=3, num_dims=3)
     acq = tabulate(post, grid, 2.0)
     sol = solve(acq)
     i0, i1, i2 = (int(v) for v in sol.indices)
@@ -200,7 +200,7 @@ def test_total_value_sums_tables():
 def test_acquisition_weights_scale_factors():
     rng = np.random.default_rng(22)
     _, post = _toy_posterior(rng)
-    grid = GridSpec(per_dim_points=3, box=((0.0, 1.0),) * 3)
+    grid = GridSpec(per_dim_points=3, num_dims=3)
     acq = tabulate(post, grid, 2.0)
     weighted = tabulate(post, grid, 2.0, weights=(0.5, 1.0))
     assert weighted.subsets == acq.subsets
@@ -218,7 +218,7 @@ def test_ucb_covers_prior_draws():
     kernel = AdditiveKernel(
         factors=(FactorKernel(subset=(0,), signal_variance=1.0, lengthscales=(0.25,)),)
     )
-    grid = GridSpec(per_dim_points=21, box=((0.0, 1.0),))
+    grid = GridSpec(per_dim_points=21, num_dims=1)
     pts = _cartesian(grid.axes((0,)))
     from fgbo.kernels import gram
 
@@ -239,21 +239,18 @@ def test_ucb_covers_prior_draws():
 
 def test_grid_spec_validation():
     with pytest.raises(ContractViolationError):
-        GridSpec(per_dim_points=1, box=((0.0, 1.0),))
+        GridSpec(per_dim_points=1, num_dims=1)
     with pytest.raises(ContractViolationError):
-        GridSpec(per_dim_points=4, box=((1.0, 0.0),))
+        GridSpec(per_dim_points=4, num_dims=0)
 
 
 def test_grid_axes_are_stored_read_only_linspace():
-    box = ((0.0, 1.0), (-2.0, 3.0), (0.1, 0.7))
-    grid = GridSpec(per_dim_points=9, box=box)
-    for j, (lo, hi) in enumerate(box):
-        np.testing.assert_array_equal(grid.values(j), np.linspace(lo, hi, 9))
+    grid = GridSpec(per_dim_points=9, num_dims=3)
+    for j in range(3):
+        np.testing.assert_array_equal(grid.values(j), np.linspace(0.0, 1.0, 9))
         assert grid.values(j) is grid.values(j)
         assert not grid.values(j).flags.writeable
     assert grid.axes((2, 0)) == (grid.values(2), grid.values(0))
-    np.testing.assert_array_equal(
-        grid.point_at((3, 8, 1)),
-        [np.linspace(0.0, 1.0, 9)[3], 3.0, np.linspace(0.1, 0.7, 9)[1]],
-    )
-    assert grid == GridSpec(per_dim_points=9, box=box)
+    line = np.linspace(0.0, 1.0, 9)
+    np.testing.assert_array_equal(grid.point_at((3, 8, 1)), [line[3], 1.0, line[1]])
+    assert grid == GridSpec(per_dim_points=9, num_dims=3)

@@ -1,6 +1,7 @@
 """CLI surface: artifacts, exit codes, env precedence, selftest battery."""
 
 import json
+import math
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -179,6 +180,18 @@ BAD_CONFIGS = {
     "model_without_noise": dict(DEC_CFG, noise_variance=0.0),
     "dec_hbo_without_decomposition": dict(DEC_CFG, decomposition=None),
     "inverted_grid_caps": dict(RANDOM_CFG, grid_caps=[8, 4]),
+    # JSON reads NaN and Infinity as floats; none of them is a valid number
+    "nan_noise_variance": dict(DEC_CFG, noise_variance=math.nan),
+    "nan_delta": dict(DEC_CFG, beta={"delta": math.nan}),
+    "infinite_fixed_value": dict(
+        DEC_CFG, beta={"mode": "fixed_constant", "fixed_value": math.inf}
+    ),
+    "infinite_lipschitz_b": dict(
+        DEC_CFG, beta={"mode": "continuous_lipschitz", "lipschitz_b": math.inf}
+    ),
+    "infinite_lengthscale": dict(DEC_CFG, gp={"lengthscale": math.inf}),
+    "nan_optimum_value": dict(RANDOM_CFG, optimum_value=math.nan),
+    "integer_beyond_float_range": dict(DEC_CFG, noise_variance=10**400),
 }
 
 
@@ -216,6 +229,20 @@ RESOLVE_REFUSALS = {
     "sample_subset_repeats_a_dim": _prior_sample_cfg(2, [[1, 1]]),
     "static_subsets_leave_dims_uncovered": _static_cfg("hartmann6", [[0, 1], [2, 3]]),
     "static_subset_out_of_range": _static_cfg("shekel4", [[4]]),
+    # 64 points per dimension at the last iteration: a 64^4 joint grid
+    "centralized_joint_grid_too_large": dict(
+        RANDOM_CFG, algorithm="centralized_gp_ucb", grid_caps=[2, 64]
+    ),
+    # log(2|U|a/delta) = log(2 * 6 * 0.001 / 0.1) < 0
+    "lipschitz_a_too_small": dict(
+        RANDOM_CFG, objective="hartmann6", algorithm="add_independent",
+        beta={"lipschitz_a": 0.001},
+    ),
+    # mcmc over 6 inputs, 3 at a time, may sample 2 factors: log(0.8) < 0
+    "lipschitz_a_too_small_for_mcmc": dict(
+        DEC_CFG, objective="hartmann6", beta={"lipschitz_a": 0.02},
+        decomposition={"mode": "mcmc", "max_factor_size": 3, "chain_length": 0},
+    ),
 }
 
 

@@ -238,7 +238,7 @@ def test_solve_on_acquisition_matches_brute_force():
     )
     obs = ObservationSet(rng.uniform(size=(7, 3)), rng.normal(size=7), 0.05)
     post = fit(kernel, obs)
-    grid = GridSpec(per_dim_points=5, box=((0.0, 1.0),) * 3)
+    grid = GridSpec(per_dim_points=5, num_dims=3)
     g = tabulate(post, grid, 2.5)
     result = solve(g, rounds=40)
     want_val, _ = brute_force_max(g)
@@ -253,7 +253,7 @@ def test_solve_records_trace_and_dump(tmp_path):
         factors=(FactorKernel(subset=(0,), signal_variance=1.0, lengthscales=(0.3,)),)
     )
     obs = ObservationSet(rng.uniform(size=(4, 1)), rng.normal(size=4), 0.1)
-    acq = tabulate(fit(kernel, obs), GridSpec(per_dim_points=6, box=((0.0, 1.0),)), 2.0)
+    acq = tabulate(fit(kernel, obs), GridSpec(per_dim_points=6, num_dims=1), 2.0)
     result = solve(acq, rounds=10)
     trace = result.diagnostics.trace
     assert len(trace) == result.diagnostics.rounds_used

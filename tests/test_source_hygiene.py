@@ -30,7 +30,12 @@ def _exported_names(tree: ast.Module) -> set:
 
 
 def _used_names(tree: ast.Module) -> set:
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    """The names the module reads (an assignment is not a use)."""
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -38,3 +43,24 @@ def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = _imported_names(tree) - _used_names(tree) - _exported_names(tree)
     assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    """Module-level functions, classes and constants whose names start with
+    one underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_private_name_it_defines(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = _private_definitions(tree) - _used_names(tree)
+    assert not unused, f"{path.name} defines private names it never uses: {sorted(unused)}"
