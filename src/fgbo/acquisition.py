@@ -97,7 +97,9 @@ def _discretization(schedule: BetaSchedule, t: int) -> float:
 def beta(schedule: BetaSchedule, t: int, domain_size: int | None = None) -> float:
     """Exploration coefficient at iteration t >= 1.
 
-    domain_size is |D|, which only the DiscreteDomain mode reads.
+    domain_size is |D|, which only the DiscreteDomain mode reads.  Raises
+    ConfigurationError when the value is not finite (a huge lipschitz_b
+    overflows the discretization term).
     """
     if t < 1:
         raise ContractViolationError(f"iteration must be >= 1, got {t}")
@@ -108,18 +110,24 @@ def beta(schedule: BetaSchedule, t: int, domain_size: int | None = None) -> floa
         if domain_size is None:
             raise ContractViolationError("DiscreteDomain mode needs the domain size")
         # sum of logs: |D| = tau^d may overflow a float as a product
-        return 2.0 * (
+        value = 2.0 * (
             _log_arg(domain_size, "domain size")
             + math.log(schedule.num_factors)
             + math.log(pi_t)
             - math.log(schedule.delta)
         )
-    first = 2.0 * _log_arg(
-        2.0 * schedule.num_factors * pi_t / schedule.delta, "confidence term"
-    )
-    return first + 2.0 * schedule.dims * _log_arg(
-        _discretization(schedule, t), "discretization term"
-    )
+    else:
+        first = 2.0 * _log_arg(
+            2.0 * schedule.num_factors * pi_t / schedule.delta, "confidence term"
+        )
+        value = first + 2.0 * schedule.dims * _log_arg(
+            _discretization(schedule, t), "discretization term"
+        )
+    if not math.isfinite(value):
+        raise ConfigurationError(
+            f"beta at iteration {t} is {value}; lower lipschitz_b"
+        )
+    return value
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ algorithm; they differ in its factors and in how the query is selected:
     random_search       uniform random queries, no model
 
 An iteration's lookups are its table entries plus the solver's lookups.
+Each run makes one kernels.GramBlocks cache, which its fits and MCMC
+evidences share; no state outlives a run.
 
 Everything runs internally on the unit box (the schedules' box edge r is
 1); queries are mapped back to the objective's natural box for evaluation
@@ -75,7 +77,7 @@ from .decomposition import (
 )
 from .errors import ConfigurationError, NumericalFailureError
 from .gp import ObservationSet, fit
-from .kernels import AdditiveKernel, FactorKernel
+from .kernels import AdditiveKernel, FactorKernel, GramBlocks
 from .maxsum import solve
 
 # refuse centralized joint grids beyond this many points
@@ -231,6 +233,11 @@ def resolve(config: RunConfig) -> ResolvedRun:
     schedule: log(2|U|a/delta) grows with |U| and tau_t with t, so the grid
     at the fewest factors and the last iteration refuses what any
     iteration's would (a non-positive log, a joint grid over MAX_JOINT_GRID).
+    beta grows with t, so for a static structure, whose |U| is fixed, beta
+    at the last iteration is the largest, and a non-finite one is refused
+    here.  Under MCMC |U| varies with the samples; there the refusal is the
+    ConfigurationError (exit 3 from the CLI) of the first iteration whose
+    beta is not finite.
 
     The manifest this produces fully determines the run; writing it before
     compute is the caller's (cli's) responsibility.
@@ -245,12 +252,15 @@ def resolve(config: RunConfig) -> ResolvedRun:
         else:  # mcmc: each sample covers d inputs, max_factor_size at a time
             fewest = math.ceil(d / mcmc_spec["max_factor_size"])
         last = config.initial_evaluations + config.iterations
-        grid = grid_for_iteration(_beta_schedule(config, fewest, d), last, config.grid_caps)
+        schedule = _beta_schedule(config, fewest, d)
+        grid = grid_for_iteration(schedule, last, config.grid_caps)
         if config.algorithm == "centralized_gp_ucb" and grid.joint_size > MAX_JOINT_GRID:
             raise ConfigurationError(
                 f"joint grid of {grid.joint_size} points exceeds "
                 f"centralized limit {MAX_JOINT_GRID}; lower grid_caps"
             )
+        if dec is not None:
+            beta(schedule, last, grid.joint_size)
     canonical = config.to_canonical_dict()
     if config.algorithm == "dec_hbo" and mcmc_spec is None:
         # the canonical static spec, as validate_config would write it
@@ -325,6 +335,7 @@ def run_resolved(res: ResolvedRun) -> RunResult:
     noise_rng = np.random.default_rng(streams[2])
 
     static_dec, mcmc_spec = res.decomposition, res.mcmc
+    blocks = GramBlocks(config.initial_evaluations + config.iterations)
 
     X_unit: list = []
     y_obs: list = []
@@ -413,6 +424,7 @@ def run_resolved(res: ResolvedRun) -> RunResult:
                         ),
                         decomp_rng,
                         hypers=hypers,
+                        blocks=blocks,
                     )
                     subsets_now, weights_now = merge_for_acquisition(ensemble)
                 kernel = induced_kernel(subsets_now, hypers)
@@ -422,7 +434,7 @@ def run_resolved(res: ResolvedRun) -> RunResult:
                 observations = ObservationSet(
                     np.asarray(X_unit), y_model, config.noise_variance
                 )
-                posterior = fit(kernel, observations)
+                posterior = fit(kernel, observations, blocks)
                 acq = tabulate(posterior, grid, beta_value, weights_now)
                 lookups = sum(tab.size for tab in acq.tables)
                 if config.algorithm == "centralized_gp_ucb":

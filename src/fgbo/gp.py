@@ -10,7 +10,10 @@ inputs and K is the Gram matrix of the full additive kernel.  The sum of the
 factor means equals the additive GP's posterior mean of f, which the engine
 relies on; no analogous identity holds for variances.
 
-A fit factorizes K + sn2 I = L L' once and caches the weights
+A fit builds K from a kernels.GramBlocks cache when the caller passes one
+(the engine owns one per run), so over a run it costs O(n_f |I| t) new
+exponentials, n_f t^2 multiply-adds and the O(t^3) Cholesky and inverse.
+It factorizes K + sn2 I = L L' once and caches the weights
 (K + sn2 I)^-1 y and the inverse factor L^-1, so a batch of m inputs costs
 one (m x t) cross-covariance, one matrix-vector product for the means and
 one (m x t)(t x t) GEMM for the variances, var = prior - rowsum((Kxg L^-T)^2).
@@ -31,7 +34,7 @@ from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtri
 
 from .errors import ContractViolationError, NumericalFailureError
-from .kernels import AdditiveKernel, cross_additive, cross_factor, gram
+from .kernels import AdditiveKernel, GramBlocks, cross_additive, cross_factor, gram
 
 # negative posterior variances beyond this are treated as bugs, not roundoff
 VARIANCE_CLAMP = 1e-9
@@ -81,7 +84,7 @@ def dense_cholesky_with_jitter(A: np.ndarray):
     jitter = 0.0
     for attempt in range(MAX_JITTER_ESCALATIONS + 1):
         try:
-            L = np.linalg.cholesky(A + jitter * np.eye(n))
+            L = np.linalg.cholesky(A + jitter * np.eye(n) if jitter else A)
             return L, jitter
         except np.linalg.LinAlgError:
             jitter = base if attempt == 0 else jitter * 10.0
@@ -91,12 +94,14 @@ def dense_cholesky_with_jitter(A: np.ndarray):
     )
 
 
-def _factorize(kernel: AdditiveKernel, observations: ObservationSet):
+def _factorize(
+    kernel: AdditiveKernel, observations: ObservationSet, blocks: GramBlocks | None = None
+):
     """(L, jitter, alpha): the lower Cholesky factor of K + sn2 I, its
     jitter, and alpha = (K + sn2 I)^-1 y, for t >= 1 observations."""
-    K = gram(kernel, observations.X)
-    C = K + observations.noise_variance * np.eye(len(observations))
-    L, jitter = dense_cholesky_with_jitter(C)
+    K = gram(kernel, observations.X, blocks)
+    K.flat[:: len(observations) + 1] += observations.noise_variance
+    L, jitter = dense_cholesky_with_jitter(K)
     # LAPACK reads column-major arrays; one copy here spares the copies that
     # cho_solve and dtrtri would each make of a row-major L
     L = np.asfortranarray(L)
@@ -128,7 +133,12 @@ class FactorPosterior:
     observations every factor posterior is its prior.
     """
 
-    def __init__(self, kernel: AdditiveKernel, observations: ObservationSet):
+    def __init__(
+        self,
+        kernel: AdditiveKernel,
+        observations: ObservationSet,
+        blocks: GramBlocks | None = None,
+    ):
         self.kernel = kernel
         self.observations = observations
         if len(observations) == 0:
@@ -136,7 +146,7 @@ class FactorPosterior:
             self._Linv = None
             self.weights = np.zeros(0)
         else:
-            L, self.jitter, self.weights = _factorize(kernel, observations)
+            L, self.jitter, self.weights = _factorize(kernel, observations, blocks)
             self._Linv, info = dtrtri(L, lower=1, overwrite_c=1)
             if info != 0:
                 raise NumericalFailureError(
@@ -210,17 +220,27 @@ class FactorPosterior:
         return float(mean[0]), float(var[0])
 
 
-def fit(kernel: AdditiveKernel, observations: ObservationSet) -> FactorPosterior:
-    """Factorize (K + sn2 I) once so all factor posteriors share the solve."""
-    return FactorPosterior(kernel, observations)
+def fit(
+    kernel: AdditiveKernel, observations: ObservationSet, blocks: GramBlocks | None = None
+) -> FactorPosterior:
+    """Factorize (K + sn2 I) once so all factor posteriors share the solve.
+
+    blocks, if given, is the caller's Gram-block cache (see kernels).
+    """
+    return FactorPosterior(kernel, observations, blocks)
 
 
-def log_marginal_likelihood(kernel: AdditiveKernel, observations: ObservationSet) -> float:
-    """GP evidence  -y'(K+sn2 I)^-1 y / 2 - log det(...)/2 - t log(2 pi)/2."""
+def log_marginal_likelihood(
+    kernel: AdditiveKernel, observations: ObservationSet, blocks: GramBlocks | None = None
+) -> float:
+    """GP evidence  -y'(K+sn2 I)^-1 y / 2 - log det(...)/2 - t log(2 pi)/2.
+
+    blocks, if given, is the caller's Gram-block cache (see kernels).
+    """
     t = len(observations)
     if t == 0:
         raise ContractViolationError("evidence needs at least one observation")
-    L, _, alpha = _factorize(kernel, observations)
+    L, _, alpha = _factorize(kernel, observations, blocks)
     return float(
         -0.5 * observations.y @ alpha
         - np.log(np.diag(L)).sum()

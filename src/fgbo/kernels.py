@@ -7,8 +7,7 @@ sum of factor kernels, each evaluated on its own sub-vector:
     k(x, x') = sum_I  s2_I * exp(-0.5 * sum_{j in I} ((x_j - x'_j) / l_j)^2)
 
 Inputs are dense real vectors in natural (unnormalized) coordinates; callers
-that want unit-box behaviour normalize before building kernels.  All
-functions here are pure and operate on immutable values.
+that want unit-box behaviour normalize before building kernels.
 
 Grid inputs.  The first input of cross_factor (not of cross_additive) may
 also be given as axes: a tuple of 1-D arrays, one per factor coordinate,
@@ -23,6 +22,16 @@ so a factor's block costs O(|I| tau t) exponentials and tau^|I| t products
 instead of tau^|I| t |I| differences and exponentials.  Results equal the
 point form to rounding; a single-axis block is bitwise equal to it.  A
 centralized joint grid is the one-factor case: one factor over all d inputs.
+
+Gram matrices.  gram builds K from GramBlocks, a cache of unscaled
+per-factor blocks exp(-0.5 |z|^2) that grows by the new observations' rows
+only.  Over a run that adds one observation per fit, a fit then costs
+O(n_f |I| t) new exponentials plus n_f t^2 multiply-adds instead of
+O(n_f |I| t^2) exponentials.  The caller owns the cache: the engine makes
+one per run and passes it to every fit and every MCMC evidence of that
+run; without one, gram uses a throwaway cache sized to X, so there is one
+formula either way.  Apart from GramBlocks, everything here is a pure
+function of immutable values.
 """
 
 from __future__ import annotations
@@ -130,21 +139,75 @@ def cross_factor(kernel: FactorKernel, U, V: np.ndarray) -> np.ndarray:
         raise ContractViolationError(
             f"sub-inputs must have {kernel.arity} columns"
         )
-    ls = np.asarray(kernel.lengthscales)
+    return kernel.signal_variance * _se(U, V, np.asarray(kernel.lengthscales))
+
+
+def _se(U: np.ndarray, V: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """Unscaled SE kernel exp(-0.5 |(u - v) / l|^2) between points U and V."""
     diff = U[:, None, :] / ls - V[None, :, :] / ls
-    return kernel.signal_variance * np.exp(-0.5 * np.einsum("mnk,mnk->mn", diff, diff))
+    return np.exp(-0.5 * np.einsum("mnk,mnk->mn", diff, diff))
 
 
-def gram(kernel: AdditiveKernel, X: np.ndarray) -> np.ndarray:
-    """Symmetric Gram matrix of the additive kernel over inputs X (n, d)."""
+class GramBlocks:
+    """Unscaled per-factor Gram blocks B = exp(-0.5 |z|^2), grown row by row.
+
+    One block per (subset, lengthscales), allocated once at capacity x
+    capacity.  A call over n sub-input rows computes only the rows the block
+    has not seen, writes them into B[m:n, :n], mirrors them into B[:m, m:n]
+    and returns the view B[:n, :n].  The block keeps the sub-inputs it was
+    built from: when their first rows differ from the call's, the block is
+    rebuilt, and beyond capacity the block is computed fresh and not kept,
+    so a stale block never reaches a Gram matrix.  The signal variance stays
+    outside, because the caller's may change between calls.
+
+    A cache belongs to one caller (the engine makes one per run) and holds
+    no state shared with any other.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = int(capacity)
+        self._blocks: dict = {}  # key -> [B, sub-inputs, rows built]
+
+    def block(self, factor: FactorKernel, U: np.ndarray) -> np.ndarray:
+        """The factor's unscaled Gram block over its sub-inputs U (n, arity)."""
+        n = U.shape[0]
+        ls = np.asarray(factor.lengthscales)
+        if n > self.capacity:
+            return _se(U, U, ls)
+        key = (factor.subset, factor.lengthscales)
+        entry = self._blocks.get(key)
+        if entry is None:
+            cap = self.capacity
+            entry = [np.empty((cap, cap)), np.empty((cap, factor.arity)), 0]
+            self._blocks[key] = entry
+        B, seen, built = entry
+        m = min(built, n)
+        if not np.array_equal(seen[:m], U[:m]):
+            m = built = 0
+        if m < n:
+            B[m:n, :n] = _se(U[m:n], U[:n], ls)
+            B[:m, m:n] = B[m:n, :m].T
+            seen[m:n] = U[m:n]
+            entry[2] = max(built, n)
+        return B[:n, :n]
+
+
+def gram(kernel: AdditiveKernel, X: np.ndarray, blocks: GramBlocks | None = None) -> np.ndarray:
+    """Gram matrix of the additive kernel over inputs X (n, d).
+
+    Built from the unscaled blocks of `blocks`, or of a throwaway cache
+    sized to X, as sum_f s2_f * B_f in factor order: the float operations of
+    summing cross_factor(f, U_f, U_f), so K equals that sum bit for bit and
+    is exactly symmetric (fl(a/l - b/l) = -fl(b/l - a/l)).
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
+    if blocks is None:
+        blocks = GramBlocks(n)
     K = np.zeros((n, n))
     for f in kernel.factors:
-        U = f.restrict(X)
-        K += cross_factor(f, U, U)
-    # exact symmetry despite float reduction order
-    return 0.5 * (K + K.T)
+        K += f.signal_variance * blocks.block(f, f.restrict(X))
+    return K
 
 
 def cross_additive(kernel: AdditiveKernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

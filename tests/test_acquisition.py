@@ -95,6 +95,12 @@ def test_beta_schedule_validation():
         grid_for_iteration(low_a, 1, caps=(2, 64))
     with pytest.raises(ConfigurationError, match="log"):
         beta(low_a, 1)
+    # with b = 1e308 the discretization term overflows to inf: beta refuses it
+    huge_b = BetaSchedule(
+        mode=BetaMode.CONTINUOUS_LIPSCHITZ, delta=0.1, num_factors=1, dims=4, lipschitz_b=1e308
+    )
+    with pytest.raises(ConfigurationError, match="lipschitz_b"):
+        beta(huge_b, 1)
 
 
 @pytest.mark.parametrize("dims,a,b,num_factors,delta,t,expected", TAU_CASES)

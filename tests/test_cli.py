@@ -243,6 +243,11 @@ RESOLVE_REFUSALS = {
         DEC_CFG, objective="hartmann6", beta={"lipschitz_a": 0.02},
         decomposition={"mode": "mcmc", "max_factor_size": 3, "chain_length": 0},
     ),
+    # the discretization term overflows to inf, and so would beta
+    "lipschitz_b_overflows_beta": dict(
+        RANDOM_CFG, algorithm="add_independent", grid_caps=[2, 8],
+        beta={"mode": "continuous_lipschitz", "lipschitz_b": 1e308},
+    ),
 }
 
 
@@ -311,6 +316,19 @@ def test_sweep_writes_summary_and_per_seed_runs(tmp_path, capsys):
     # summary floats round-trip at 17 significant digits
     best = float(lines[1].split(",")[1])
     assert np.isfinite(best)
+
+
+def test_sweep_runs_share_no_state(tmp_path):
+    # one process running both seeds must write what two processes write
+    cfg = _write(tmp_path, dict(DEC_CFG, iterations=6))
+    traces = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        argv = ["sweep", "--config", cfg, "--out", str(out), "--seeds", "0,1", "--jobs", jobs]
+        assert main(argv + ["--quiet"]) == 0
+        traces[jobs] = [(out / f"seed{s}" / "trace.csv").read_bytes() for s in (0, 1)]
+    assert traces["1"] == traces["2"]
+    assert traces["1"][0] != traces["1"][1]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

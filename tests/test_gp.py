@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from fgbo.gp import (
     fit,
     log_marginal_likelihood,
 )
-from fgbo.kernels import AdditiveKernel, FactorKernel, gram
+from fgbo.decomposition import McmcConfig, PriorConfig, SharedHypers, sample_posterior
+from fgbo.kernels import AdditiveKernel, FactorKernel, GramBlocks, gram
 from fgbo.selftest import dense_posterior
 
 
@@ -282,3 +284,55 @@ def test_non_finite_variance_raises_numerical_failure(monkeypatch):
         post.factor_mean_var_batch(0, axes)
     with pytest.raises(NumericalFailureError, match="not finite"):
         post.objective_mean_var_batch(axes[0].reshape(-1, 1))
+
+
+def test_warm_fit_peak_allocation():
+    # one new row on a cache warmed at t - 1: K, L and L's column-major copy
+    # are the only t x t arrays a fit holds at once
+    t = 300
+    rng = np.random.default_rng(8)
+    kernel = AdditiveKernel(
+        factors=tuple(
+            FactorKernel(subset=(j,), signal_variance=0.1, lengthscales=(0.2,))
+            for j in range(10)
+        )
+    )
+    X, y = rng.uniform(size=(t, 10)), rng.normal(size=t)
+    blocks = GramBlocks(t)
+    fit(kernel, ObservationSet(X[:-1], y[:-1], 0.01), blocks)
+    obs = ObservationSet(X, y, 0.01)
+    tracemalloc.start()
+    try:
+        fit(kernel, obs, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # three t x t arrays plus O(t) vectors
+    assert peak / (t * t * 8) < 3.1
+
+
+def test_fits_and_evidence_through_a_cache_equal_uncached():
+    rng = np.random.default_rng(9)
+    kernel = random_kernel(rng, 4)
+    X, y = rng.uniform(size=(40, 4)), rng.normal(size=40)
+    blocks = GramBlocks(40)
+    for t in range(1, 41):
+        obs = ObservationSet(X[:t], y[:t], 0.05)
+        cached, fresh = fit(kernel, obs, blocks), fit(kernel, obs)
+        np.testing.assert_array_equal(cached.weights, fresh.weights)
+        np.testing.assert_array_equal(cached._Linv, fresh._Linv)
+        assert log_marginal_likelihood(kernel, obs, blocks) == log_marginal_likelihood(kernel, obs)
+
+
+def test_sample_posterior_with_a_shared_cache_equals_uncached():
+    # the engine's use: one cache across refreshes as observations grow
+    rng = np.random.default_rng(10)
+    X, y = rng.uniform(size=(24, 5)), rng.normal(size=24)
+    hypers = SharedHypers(total_signal_variance=1.0, lengthscales=0.3)
+    prior, mcmc = PriorConfig(max_factor_size=3), McmcConfig(chain_length=12, num_samples=2, thinning=3)
+    blocks = GramBlocks(24)
+    for t in (8, 9, 16, 24):
+        obs = ObservationSet(X[:t], y[:t], 0.05)
+        cached = sample_posterior(obs, prior, mcmc, t, hypers=hypers, blocks=blocks)
+        fresh = sample_posterior(obs, prior, mcmc, t, hypers=hypers)
+        assert cached == fresh

@@ -7,6 +7,7 @@ from fgbo.errors import ContractViolationError
 from fgbo.kernels import (
     AdditiveKernel,
     FactorKernel,
+    GramBlocks,
     cross_additive,
     cross_factor,
     gram,
@@ -146,3 +147,81 @@ def test_axes_count_must_match_arity():
     V = np.zeros((3, 2))
     with pytest.raises(ContractViolationError):
         cross_factor(f, (np.linspace(0, 1, 4),), V)
+
+
+def _fresh_gram(kernel, X):
+    """The reference: sum_f cross_factor(f, U_f, U_f) in factor order."""
+    K = np.zeros((len(X), len(X)))
+    for f in kernel.factors:
+        U = f.restrict(X)
+        K += cross_factor(f, U, U)
+    return K
+
+
+def _scaled(kernel, s2):
+    return AdditiveKernel(
+        factors=tuple(
+            FactorKernel(f.subset, s2 * f.signal_variance, f.lengthscales) for f in kernel.factors
+        )
+    )
+
+
+CACHE_KERNELS = {
+    "ten_1d": AdditiveKernel(
+        factors=tuple(
+            FactorKernel(subset=(j,), signal_variance=0.1, lengthscales=(0.2,))
+            for j in range(10)
+        )
+    ),
+    "three_overlapping_3d": AdditiveKernel(
+        factors=(
+            FactorKernel(subset=(0, 1, 2), signal_variance=0.5, lengthscales=(0.2, 0.3, 0.4)),
+            FactorKernel(subset=(2, 3, 4), signal_variance=0.9, lengthscales=(0.5, 0.3, 0.2)),
+            FactorKernel(subset=(0, 4, 5), signal_variance=1.3, lengthscales=(0.1, 0.3, 0.7)),
+        )
+    ),
+    "one_4d": AdditiveKernel(
+        factors=(
+            FactorKernel(subset=(0, 1, 2, 3), signal_variance=2.1, lengthscales=(0.2, 0.3, 0.4, 0.25)),
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_KERNELS))
+def test_gram_blocks_grown_row_by_row_equal_fresh_gram(name):
+    kernel = CACHE_KERNELS[name]
+    d = 1 + max(f.subset[-1] for f in kernel.factors)
+    X = np.random.default_rng(17).uniform(size=(310, d))
+    blocks = GramBlocks(310)
+    # two signal variances share one cache: the blocks are unscaled
+    for t in range(1, 311):
+        for s2 in (1.0, 3.7):
+            scaled = _scaled(kernel, s2)
+            K = gram(scaled, X[:t], blocks)
+            np.testing.assert_array_equal(K, _fresh_gram(scaled, X[:t]))
+            np.testing.assert_array_equal(K, K.T)
+    np.testing.assert_array_equal(gram(kernel, X), _fresh_gram(kernel, X))
+
+
+def test_gram_blocks_rebuild_on_changed_prefix():
+    kernel = CACHE_KERNELS["three_overlapping_3d"]
+    rng = np.random.default_rng(5)
+    X = rng.uniform(size=(30, 6))
+    blocks = GramBlocks(40)
+    gram(kernel, X[:20], blocks)
+    Y = X.copy()
+    Y[7, 2] += 0.125  # a changed row inside the cached prefix
+    for t in (20, 25, 12):
+        np.testing.assert_array_equal(gram(kernel, Y[:t], blocks), _fresh_gram(kernel, Y[:t]))
+    # fewer rows than were built, then more again, after the prefix changed back
+    for t in (10, 30):
+        np.testing.assert_array_equal(gram(kernel, X[:t], blocks), _fresh_gram(kernel, X[:t]))
+
+
+def test_gram_blocks_beyond_capacity_give_the_fresh_gram():
+    kernel = CACHE_KERNELS["ten_1d"]
+    X = np.random.default_rng(6).uniform(size=(12, 10))
+    blocks = GramBlocks(5)
+    for t in (4, 12, 5):
+        np.testing.assert_array_equal(gram(kernel, X[:t], blocks), _fresh_gram(kernel, X[:t]))
