@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError
 from .gp import ObservationSet, log_marginal_likelihood
-from .kernels import AdditiveKernel, FactorKernel, GramBlocks
+from .kernels import AdditiveKernel, FactorKernel
 
 
 def _canonical(subsets) -> tuple[tuple[int, ...], ...]:
@@ -140,16 +140,10 @@ def induced_kernel(subsets, hypers: SharedHypers) -> AdditiveKernel:
 
 
 def log_evidence(
-    dec: Decomposition,
-    obs: ObservationSet,
-    hypers: SharedHypers,
-    blocks: GramBlocks | None = None,
+    dec: Decomposition, obs: ObservationSet, hypers: SharedHypers
 ) -> float:
-    """GP log marginal likelihood of the induced additive kernel.
-
-    Structures that share a subset share its Gram block in `blocks`.
-    """
-    return log_marginal_likelihood(induced_kernel(dec.subsets, hypers), obs, blocks)
+    """GP log marginal likelihood of the induced additive kernel."""
+    return log_marginal_likelihood(induced_kernel(dec.subsets, hypers), obs)
 
 
 def default_hypers(obs: ObservationSet) -> SharedHypers:
@@ -356,14 +350,12 @@ def sample_posterior(
     mcmc_config: McmcConfig,
     rng,
     hypers: SharedHypers | None = None,
-    blocks: GramBlocks | None = None,
 ) -> DecompositionEnsemble:
     """Metropolis-Hastings over decompositions; deterministic given the rng.
 
     rng may be an integer seed or a numpy Generator.  The chain starts at
     the singleton decomposition; chain_length 0 returns num_samples copies
-    of it.  blocks, if given, is the caller's Gram-block cache, which every
-    evidence of the chain reads and extends (see kernels).
+    of it.
     """
     if len(obs) == 0:
         raise ContractViolationError("posterior sampling needs observations")
@@ -382,7 +374,7 @@ def sample_posterior(
     def lookup(s: State):
         hit = cache.get(s)
         if hit is None:
-            lp = log_evidence(make_dec(s), obs, hypers, blocks) + prior_config.log_prior(s)
+            lp = log_evidence(make_dec(s), obs, hypers) + prior_config.log_prior(s)
             moves = enumerate_moves(s, d, max_size)
             hit = (lp, moves, Counter(moves))
             cache[s] = hit

@@ -12,8 +12,8 @@ algorithm; they differ in its factors and in how the query is selected:
     random_search       uniform random queries, no model
 
 An iteration's lookups are its table entries plus the solver's lookups.
-Each run makes one kernels.GramBlocks cache, which its fits and MCMC
-evidences share; no state outlives a run.
+A run with a static structure makes one kernels.GramBlocks cache for its
+fits; no state outlives a run.
 
 Everything runs internally on the unit box (the schedules' box edge r is
 1); queries are mapped back to the objective's natural box for evaluation
@@ -335,7 +335,9 @@ def run_resolved(res: ResolvedRun) -> RunResult:
     noise_rng = np.random.default_rng(streams[2])
 
     static_dec, mcmc_spec = res.decomposition, res.mcmc
-    blocks = GramBlocks(config.initial_evaluations + config.iterations)
+    # under MCMC the fit's factors change at every refresh: caching their
+    # blocks raised the peak RSS of long runs and saved no measurable time
+    blocks = None if mcmc_spec else GramBlocks(config.initial_evaluations + config.iterations)
 
     X_unit: list = []
     y_obs: list = []
@@ -424,7 +426,6 @@ def run_resolved(res: ResolvedRun) -> RunResult:
                         ),
                         decomp_rng,
                         hypers=hypers,
-                        blocks=blocks,
                     )
                     subsets_now, weights_now = merge_for_acquisition(ensemble)
                 kernel = induced_kernel(subsets_now, hypers)

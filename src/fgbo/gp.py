@@ -11,8 +11,9 @@ factor means equals the additive GP's posterior mean of f, which the engine
 relies on; no analogous identity holds for variances.
 
 A fit builds K from a kernels.GramBlocks cache when the caller passes one
-(the engine owns one per run), so over a run it costs O(n_f |I| t) new
-exponentials, n_f t^2 multiply-adds and the O(t^3) Cholesky and inverse.
+(the engine owns one per run with a static structure), so over a run it
+costs O(n_f |I| t) new exponentials, n_f t^2 multiply-adds and the O(t^3)
+Cholesky and inverse.
 It factorizes K + sn2 I = L L' once and caches the weights
 (K + sn2 I)^-1 y and the inverse factor L^-1, so a batch of m inputs costs
 one (m x t) cross-covariance, one matrix-vector product for the means and
@@ -230,17 +231,12 @@ def fit(
     return FactorPosterior(kernel, observations, blocks)
 
 
-def log_marginal_likelihood(
-    kernel: AdditiveKernel, observations: ObservationSet, blocks: GramBlocks | None = None
-) -> float:
-    """GP evidence  -y'(K+sn2 I)^-1 y / 2 - log det(...)/2 - t log(2 pi)/2.
-
-    blocks, if given, is the caller's Gram-block cache (see kernels).
-    """
+def log_marginal_likelihood(kernel: AdditiveKernel, observations: ObservationSet) -> float:
+    """GP evidence  -y'(K+sn2 I)^-1 y / 2 - log det(...)/2 - t log(2 pi)/2."""
     t = len(observations)
     if t == 0:
         raise ContractViolationError("evidence needs at least one observation")
-    L, _, alpha = _factorize(kernel, observations, blocks)
+    L, _, alpha = _factorize(kernel, observations)
     return float(
         -0.5 * observations.y @ alpha
         - np.log(np.diag(L)).sum()

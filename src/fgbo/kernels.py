@@ -28,10 +28,11 @@ per-factor blocks exp(-0.5 |z|^2) that grows by the new observations' rows
 only.  Over a run that adds one observation per fit, a fit then costs
 O(n_f |I| t) new exponentials plus n_f t^2 multiply-adds instead of
 O(n_f |I| t^2) exponentials.  The caller owns the cache: the engine makes
-one per run and passes it to every fit and every MCMC evidence of that
-run; without one, gram uses a throwaway cache sized to X, so there is one
-formula either way.  Apart from GramBlocks, everything here is a pure
-function of immutable values.
+one per run with a static structure and passes it to every fit of that
+run.  A cache holds only the blocks of the last kernel it built K for, so
+it never holds more than that kernel's n_f blocks.  Without a cache, gram
+computes each block fresh with the same formula.  Apart from GramBlocks,
+everything here is a pure function of immutable values.
 """
 
 from __future__ import annotations
@@ -158,10 +159,11 @@ class GramBlocks:
     built from: when their first rows differ from the call's, the block is
     rebuilt, and beyond capacity the block is computed fresh and not kept,
     so a stale block never reaches a Gram matrix.  The signal variance stays
-    outside, because the caller's may change between calls.
+    outside, because the caller's may change between calls.  retain frees
+    the blocks of factors the caller no longer uses.
 
-    A cache belongs to one caller (the engine makes one per run) and holds
-    no state shared with any other.
+    A cache belongs to one caller (the engine makes one per run with a
+    static structure) and holds no state shared with any other.
     """
 
     def __init__(self, capacity: int):
@@ -174,7 +176,7 @@ class GramBlocks:
         ls = np.asarray(factor.lengthscales)
         if n > self.capacity:
             return _se(U, U, ls)
-        key = (factor.subset, factor.lengthscales)
+        key = _block_key(factor)
         entry = self._blocks.get(key)
         if entry is None:
             cap = self.capacity
@@ -191,19 +193,32 @@ class GramBlocks:
             entry[2] = max(built, n)
         return B[:n, :n]
 
+    def retain(self, factors) -> None:
+        """Free every block that none of `factors` reads."""
+        keep = {_block_key(f) for f in factors}
+        for key in self._blocks.keys() - keep:
+            del self._blocks[key]
+
+
+def _block_key(factor: FactorKernel) -> tuple:
+    return (factor.subset, factor.lengthscales)
+
 
 def gram(kernel: AdditiveKernel, X: np.ndarray, blocks: GramBlocks | None = None) -> np.ndarray:
     """Gram matrix of the additive kernel over inputs X (n, d).
 
-    Built from the unscaled blocks of `blocks`, or of a throwaway cache
-    sized to X, as sum_f s2_f * B_f in factor order: the float operations of
-    summing cross_factor(f, U_f, U_f), so K equals that sum bit for bit and
-    is exactly symmetric (fl(a/l - b/l) = -fl(b/l - a/l)).
+    Built as sum_f s2_f * B_f in factor order from the unscaled blocks of
+    `blocks`, which first frees the blocks no factor of `kernel` reads; an
+    empty throwaway cache (capacity 0) computes each block fresh and keeps
+    none.  These are the float operations of summing cross_factor(f, U_f,
+    U_f), so K equals that sum bit for bit and is exactly symmetric
+    (fl(a/l - b/l) = -fl(b/l - a/l)).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
     if blocks is None:
-        blocks = GramBlocks(n)
+        blocks = GramBlocks(0)
+    blocks.retain(kernel.factors)
     K = np.zeros((n, n))
     for f in kernel.factors:
         K += f.signal_variance * blocks.block(f, f.restrict(X))

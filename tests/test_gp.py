@@ -13,7 +13,6 @@ from fgbo.gp import (
     fit,
     log_marginal_likelihood,
 )
-from fgbo.decomposition import McmcConfig, PriorConfig, SharedHypers, sample_posterior
 from fgbo.kernels import AdditiveKernel, FactorKernel, GramBlocks, gram
 from fgbo.selftest import dense_posterior
 
@@ -311,7 +310,7 @@ def test_warm_fit_peak_allocation():
     assert peak / (t * t * 8) < 3.1
 
 
-def test_fits_and_evidence_through_a_cache_equal_uncached():
+def test_fits_through_a_cache_equal_uncached():
     rng = np.random.default_rng(9)
     kernel = random_kernel(rng, 4)
     X, y = rng.uniform(size=(40, 4)), rng.normal(size=40)
@@ -321,18 +320,3 @@ def test_fits_and_evidence_through_a_cache_equal_uncached():
         cached, fresh = fit(kernel, obs, blocks), fit(kernel, obs)
         np.testing.assert_array_equal(cached.weights, fresh.weights)
         np.testing.assert_array_equal(cached._Linv, fresh._Linv)
-        assert log_marginal_likelihood(kernel, obs, blocks) == log_marginal_likelihood(kernel, obs)
-
-
-def test_sample_posterior_with_a_shared_cache_equals_uncached():
-    # the engine's use: one cache across refreshes as observations grow
-    rng = np.random.default_rng(10)
-    X, y = rng.uniform(size=(24, 5)), rng.normal(size=24)
-    hypers = SharedHypers(total_signal_variance=1.0, lengthscales=0.3)
-    prior, mcmc = PriorConfig(max_factor_size=3), McmcConfig(chain_length=12, num_samples=2, thinning=3)
-    blocks = GramBlocks(24)
-    for t in (8, 9, 16, 24):
-        obs = ObservationSet(X[:t], y[:t], 0.05)
-        cached = sample_posterior(obs, prior, mcmc, t, hypers=hypers, blocks=blocks)
-        fresh = sample_posterior(obs, prior, mcmc, t, hypers=hypers)
-        assert cached == fresh

@@ -225,3 +225,19 @@ def test_gram_blocks_beyond_capacity_give_the_fresh_gram():
     blocks = GramBlocks(5)
     for t in (4, 12, 5):
         np.testing.assert_array_equal(gram(kernel, X[:t], blocks), _fresh_gram(kernel, X[:t]))
+
+
+def test_gram_blocks_hold_only_the_last_kernels_blocks():
+    # refits under a changing structure free the blocks of dropped factors,
+    # keep the shared ones, and rebuild a factor that returns
+    X = np.random.default_rng(7).uniform(size=(30, 10))
+    ten = CACHE_KERNELS["ten_1d"]
+    mixed = AdditiveKernel(factors=ten.factors[:4] + CACHE_KERNELS["three_overlapping_3d"].factors)
+    blocks = GramBlocks(30)
+    gram(ten, X[:20], blocks)
+    shared = [blocks._blocks[(f.subset, f.lengthscales)][0] for f in ten.factors[:4]]
+    np.testing.assert_array_equal(gram(mixed, X[:25], blocks), _fresh_gram(mixed, X[:25]))
+    assert set(blocks._blocks) == {(f.subset, f.lengthscales) for f in mixed.factors}
+    assert all(blocks._blocks[(f.subset, f.lengthscales)][0] is B for f, B in zip(ten.factors, shared))
+    np.testing.assert_array_equal(gram(ten, X[:30], blocks), _fresh_gram(ten, X[:30]))
+    assert set(blocks._blocks) == {(f.subset, f.lengthscales) for f in ten.factors}
