@@ -128,17 +128,27 @@ def _map_runs(jobs: list, processes: int) -> list:
     return [_sweep_worker(job) for job in jobs]
 
 
+def _at_least_one(flag: str, value: int) -> None:
+    if value < 1:
+        raise ConfigurationError(f"{flag} must be >= 1, got {value}")
+
+
 def _parse_seeds(text: str) -> list[int]:
+    """Distinct integer seeds: each seed's run has its own directory."""
     seeds = []
     for token in text.split(","):
         try:
             seeds.append(int(token))
         except ValueError:
             raise ConfigurationError(f"--seeds entry {token!r} is not an integer") from None
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise ConfigurationError(f"--seeds repeats {repeated}")
     return seeds
 
 
 def cmd_sweep(args) -> int:
+    _at_least_one("--jobs", args.jobs)
     config = _load_canonical(args.config)
     seeds = _parse_seeds(args.seeds)
     base = _out_dir(args.out)
@@ -157,6 +167,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    _at_least_one("--num-seeds", args.num_seeds)
+    _at_least_one("--jobs", args.jobs)
     base = _out_dir(args.out)
     benchmarks = [b.strip() for b in args.benchmarks.split(",")]
     labels = [l.strip() for l in args.labels.split(",")]

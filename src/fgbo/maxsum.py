@@ -15,6 +15,22 @@ computed once per round, blended with its predecessor (damping) and
 normalized to max entry 0, which leaves argmaxes unchanged but prevents
 drift on loopy graphs.
 
+A factor's messages are computed together, by eliminating one variable at a
+time (the distributive law of max over +).  The defining order adds the
+other incoming messages onto phi in subset order and then maximizes.
+Rounding to nearest is monotone, max_i fl(a_i + c) = fl(max_i a_i + c), so a
+variable can be maximized out right after its message is added: every later
+add is a monotone map that does not read it.  With P_0 = phi and P_j the
+max over position j-1 of fl(P_{j-1} + m_{j-1}), the message to position p
+starts from P_p, then for each q > p in order adds m_q and maximizes out
+position q.  These are the defining floats, bit for bit, with the same adds
+in the same order.  The messages to positions 1..k-1 share P_1, so a 3-ary
+factor's three messages take two full-table add+max passes per round, not
+six adds and three maxes; a 1-ary factor's message is a copy of phi.  The
+damping step blends, normalizes and measures the change of all messages of
+one kind at once, as one (edges x tau) array; it is elementwise and per
+row, so its floats are those of one message at a time.
+
 Decoding picks, per variable, the incident factor with the smallest
 lexicographic subset (its decoding edge) and takes argmax_h of the edge
 belief m_{phi->x_i}(h) + m_{x_i->phi}(h), both computed from the round being
@@ -27,10 +43,11 @@ converged one.
 Round k's beliefs are exactly the raw (unblended, unnormalized) messages
 that round k+1 computes from round k's messages, so decoding reuses them
 instead of recomputing.  Only the last round's messages need an extra pass,
-and that pass computes the decoding edges alone.  Lookup accounting follows:
+and that pass computes the decoding edges alone.  Lookup accounting is the
+paper's cost model, not the entries the elimination touches:
 message_lookups counts tau^|I| per factor-to-variable message per round, and
-decode_lookups counts the table entries of that one final pass, one
-decoding-edge message per variable per solve.
+decode_lookups counts tau^|I| per decoding-edge message of that one final
+pass, one per variable per solve.
 """
 
 from __future__ import annotations
@@ -97,6 +114,16 @@ class FactorGraph:
             (min(nbhd, key=lambda f: self.subsets[f]), v)
             for v, nbhd in enumerate(self.neighborhoods)
         )
+        # the edges as (factor, ascending subset positions) groups: a
+        # message round sends on every position, in self.edges order; the
+        # decoding pass sends on the decoding edges only
+        self.message_groups = tuple(
+            (fi, tuple(range(len(s)))) for fi, s in enumerate(self.subsets)
+        )
+        decoding: dict = {}
+        for fi, v in self.decoding_edges:  # ascending v: ascending positions
+            decoding.setdefault(fi, []).append(self.subsets[fi].index(v))
+        self.decoding_groups = tuple((fi, tuple(ps)) for fi, ps in decoding.items())
 
     def value_of(self, indices) -> float:
         """Sum of factor tables at one joint grid-index assignment."""
@@ -115,25 +142,26 @@ def _along_axis(msg: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return msg.reshape(shape)
 
 
-def factor_to_variable_message(
-    g: FactorGraph, var_to_factor: dict, factor_index: int, variable: int
-) -> np.ndarray:
-    """Max over the factor's other variables of (incoming messages + phi)."""
-    s = g.subsets[factor_index]
-    if variable not in s:
-        raise ContractViolationError(
-            f"variable {variable} not in factor subset {s}"
-        )
-    k = len(s)
-    pos = s.index(variable)
-    aug = g.tables[factor_index]
-    for q, j in enumerate(s):
-        if j == variable:
-            continue
-        aug = aug + _along_axis(var_to_factor[(j, factor_index)], q, k)
-    if k == 1:
-        return aug.copy()
-    return aug.max(axis=tuple(q for q in range(k) if q != pos))
+def factor_messages(table: np.ndarray, incoming, positions) -> list:
+    """One factor's messages to the variables at `positions` (ascending
+    subset positions), by eliminating one variable at a time.
+
+    incoming[q] is the message from the variable at subset position q.  The
+    floats equal the defining order's (see the module docstring): prefix is
+    P_p, with positions < p maximized out, so its axis 0 is position p.
+    """
+    k = table.ndim
+    out = []
+    prefix = table
+    for p in range(positions[-1] + 1):
+        if p in positions:
+            msg = prefix  # axis 0 is position p, axis 1 the next to eliminate
+            for q in range(p + 1, k):
+                msg = (msg + _along_axis(incoming[q], 1, msg.ndim)).max(axis=1)
+            out.append(msg.copy() if k == 1 else msg)
+        if p < positions[-1]:
+            prefix = (prefix + _along_axis(incoming[p], 0, prefix.ndim)).max(axis=0)
+    return out
 
 
 def variable_to_factor_message(
@@ -168,15 +196,12 @@ class Diagnostics:
         return self.message_lookups + self.decode_lookups
 
 
-def _damped(old: dict, raw: dict, damping: float):
-    """Blended messages normalized to max entry 0, and their max change."""
-    new, delta = {}, 0.0
-    for e, r in raw.items():
-        blended = damping * old[e] + (1.0 - damping) * r
-        nrm = blended - blended.max()
-        delta = max(delta, float(np.abs(nrm - old[e]).max()))
-        new[e] = nrm
-    return new, delta
+def _damped(old: np.ndarray, raw: np.ndarray, damping: float):
+    """Blended messages, one per row, normalized to max entry 0, and their
+    max change."""
+    blended = damping * old + (1.0 - damping) * raw
+    new = blended - blended.max(axis=1, keepdims=True)
+    return new, float(np.abs(new - old).max())
 
 
 def run_rounds(
@@ -201,15 +226,26 @@ def run_rounds(
     if tol < 0:
         raise ContractViolationError("tol must be >= 0")
     diag = Diagnostics()
-    f2v = {e: np.zeros(g.num_values) for e in g.edges}
-    v2f = {(v, fi): np.zeros(g.num_values) for fi, v in g.edges}
+    # row e holds the message on edge g.edges[e] = (fi, v): factor to
+    # variable in f2v, variable to factor in v2f
+    f2v = np.zeros((len(g.edges), g.num_values))
+    v2f = np.zeros_like(f2v)
+    v2f_keys = [(v, fi) for fi, v in g.edges]
     delta = math.inf
     for rnd in range(max_rounds + 1):  # f2v and v2f hold round rnd
         last = rnd == max_rounds or delta < tol
-        edges = g.decoding_edges if last else g.edges
-        raw_f2v = {(fi, v): factor_to_variable_message(g, v2f, fi, v) for fi, v in edges}
-        raw_v2f = {(v, fi): variable_to_factor_message(g, f2v, v, fi) for fi, v in edges}
-        lookups = sum(g.tables[fi].size for fi, _ in edges)
+        groups, edges = (
+            (g.decoding_groups, g.decoding_edges) if last else (g.message_groups, g.edges)
+        )
+        incoming = dict(zip(v2f_keys, v2f))
+        raw_f2v = {}
+        for fi, positions in groups:
+            s = g.subsets[fi]
+            msgs = factor_messages(g.tables[fi], [incoming[(j, fi)] for j in s], positions)
+            raw_f2v.update(((fi, s[p]), m) for p, m in zip(positions, msgs))
+        outgoing = dict(zip(g.edges, f2v))
+        raw_v2f = {(v, fi): variable_to_factor_message(g, outgoing, v, fi) for fi, v in edges}
+        lookups = sum(len(ps) * g.tables[fi].size for fi, ps in groups)
         if rnd > 0:
             idx = decode(g, raw_f2v, raw_v2f)
             val = g.value_of(idx)
@@ -223,8 +259,9 @@ def run_rounds(
             diag.converged = delta < tol
             return diag
         diag.message_lookups += lookups
-        f2v, delta_f2v = _damped(f2v, raw_f2v, damping)
-        v2f, delta_v2f = _damped(v2f, raw_v2f, damping)
+        # a message round's dicts are in g.edges order, the rows' order
+        f2v, delta_f2v = _damped(f2v, np.array(list(raw_f2v.values())), damping)
+        v2f, delta_v2f = _damped(v2f, np.array(list(raw_v2f.values())), damping)
         delta = max(delta_f2v, delta_v2f)
 
 

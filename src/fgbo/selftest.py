@@ -1,7 +1,8 @@
 """The `fgbo selftest` audit battery, checks(), and the reference oracles it
 shares with the test suite, each defined only here: the Michalewicz-10
 per-dimension search, the brute-force joint maximum of a factor graph, the
-dense-inverse GP posterior, and the 60-digit beta tables.
+defining-order factor-to-variable message, the dense-inverse GP posterior,
+and the 60-digit beta tables.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import bench
 from .acquisition import BetaMode, BetaSchedule, beta
-from .errors import NumericalFailureError
+from .errors import ContractViolationError, NumericalFailureError
 from .gp import ObservationSet, dense_cholesky_with_jitter, fit
 from .kernels import AdditiveKernel, FactorKernel, cross_factor, gram
 from .maxsum import FactorGraph, run_rounds
@@ -79,6 +80,31 @@ def brute_force_max(g: FactorGraph) -> tuple[float, tuple]:
         joint = joint + view
     flat = int(np.argmax(joint))
     return float(joint.flat[flat]), tuple(int(i) for i in np.unravel_index(flat, joint.shape))
+
+
+def factor_to_variable_message(
+    g: FactorGraph, var_to_factor: dict, factor_index: int, variable: int
+) -> np.ndarray:
+    """Max over the factor's other variables of (incoming messages + phi),
+    in the defining order: the other incoming messages are added onto phi in
+    subset order, then every other axis is maximized at once."""
+    s = g.subsets[factor_index]
+    if variable not in s:
+        raise ContractViolationError(
+            f"variable {variable} not in factor subset {s}"
+        )
+    k = len(s)
+    pos = s.index(variable)
+    aug = g.tables[factor_index]
+    for q, j in enumerate(s):
+        if j == variable:
+            continue
+        shape = [1] * k
+        shape[q] = g.num_values
+        aug = aug + var_to_factor[(j, factor_index)].reshape(shape)
+    if k == 1:
+        return aug.copy()
+    return aug.max(axis=tuple(q for q in range(k) if q != pos))
 
 
 def dense_posterior(kernel: AdditiveKernel, obs: ObservationSet, x, factor_index=None):

@@ -349,6 +349,39 @@ def test_sweep_refuses_non_integer_seeds(tmp_path, capsys, seeds, token):
     assert not (tmp_path / "s").exists()
 
 
+def test_sweep_refuses_repeated_seeds(tmp_path, capsys):
+    # two runs of one seed would share one seed directory and one summary row
+    cfg = _write(tmp_path, RANDOM_CFG)
+    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--seeds", "0,1,0"]
+    assert main(argv + ["--quiet"]) == 3
+    assert "--seeds repeats [0]" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("num_seeds", ["0", "-2"])
+def test_table1_refuses_fewer_than_one_seed(tmp_path, capsys, num_seeds):
+    out = tmp_path / "t"
+    argv = ["table1", "--out", str(out), "--iterations", "2", "--num-seeds", num_seeds]
+    assert main(argv + ["--benchmarks", "shekel4", "--labels", "add", "--quiet"]) == 3
+    assert f"--num-seeds must be >= 1, got {num_seeds}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_and_table1_refuse_fewer_than_one_job(tmp_path, capsys, jobs):
+    cfg = _write(tmp_path, RANDOM_CFG)
+    out = tmp_path / "s"
+    argv = ["sweep", "--config", cfg, "--out", str(out), "--seeds", "0", "--jobs", jobs]
+    assert main(argv + ["--quiet"]) == 3
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+    argv = ["table1", "--out", str(out), "--iterations", "2", "--num-seeds", "1"]
+    argv += ["--benchmarks", "shekel4", "--labels", "add", "--jobs", jobs]
+    assert main(argv + ["--quiet"]) == 3
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_and_table1_failures_keep_their_exit_code(tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path, RANDOM_CFG)
     monkeypatch.setattr(cli.engine, "make_objective", _nan_shekel4)

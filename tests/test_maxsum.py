@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -12,12 +13,12 @@ from fgbo.maxsum import (
     FactorGraph,
     decode,
     dump_trace,
-    factor_to_variable_message,
+    factor_messages,
     run_rounds,
     solve,
     variable_to_factor_message,
 )
-from fgbo.selftest import brute_force_max
+from fgbo.selftest import brute_force_max, factor_to_variable_message
 
 
 def random_acyclic_graph(rng, max_vars=6, max_arity=3, max_values=8):
@@ -84,6 +85,40 @@ def test_factor_to_variable_message_oracle():
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def _draw(rng, kind, size):
+    if kind == "ties":  # small integers: exact sums and many equal maxima
+        return rng.integers(-2, 3, size=size).astype(float)
+    if kind == "wide":  # magnitudes 1e-3..1e15 of both signs: adds round
+        return rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-3, 15, size=size)
+    return rng.normal(size=size)
+
+
+@pytest.mark.parametrize("kind", ["normal", "ties", "wide"])
+def test_factor_messages_equal_the_defining_order(kind):
+    # elimination one variable at a time must give the floats of adding
+    # every other message onto phi in subset order, then maximizing; every
+    # subset of target positions covers the decoding pass, which sends on
+    # some positions only
+    rng = np.random.default_rng(["normal", "ties", "wide"].index(kind))
+    for arity in range(1, 6):
+        for tau in range(2, 8):
+            subset = tuple(range(arity))
+            table = _draw(rng, kind, (tau,) * arity)
+            incoming = [_draw(rng, kind, tau) for _ in subset]
+            g = FactorGraph(arity, tau, [subset], [table])
+            v2f = {(j, 0): incoming[j] for j in subset}
+            want = [factor_to_variable_message(g, v2f, 0, p) for p in subset]
+            for n in range(1, arity + 1):
+                for positions in itertools.combinations(subset, n):
+                    got = factor_messages(table, incoming, positions)
+                    assert len(got) == n
+                    for p, msg in zip(positions, got):
+                        assert msg.shape == (tau,)
+                        assert np.array_equal(msg, want[p]), (arity, tau, positions, p)
+            if arity == 1:  # a copy of phi, never phi itself
+                assert factor_messages(table, incoming, (0,))[0] is not table
+
+
 def test_variable_to_factor_message_oracle():
     rng = np.random.default_rng(6)
     tau = 3
@@ -114,6 +149,8 @@ def test_decode_uses_lexicographically_smallest_incident_factor():
     t02[1, :] = 5.0  # factor (0,2) votes x0=1, and louder
     g = FactorGraph(3, 4, [(0, 1), (0, 2)], [t01, t02])
     assert g.decoding_edges == ((0, 0), (0, 1), (1, 2))
+    assert g.message_groups == ((0, (0, 1)), (1, (0, 1)))
+    assert g.decoding_groups == ((0, (0, 1)), (1, (1,)))
     zero_f2v = {e: np.zeros(4) for e in g.edges}
     zero_v2f = {(v, fi): np.zeros(4) for fi, v in g.edges}
     f2v = {e: factor_to_variable_message(g, zero_v2f, *e) for e in g.edges}
@@ -175,8 +212,6 @@ def test_lookup_counting_exact():
 
 def loopy_overlap_graph(rng, num_vars=4, tau=6):
     """Covering loopy graph of size-2/3 factors with pairwise overlap <= 1."""
-    import itertools
-
     pool = list(itertools.combinations(range(num_vars), 2)) + list(
         itertools.combinations(range(num_vars), 3)
     )
