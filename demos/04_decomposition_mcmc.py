@@ -11,7 +11,6 @@ import numpy as np
 from fgbo.decomposition import (
     Decomposition,
     McmcConfig,
-    PriorConfig,
     SharedHypers,
     induced_kernel,
     sample_posterior,
@@ -28,17 +27,19 @@ K = gram(induced_kernel(truth.subsets, hypers), X)
 L = np.linalg.cholesky(K + 1e-10 * np.eye(60))
 y = L @ rng.standard_normal(60) + 0.05 * rng.standard_normal(60)
 
-ensemble = sample_posterior(
+samples = sample_posterior(
     ObservationSet(X, y, noise_variance=0.01),
-    PriorConfig(max_factor_size=2, size_penalty=3.0),
-    McmcConfig(chain_length=6000, burn_in=3000, thinning=300, num_samples=10),
+    McmcConfig(
+        max_factor_size=2, chain_length=6000, burn_in=3000, thinning=300,
+        num_samples=10, size_penalty=3.0,
+    ),
     rng,
     hypers=hypers,
 )
 
 print(f"truth: {truth.subsets}")
 hits = 0
-for i, dec in enumerate(ensemble.samples):
+for i, dec in enumerate(samples):
     mark = "  <- exact" if dec.subsets == truth.subsets else ""
     hits += dec.subsets == truth.subsets
     print(f"sample {i}: {dec.subsets}{mark}")

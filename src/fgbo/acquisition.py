@@ -48,13 +48,15 @@ class BetaMode(Enum):
 class BetaSchedule:
     """Parameters of the exploration schedule.
 
+    mode is a BetaMode or its value, so a run config's beta section passes
+    straight through: BetaSchedule(**config.beta, num_factors=u, dims=d).
     dims and the Lipschitz constants a and b feed the ContinuousLipschitz
     mode and the grid schedule; a and b default to 1.0 when unknown, and only
     shift beta by a constant.  The joint domain size |D| of the
     DiscreteDomain mode is tau_t^d, so it is an argument of beta.
     """
 
-    mode: BetaMode
+    mode: BetaMode | str
     delta: float
     num_factors: int
     dims: int
@@ -63,6 +65,10 @@ class BetaSchedule:
     fixed_value: float | None = None
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "mode", BetaMode(self.mode))
+        except ValueError:
+            raise ConfigurationError(f"unknown beta mode {self.mode!r}") from None
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must lie in (0,1), got {self.delta}")
         if self.num_factors < 1:

@@ -122,6 +122,7 @@ def _sweep_worker(job) -> tuple:
 
 
 def _map_runs(jobs: list, processes: int) -> list:
+    processes = min(processes, len(jobs))  # a worker with no run only costs a spawn
     if processes > 1:
         with get_context("spawn").Pool(processes) as pool:
             return pool.map(_sweep_worker, jobs)

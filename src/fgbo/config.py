@@ -181,9 +181,7 @@ def _validate_decomposition(value, path):
         "size_penalty": _as_number(value.get("size_penalty", 0.0), f"{path}.size_penalty", 0.0),
     }
     try:  # the sampler's own chain-length check, before anything runs
-        McmcConfig(
-            **{k: out[k] for k in ("chain_length", "burn_in", "thinning", "num_samples")}
-        )
+        McmcConfig(**{k: v for k, v in out.items() if k not in ("mode", "interval")})
     except ConfigurationError as exc:
         _fail(path, str(exc))
     return out

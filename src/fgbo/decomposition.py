@@ -16,6 +16,12 @@ a duplicate subset, or exceed max_factor_size are simply absent from the
 move list; the acceptance ratio carries the Hastings correction for the
 asymmetric move counts.  The sampler draws a proposal by its index in the
 list, so the order of the list is part of a seeded chain's reproducibility.
+
+The chain walks canonical subset tuples and scores each new one with
+log_evidence, which takes subsets as induced_kernel does; only the samples
+sample_posterior returns, a tuple, are built and validated as
+Decompositions.  McmcConfig holds both the chain's settings and the prior,
+the keys of a run config's mcmc section other than mode and interval.
 """
 
 from __future__ import annotations
@@ -139,11 +145,9 @@ def induced_kernel(subsets, hypers: SharedHypers) -> AdditiveKernel:
     )
 
 
-def log_evidence(
-    dec: Decomposition, obs: ObservationSet, hypers: SharedHypers
-) -> float:
-    """GP log marginal likelihood of the induced additive kernel."""
-    return log_marginal_likelihood(induced_kernel(dec.subsets, hypers), obs)
+def log_evidence(subsets, obs: ObservationSet, hypers: SharedHypers) -> float:
+    """GP log marginal likelihood of the subsets' induced additive kernel."""
+    return log_marginal_likelihood(induced_kernel(subsets, hypers), obs)
 
 
 def default_hypers(obs: ObservationSet) -> SharedHypers:
@@ -298,23 +302,17 @@ def enumerate_moves(state: State, d: int, max_size: int) -> list[State]:
 
 
 @dataclass(frozen=True)
-class PriorConfig:
-    """Uniform prior over valid decompositions, optionally penalizing bloat
-    by exp(-size_penalty * sum of subset sizes)."""
+class McmcConfig:
+    """The chain and its prior: uniform over valid decompositions with
+    subsets of at most max_factor_size, optionally penalizing bloat by
+    exp(-size_penalty * sum of subset sizes)."""
 
     max_factor_size: int
-    size_penalty: float = 0.0
-
-    def log_prior(self, state: State) -> float:
-        return -self.size_penalty * float(sum(len(s) for s in state))
-
-
-@dataclass(frozen=True)
-class McmcConfig:
     chain_length: int
     burn_in: int = 0
     thinning: int = 1
     num_samples: int = 1
+    size_penalty: float = 0.0
 
     def __post_init__(self):
         if self.chain_length < 0 or self.burn_in < 0:
@@ -330,27 +328,16 @@ class McmcConfig:
                     f"{self.thinning}"
                 )
 
-
-@dataclass(frozen=True)
-class DecompositionEnsemble:
-    samples: tuple[Decomposition, ...]
-
-    def __post_init__(self):
-        if len(self.samples) == 0:
-            raise ContractViolationError("ensemble needs >= 1 sample")
-
-    @property
-    def k(self) -> int:
-        return len(self.samples)
+    def log_prior(self, state: State) -> float:
+        return -self.size_penalty * float(sum(len(s) for s in state))
 
 
 def sample_posterior(
     obs: ObservationSet,
-    prior_config: PriorConfig,
     mcmc_config: McmcConfig,
     rng,
     hypers: SharedHypers | None = None,
-) -> DecompositionEnsemble:
+) -> tuple[Decomposition, ...]:
     """Metropolis-Hastings over decompositions; deterministic given the rng.
 
     rng may be an integer seed or a numpy Generator.  The chain starts at
@@ -363,27 +350,19 @@ def sample_posterior(
     if hypers is None:
         hypers = default_hypers(obs)
     d = obs.X.shape[1]
-    max_size = prior_config.max_factor_size
+    max_size = mcmc_config.max_factor_size
     state = singleton_decomposition(d).subsets
 
     cache: dict[State, tuple[float, list, Counter]] = {}
 
-    def make_dec(s: State) -> Decomposition:
-        return Decomposition(d=d, subsets=s, max_factor_size=max_size)
-
     def lookup(s: State):
         hit = cache.get(s)
         if hit is None:
-            lp = log_evidence(make_dec(s), obs, hypers) + prior_config.log_prior(s)
+            lp = log_evidence(s, obs, hypers) + mcmc_config.log_prior(s)
             moves = enumerate_moves(s, d, max_size)
             hit = (lp, moves, Counter(moves))
             cache[s] = hit
         return hit
-
-    if mcmc_config.chain_length == 0:
-        return DecompositionEnsemble(
-            samples=tuple(make_dec(state) for _ in range(mcmc_config.num_samples))
-        )
 
     chain = [state]
     for _ in range(mcmc_config.chain_length):
@@ -399,25 +378,29 @@ def sample_posterior(
                     state = proposal
         chain.append(state)
 
+    # McmcConfig bounds the picks by chain_length only when it is positive;
+    # a chain of length 0 is its start state, picked num_samples times
     picks = [
-        chain[mcmc_config.burn_in + i * mcmc_config.thinning]
+        chain[min(mcmc_config.burn_in + i * mcmc_config.thinning, mcmc_config.chain_length)]
         for i in range(mcmc_config.num_samples)
     ]
-    return DecompositionEnsemble(samples=tuple(make_dec(s) for s in picks))
+    return tuple(Decomposition(d=d, subsets=s, max_factor_size=max_size) for s in picks)
 
 
 def merge_for_acquisition(
-    ens: DecompositionEnsemble,
+    samples: tuple[Decomposition, ...],
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[float, ...]]:
     """Union of the sampled subsets with weight = occurrence count / k.
 
-    The weighted acquisition over the union equals the ensemble average of
-    the per-sample acquisitions exactly, because a subset's phi table is the
+    The weighted acquisition over the union equals the average of the
+    per-sample acquisitions exactly, because a subset's phi table is the
     same function in every sample (factors share one posterior).
     """
+    if not samples:
+        raise ContractViolationError("merging needs >= 1 sampled decomposition")
     counts = Counter()
-    for dec in ens.samples:
+    for dec in samples:
         counts.update(dec.subsets)
     union = tuple(sorted(counts))
-    weights = tuple(counts[s] / ens.k for s in union)
+    weights = tuple(counts[s] / len(samples) for s in union)
     return union, weights

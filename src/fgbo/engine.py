@@ -48,13 +48,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .acquisition import (
-    BetaMode,
-    BetaSchedule,
-    beta,
-    grid_for_iteration,
-    tabulate,
-)
+from .acquisition import BetaSchedule, beta, grid_for_iteration, tabulate
 from .bench import (
     SyntheticObjective,
     evaluate,
@@ -66,7 +60,6 @@ from .config import validate_config
 from .decomposition import (
     Decomposition,
     McmcConfig,
-    PriorConfig,
     SharedHypers,
     induced_kernel,
     merge_for_acquisition,
@@ -179,7 +172,7 @@ def _resolve_objective(spec) -> SyntheticObjective:
 
 
 def _resolve_decomposition(config: RunConfig, d: int, decomp_rng) -> tuple:
-    """Returns (static Decomposition or None, mcmc spec or None).
+    """Returns (static Decomposition or None, McmcConfig or None).
 
     Random mode is drawn here, from the dedicated stream, and becomes static.
     """
@@ -203,7 +196,7 @@ def _resolve_decomposition(config: RunConfig, d: int, decomp_rng) -> tuple:
             num_extra_overlaps=spec["num_extra_overlaps"],
         )
         return dec, None
-    return None, spec
+    return None, McmcConfig(**{k: v for k, v in spec.items() if k not in ("mode", "interval")})
 
 
 @dataclass
@@ -212,20 +205,7 @@ class ResolvedRun:
     objective: SyntheticObjective
     manifest: dict
     decomposition: Decomposition | None  # the static structure, if any
-    mcmc: dict | None  # the mcmc spec when the structure is learned
-
-
-def _beta_schedule(config: RunConfig, num_factors: int, d: int) -> BetaSchedule:
-    bcfg = config.beta
-    return BetaSchedule(
-        mode=BetaMode(bcfg["mode"]),
-        delta=bcfg["delta"],
-        num_factors=num_factors,
-        dims=d,
-        lipschitz_a=bcfg["lipschitz_a"],
-        lipschitz_b=bcfg["lipschitz_b"],
-        fixed_value=bcfg["fixed_value"],
-    )
+    mcmc: McmcConfig | None  # the sampler's settings when the structure is learned
 
 
 def resolve(config: RunConfig) -> ResolvedRun:
@@ -245,14 +225,14 @@ def resolve(config: RunConfig) -> ResolvedRun:
     obj = _resolve_objective(config.objective)
     d = obj.dims
     decomp_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[0])
-    dec, mcmc_spec = _resolve_decomposition(config, d, decomp_rng)
+    dec, mcmc = _resolve_decomposition(config, d, decomp_rng)
     if config.algorithm != "random_search":
         if dec is not None:
             fewest = len(dec.subsets)
         else:  # mcmc: each sample covers d inputs, max_factor_size at a time
-            fewest = math.ceil(d / mcmc_spec["max_factor_size"])
+            fewest = math.ceil(d / mcmc.max_factor_size)
         last = config.initial_evaluations + config.iterations
-        schedule = _beta_schedule(config, fewest, d)
+        schedule = BetaSchedule(**config.beta, num_factors=fewest, dims=d)
         grid = grid_for_iteration(schedule, last, config.grid_caps)
         if config.algorithm == "centralized_gp_ucb" and grid.joint_size > MAX_JOINT_GRID:
             raise ConfigurationError(
@@ -262,7 +242,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
         if dec is not None:
             beta(schedule, last, grid.joint_size)
     canonical = config.to_canonical_dict()
-    if config.algorithm == "dec_hbo" and mcmc_spec is None:
+    if config.algorithm == "dec_hbo" and mcmc is None:
         # the canonical static spec, as validate_config would write it
         canonical["decomposition"] = {
             "mode": "static",
@@ -275,7 +255,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
         objective=obj,
         manifest=manifest,
         decomposition=dec,
-        mcmc=mcmc_spec,
+        mcmc=mcmc,
     )
 
 
@@ -334,10 +314,10 @@ def run_resolved(res: ResolvedRun) -> RunResult:
     query_rng = np.random.default_rng(streams[1])
     noise_rng = np.random.default_rng(streams[2])
 
-    static_dec, mcmc_spec = res.decomposition, res.mcmc
+    static_dec, mcmc = res.decomposition, res.mcmc
     # under MCMC the fit's factors change at every refresh: caching their
     # blocks raised the peak RSS of long runs and saved no measurable time
-    blocks = None if mcmc_spec else GramBlocks(config.initial_evaluations + config.iterations)
+    blocks = None if mcmc else GramBlocks(config.initial_evaluations + config.iterations)
 
     X_unit: list = []
     y_obs: list = []
@@ -408,33 +388,16 @@ def run_resolved(res: ResolvedRun) -> RunResult:
                 center = float(y_arr.mean()) if config.gp["center_observations"] else 0.0
                 y_model = y_arr - center
                 hypers = _shared_hypers(config, y_model)
-                if mcmc_spec is not None and (i - 1) % mcmc_spec["interval"] == 0:
-                    obs_for_mcmc = ObservationSet(
-                        np.asarray(X_unit), y_model, config.noise_variance
-                    )
-                    ensemble = sample_posterior(
-                        obs_for_mcmc,
-                        PriorConfig(
-                            max_factor_size=mcmc_spec["max_factor_size"],
-                            size_penalty=mcmc_spec["size_penalty"],
-                        ),
-                        McmcConfig(
-                            chain_length=mcmc_spec["chain_length"],
-                            burn_in=mcmc_spec["burn_in"],
-                            thinning=mcmc_spec["thinning"],
-                            num_samples=mcmc_spec["num_samples"],
-                        ),
-                        decomp_rng,
-                        hypers=hypers,
-                    )
-                    subsets_now, weights_now = merge_for_acquisition(ensemble)
-                kernel = induced_kernel(subsets_now, hypers)
-                schedule = _beta_schedule(config, len(subsets_now), d)
-                grid = grid_for_iteration(schedule, t_sel, config.grid_caps)
-                beta_value = beta(schedule, t_sel, grid.joint_size)
                 observations = ObservationSet(
                     np.asarray(X_unit), y_model, config.noise_variance
                 )
+                if mcmc is not None and (i - 1) % config.decomposition["interval"] == 0:
+                    samples = sample_posterior(observations, mcmc, decomp_rng, hypers=hypers)
+                    subsets_now, weights_now = merge_for_acquisition(samples)
+                kernel = induced_kernel(subsets_now, hypers)
+                schedule = BetaSchedule(**config.beta, num_factors=len(subsets_now), dims=d)
+                grid = grid_for_iteration(schedule, t_sel, config.grid_caps)
+                beta_value = beta(schedule, t_sel, grid.joint_size)
                 posterior = fit(kernel, observations, blocks)
                 acq = tabulate(posterior, grid, beta_value, weights_now)
                 lookups = sum(tab.size for tab in acq.tables)

@@ -16,7 +16,6 @@ from fgbo.cli import benchmark_run_config, main
 from fgbo.decomposition import (
     Decomposition,
     McmcConfig,
-    PriorConfig,
     SharedHypers,
     induced_kernel,
     sample_posterior,
@@ -315,14 +314,16 @@ def test_criterion_09_decomposition_recovery():
         K = gram(induced_kernel(truth.subsets, hypers), X)
         L = np.linalg.cholesky(K + 1e-10 * np.eye(60))
         y = L @ rng.standard_normal(60) + 0.05 * rng.standard_normal(60)
-        ensemble = sample_posterior(
+        samples = sample_posterior(
             ObservationSet(X, y, noise_variance=0.01),
-            PriorConfig(max_factor_size=2, size_penalty=3.0),
-            McmcConfig(chain_length=6000, burn_in=3000, thinning=300, num_samples=10),
+            McmcConfig(
+                max_factor_size=2, chain_length=6000, burn_in=3000, thinning=300,
+                num_samples=10, size_penalty=3.0,
+            ),
             np.random.default_rng(10_000 + data_seed),
             hypers=hypers,
         )
-        hits += sum(dec.subsets == truth.subsets for dec in ensemble.samples)
+        hits += sum(dec.subsets == truth.subsets for dec in samples)
     elapsed = time.time() - t0
     ok = hits >= 60
     detail = f"{hits}/100 posterior samples recover the true structure (>=60) [{elapsed:.0f}s]"

@@ -11,6 +11,7 @@ from fgbo.acquisition import (
     grid_for_iteration,
     tabulate,
 )
+from fgbo.config import DEFAULT_BETA
 from fgbo.errors import ConfigurationError, ContractViolationError
 from fgbo.gp import ObservationSet, fit
 from fgbo.kernels import AdditiveKernel, FactorKernel
@@ -73,7 +74,22 @@ def test_beta_fixed_constant():
     assert beta(sched, 9999) == 4.0
 
 
+@pytest.mark.parametrize("mode", ["discrete_domain", "continuous_lipschitz", "fixed_constant"])
+def test_beta_schedule_takes_config_mode_strings(mode):
+    # a run config's beta section passes straight through as keywords, so its
+    # mode string must give the same schedule as the enum member
+    section = dict(DEFAULT_BETA, mode=mode)
+    if mode == "fixed_constant":
+        section["fixed_value"] = 4.0
+    from_config = BetaSchedule(**section, num_factors=2, dims=1)
+    from_enum = BetaSchedule(**dict(section, mode=BetaMode(mode)), num_factors=2, dims=1)
+    assert beta(from_config, 5, 100) == beta(from_enum, 5, 100)
+    assert from_config.mode is BetaMode(mode)
+
+
 def test_beta_schedule_validation():
+    with pytest.raises(ConfigurationError, match="unknown beta mode 'bogus'"):
+        BetaSchedule(mode="bogus", delta=0.1, num_factors=2, dims=1)
     with pytest.raises(ConfigurationError):
         BetaSchedule(mode=BetaMode.FIXED_CONSTANT, delta=0.1, num_factors=2, dims=1)
     with pytest.raises(ConfigurationError):

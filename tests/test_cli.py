@@ -331,6 +331,41 @@ def test_sweep_runs_share_no_state(tmp_path):
     assert traces["1"][0] != traces["1"][1]
 
 
+class _RecordingContext:
+    """Stands in for the spawn context: records each pool's size and maps
+    in this process, so no worker is started."""
+
+    def __init__(self):
+        self.pool_sizes = []
+
+    def Pool(self, processes):
+        self.pool_sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+@pytest.mark.parametrize("seeds, jobs, pool_sizes", [
+    ("0", "64", []), ("0,1", "64", [2]), ("0,1,2", "2", [2]),
+])
+def test_sweep_pool_has_at_most_one_worker_per_run(tmp_path, monkeypatch, seeds, jobs, pool_sizes):
+    context = _RecordingContext()
+    monkeypatch.setattr(cli, "get_context", lambda method: context)
+    cfg = _write(tmp_path, RANDOM_CFG)
+    out = tmp_path / "s"
+    argv = ["sweep", "--config", cfg, "--out", str(out), "--seeds", seeds, "--jobs", jobs]
+    assert main(argv + ["--quiet"]) == 0
+    assert context.pool_sizes == pool_sizes
+    assert len((out / "summary.csv").read_text().splitlines()) == 1 + len(seeds.split(","))
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_error_names_the_failing_seed(tmp_path, capsys, jobs):
     cfg = _write(tmp_path, RANDOM_CFG)

@@ -9,9 +9,7 @@ from scipy.special import logsumexp
 from fgbo.bench import evaluate_batch, hartmann6
 from fgbo.decomposition import (
     Decomposition,
-    DecompositionEnsemble,
     McmcConfig,
-    PriorConfig,
     SharedHypers,
     default_hypers,
     enumerate_moves,
@@ -79,7 +77,7 @@ def test_log_evidence_1x1_hand_value():
     obs = ObservationSet(np.array([[0.3]]), np.array([0.7]), 0.25)
     c = 2.0 + 0.25
     want = -0.5 * 0.7**2 / c - 0.5 * math.log(c) - 0.5 * math.log(2 * math.pi)
-    assert log_evidence(dec, obs, hypers) == pytest.approx(want, rel=1e-12)
+    assert log_evidence(dec.subsets, obs, hypers) == pytest.approx(want, rel=1e-12)
 
 
 def test_log_evidence_zero_targets_drops_quadratic_term():
@@ -91,7 +89,7 @@ def test_log_evidence_zero_targets_drops_quadratic_term():
     K = gram(induced_kernel(dec.subsets, hypers), X) + 0.1 * np.eye(6)
     L = np.linalg.cholesky(K)
     want = -np.log(np.diag(L)).sum() - 3.0 * math.log(2 * math.pi)
-    assert log_evidence(dec, obs, hypers) == pytest.approx(want, rel=1e-10)
+    assert log_evidence(dec.subsets, obs, hypers) == pytest.approx(want, rel=1e-10)
 
 
 def test_log_evidence_matches_explicit_kernel():
@@ -105,7 +103,7 @@ def test_log_evidence_matches_explicit_kernel():
             FactorKernel(subset=(1,), signal_variance=1.0, lengthscales=(0.4,)),
         )
     )
-    assert log_evidence(dec, obs, hypers) == pytest.approx(
+    assert log_evidence(dec.subsets, obs, hypers) == pytest.approx(
         log_marginal_likelihood(explicit, obs), abs=1e-8
     )
 
@@ -179,11 +177,13 @@ def _hartmann6_obs(n: int = 24) -> ObservationSet:
 def _hartmann6_ensemble():
     ens = sample_posterior(
         _hartmann6_obs(),
-        PriorConfig(max_factor_size=3, size_penalty=1.0),
-        McmcConfig(chain_length=16, burn_in=4, thinning=3, num_samples=5),
+        McmcConfig(
+            max_factor_size=3, chain_length=16, burn_in=4, thinning=3, num_samples=5,
+            size_penalty=1.0,
+        ),
         rng=np.random.default_rng(0),
     )
-    return [dec.subsets for dec in ens.samples]
+    return [dec.subsets for dec in ens]
 
 
 # recorded from the original enumeration, like MOVE_LIST_SHA256
@@ -211,7 +211,7 @@ def test_mh_kernel_leaves_exact_posterior_invariant():
     obs = ObservationSet(rng.uniform(size=(8, 3)), rng.normal(size=8), 0.1)
     lp = np.array(
         [
-            log_evidence(Decomposition(d=3, subsets=s, max_factor_size=2), obs, hypers)
+            log_evidence(s, obs, hypers)
             for s in states
         ]
     )
@@ -252,35 +252,25 @@ def test_mcmc_matches_exact_posterior_total_variation():
     y = np.linalg.cholesky(K) @ rng.normal(size=14) + 0.05 * rng.normal(size=14)
     obs = ObservationSet(X, y, 0.05**2 + 1e-4)
 
-    prior = PriorConfig(max_factor_size=2, size_penalty=0.0)
+    n_keep = 30_000
+    burn = 3_000
+    mcmc = McmcConfig(
+        max_factor_size=2,
+        chain_length=burn + n_keep - 1,
+        burn_in=burn,
+        thinning=1,
+        num_samples=n_keep,
+        size_penalty=0.0,
+    )
     states = all_covering_states(3, 2)
     logp = np.array(
-        [
-            log_evidence(
-                Decomposition(d=3, subsets=s, max_factor_size=2), obs, hypers
-            )
-            + prior.log_prior(s)
-            for s in states
-        ]
+        [log_evidence(s, obs, hypers) + mcmc.log_prior(s) for s in states]
     )
     exact = np.exp(logp - logsumexp(logp))
 
-    n_keep = 30_000
-    burn = 3_000
-    ens = sample_posterior(
-        obs,
-        prior,
-        McmcConfig(
-            chain_length=burn + n_keep - 1,
-            burn_in=burn,
-            thinning=1,
-            num_samples=n_keep,
-        ),
-        rng=np.random.default_rng(99),
-        hypers=hypers,
-    )
+    ens = sample_posterior(obs, mcmc, rng=np.random.default_rng(99), hypers=hypers)
     counts = {s: 0 for s in states}
-    for dec in ens.samples:
+    for dec in ens:
         counts[dec.subsets] += 1
     empirical = np.array([counts[s] / n_keep for s in states])
     tv = 0.5 * np.abs(empirical - exact).sum()
@@ -298,23 +288,24 @@ def test_recovery_smoke():
     obs = ObservationSet(X, y, 0.01)
     ens = sample_posterior(
         obs,
-        PriorConfig(max_factor_size=2, size_penalty=3.0),
-        McmcConfig(chain_length=6000, burn_in=3000, thinning=300, num_samples=10),
+        McmcConfig(
+            max_factor_size=2, chain_length=6000, burn_in=3000, thinning=300,
+            num_samples=10, size_penalty=3.0,
+        ),
         rng=np.random.default_rng(10_000),
         hypers=hypers,
     )
-    hits = sum(1 for dec in ens.samples if dec.subsets == truth.subsets)
+    hits = sum(1 for dec in ens if dec.subsets == truth.subsets)
     assert hits >= 6
 
 
 def test_sample_posterior_deterministic_given_seed():
     rng = np.random.default_rng(8)
     obs = ObservationSet(rng.uniform(size=(10, 2)), rng.normal(size=10), 0.1)
-    cfg = McmcConfig(chain_length=80, burn_in=40, thinning=4, num_samples=5)
-    prior = PriorConfig(max_factor_size=2)
-    e1 = sample_posterior(obs, prior, cfg, rng=123)
-    e2 = sample_posterior(obs, prior, cfg, rng=123)
-    assert [d.subsets for d in e1.samples] == [d.subsets for d in e2.samples]
+    cfg = McmcConfig(max_factor_size=2, chain_length=80, burn_in=40, thinning=4, num_samples=5)
+    e1 = sample_posterior(obs, cfg, rng=123)
+    e2 = sample_posterior(obs, cfg, rng=123)
+    assert [d.subsets for d in e1] == [d.subsets for d in e2]
 
 
 def test_chain_length_zero_returns_initial_copies():
@@ -322,35 +313,36 @@ def test_chain_length_zero_returns_initial_copies():
     obs = ObservationSet(rng.uniform(size=(5, 2)), rng.normal(size=5), 0.1)
     ens = sample_posterior(
         obs,
-        PriorConfig(max_factor_size=2),
-        McmcConfig(chain_length=0, num_samples=3),
+        McmcConfig(max_factor_size=2, chain_length=0, num_samples=3),
         rng=0,
     )
-    assert ens.k == 3
+    assert len(ens) == 3
     # the chain starts at the singleton decomposition
-    assert all(dec.subsets == ((0,), (1,)) for dec in ens.samples)
+    assert all(dec.subsets == ((0,), (1,)) for dec in ens)
 
 
 def test_mcmc_config_validation():
     with pytest.raises(ConfigurationError):
-        McmcConfig(chain_length=10, burn_in=8, thinning=2, num_samples=3)
+        McmcConfig(max_factor_size=2, chain_length=10, burn_in=8, thinning=2, num_samples=3)
     with pytest.raises(ConfigurationError):
-        McmcConfig(chain_length=-1)
+        McmcConfig(max_factor_size=2, chain_length=-1)
     with pytest.raises(ConfigurationError):
-        McmcConfig(chain_length=5, thinning=0)
+        McmcConfig(max_factor_size=2, chain_length=5, thinning=0)
 
 
 def test_merge_for_acquisition_weights():
     a = Decomposition(d=3, subsets=((0, 1), (2,)), max_factor_size=2)
     b = Decomposition(d=3, subsets=((0,), (1, 2)), max_factor_size=2)
-    ens = DecompositionEnsemble(samples=(a, a, b))
-    union, weights = merge_for_acquisition(ens)
+    union, weights = merge_for_acquisition((a, a, b))
     assert union == ((0,), (0, 1), (1, 2), (2,))
     lookup = dict(zip(union, weights))
     assert lookup[(0, 1)] == pytest.approx(2 / 3)
     assert lookup[(2,)] == pytest.approx(2 / 3)
     assert lookup[(0,)] == pytest.approx(1 / 3)
     assert lookup[(1, 2)] == pytest.approx(1 / 3)
+    # an empty union would reach induced_kernel as a division by zero
+    with pytest.raises(ContractViolationError):
+        merge_for_acquisition(())
 
 
 def test_default_hypers_track_data():

@@ -217,6 +217,29 @@ def test_trace_csv_round_trip(tmp_path):
         assert int(row[12]) == rec.converged
 
 
+def test_measure_wall_time_changes_only_wall_ms(tmp_path):
+    base = dict(
+        objective="shekel4",
+        algorithm="dec_hbo",
+        iterations=4,
+        seed=2,
+        initial_evaluations=3,
+        decomposition={"mode": "static", "subsets": [[0, 1], [2, 3]]},
+        grid_caps=(2, 6),
+    )
+    tables = {}
+    for timed in (False, True):
+        path = tmp_path / f"trace_{timed}.csv"
+        write_trace_csv(run(RunConfig(**base, measure_wall_time=timed)), path)
+        with open(path) as fh:
+            tables[timed] = list(csv.DictReader(fh))
+    wall = [float(row.pop("wall_ms")) for row in tables[True]]
+    assert all(float(row.pop("wall_ms")) == 0.0 for row in tables[False])
+    assert tables[True] == tables[False]
+    assert len(wall) == 7 and wall[:3] == [0.0] * 3  # the initial design is not timed
+    assert all(ms > 0.0 for ms in wall[3:])
+
+
 def test_resolve_freezes_random_decomposition(tmp_path):
     config = RunConfig(
         objective="shekel4",
