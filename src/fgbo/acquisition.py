@@ -145,7 +145,7 @@ class GridSpec:
 
     per_dim_points: int
     num_dims: int
-    _axes: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    axis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.per_dim_points < 2:
@@ -154,24 +154,19 @@ class GridSpec:
             raise ContractViolationError("grids need >= 1 dimension")
         axis = np.linspace(0.0, 1.0, self.per_dim_points)
         axis.flags.writeable = False
-        object.__setattr__(self, "_axes", (axis,) * self.num_dims)
+        object.__setattr__(self, "axis", axis)
 
     @property
     def joint_size(self) -> int:
         return self.per_dim_points ** self.num_dims
 
-    def values(self, dim: int) -> np.ndarray:
-        return self._axes[dim]
-
     def axes(self, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """The per-dim grids of `dims`, standing for their Cartesian product
-        in C order (the axes form that kernels.cross_factor accepts)."""
-        return tuple(self._axes[j] for j in dims)
+        """The grids of `dims`, standing for their Cartesian product in C
+        order (the axes form that kernels.cross_factor accepts)."""
+        return (self.axis,) * len(dims)
 
     def point_at(self, indices) -> np.ndarray:
-        return np.array(
-            [self._axes[j][i] for j, i in enumerate(indices)], dtype=float
-        )
+        return self.axis[list(indices)]
 
 
 def grid_for_iteration(

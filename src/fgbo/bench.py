@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -26,13 +25,6 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolationError
 from .gp import dense_cholesky_with_jitter
 from .kernels import AdditiveKernel, cross_factor
-
-
-class ObjectiveKind(Enum):
-    SHEKEL4 = "shekel4"
-    HARTMANN6 = "hartmann6"
-    MICHALEWICZ10 = "michalewicz10"
-    PRIOR_SAMPLE = "prior_sample"
 
 
 SHEKEL_BETA = 0.1 * np.array([1.0, 2.0, 2.0, 4.0, 4.0, 6.0, 3.0, 7.0, 5.0, 5.0])
@@ -76,7 +68,7 @@ MICHALEWICZ_OPTIMUM = -9.66015
 class SyntheticObjective:
     """A deterministic closed-form objective over a box domain."""
 
-    kind: ObjectiveKind
+    kind: str  # the config's objective name, or "prior_sample"
     box: tuple[tuple[float, float], ...]
     minimize: bool
     known_optimum: float | None = None
@@ -130,7 +122,7 @@ def shekel4() -> SyntheticObjective:
         return -(1.0 / (SHEKEL_BETA[None, :] + d2)).sum(axis=1)
 
     return SyntheticObjective(
-        kind=ObjectiveKind.SHEKEL4,
+        kind="shekel4",
         box=((0.0, 10.0),) * 4,
         minimize=True,
         known_optimum=SHEKEL_OPTIMUM,
@@ -147,7 +139,7 @@ def hartmann6() -> SyntheticObjective:
         return -(HARTMANN6_ALPHA[None, :] * np.exp(-d2)).sum(axis=1)
 
     return SyntheticObjective(
-        kind=ObjectiveKind.HARTMANN6,
+        kind="hartmann6",
         box=((0.0, 1.0),) * 6,
         minimize=True,
         known_optimum=HARTMANN6_OPTIMUM,
@@ -164,7 +156,7 @@ def michalewicz10() -> SyntheticObjective:
         return -terms.sum(axis=1)
 
     return SyntheticObjective(
-        kind=ObjectiveKind.MICHALEWICZ10,
+        kind="michalewicz10",
         box=((0.0, math.pi),) * MICHALEWICZ_D,
         minimize=True,
         known_optimum=MICHALEWICZ_OPTIMUM,
@@ -221,7 +213,7 @@ def prior_sample_objective(
         return out
 
     return SyntheticObjective(
-        kind=ObjectiveKind.PRIOR_SAMPLE,
+        kind="prior_sample",
         box=box,
         minimize=False,
         known_optimum=None,

@@ -37,15 +37,10 @@ _OBJECTIVE_NAMES = ("shekel4", "hartmann6", "michalewicz10")
 _BETA_MODES = ("discrete_domain", "continuous_lipschitz", "fixed_constant")
 _DECOMPOSITION_MODES = ("static", "random", "mcmc")
 
-_PRIOR_SAMPLE_KEYS = {
-    "kind": str,
-    "dims": int,
-    "subsets": list,
-    "signal_variance": (int, float),
-    "lengthscale": (int, float),
-    "grid_points": int,
-    "sample_seed": int,
-}
+_PRIOR_SAMPLE_KEYS = (
+    "kind", "dims", "subsets", "signal_variance", "lengthscale", "grid_points",
+    "sample_seed",
+)
 _PRIOR_SAMPLE_REQUIRED = ("kind", "dims", "subsets", "sample_seed")
 
 
@@ -57,6 +52,14 @@ def _check_keys(doc: dict, allowed, path: str):
     for key in doc:
         if key not in allowed:
             _fail(path, f"unknown key {key!r} (fail-closed)")
+
+
+def _section(value, defaults: dict, path: str) -> dict:
+    """A config section: an object of known keys, merged over its defaults."""
+    if not isinstance(value, dict):
+        _fail(path, "expected an object")
+    _check_keys(value, tuple(defaults), path)
+    return {**defaults, **value}
 
 
 def _as_int(value, path, minimum=None):
@@ -172,15 +175,15 @@ def _validate_decomposition(value, path):
             _fail(path, f"mcmc mode requires {key!r}")
     out = {
         "mode": "mcmc",
-        "max_factor_size": _as_int(value["max_factor_size"], f"{path}.max_factor_size", 1),
-        "chain_length": _as_int(value["chain_length"], f"{path}.chain_length", 0),
-        "burn_in": _as_int(value.get("burn_in", 0), f"{path}.burn_in", 0),
-        "thinning": _as_int(value.get("thinning", 1), f"{path}.thinning", 1),
-        "num_samples": _as_int(value.get("num_samples", 1), f"{path}.num_samples", 1),
+        "max_factor_size": _as_int(value["max_factor_size"], f"{path}.max_factor_size"),
+        "chain_length": _as_int(value["chain_length"], f"{path}.chain_length"),
+        "burn_in": _as_int(value.get("burn_in", 0), f"{path}.burn_in"),
+        "thinning": _as_int(value.get("thinning", 1), f"{path}.thinning"),
+        "num_samples": _as_int(value.get("num_samples", 1), f"{path}.num_samples"),
         "interval": _as_int(value.get("interval", 10), f"{path}.interval", 1),
-        "size_penalty": _as_number(value.get("size_penalty", 0.0), f"{path}.size_penalty", 0.0),
+        "size_penalty": _as_number(value.get("size_penalty", 0.0), f"{path}.size_penalty"),
     }
-    try:  # the sampler's own chain-length check, before anything runs
+    try:  # the sampler's own checks, before anything runs
         McmcConfig(**{k: v for k, v in out.items() if k not in ("mode", "interval")})
     except ConfigurationError as exc:
         _fail(path, str(exc))
@@ -188,11 +191,7 @@ def _validate_decomposition(value, path):
 
 
 def _validate_beta(value, path):
-    if not isinstance(value, dict):
-        _fail(path, "expected a beta schedule object")
-    _check_keys(value, tuple(DEFAULT_BETA), path)
-    out = dict(DEFAULT_BETA)
-    out.update(value)
+    out = _section(value, DEFAULT_BETA, path)
     if out["mode"] not in _BETA_MODES:
         _fail(f"{path}.mode", f"expected one of {_BETA_MODES}, got {out['mode']!r}")
     delta = _as_number(out["delta"], f"{path}.delta", 0.0, True)
@@ -211,11 +210,7 @@ def _validate_beta(value, path):
 
 
 def _validate_maxsum(value, path):
-    if not isinstance(value, dict):
-        _fail(path, "expected a maxsum object")
-    _check_keys(value, tuple(DEFAULT_MAXSUM), path)
-    out = dict(DEFAULT_MAXSUM)
-    out.update(value)
+    out = _section(value, DEFAULT_MAXSUM, path)
     out["rounds"] = _as_int(out["rounds"], f"{path}.rounds", minimum=1)
     damping = _as_number(out["damping"], f"{path}.damping", 0.0)
     if damping >= 1.0:
@@ -226,11 +221,7 @@ def _validate_maxsum(value, path):
 
 
 def _validate_gp(value, path):
-    if not isinstance(value, dict):
-        _fail(path, "expected a gp object")
-    _check_keys(value, tuple(DEFAULT_GP), path)
-    out = dict(DEFAULT_GP)
-    out.update(value)
+    out = _section(value, DEFAULT_GP, path)
     if out["signal_variance"] is not None:
         out["signal_variance"] = _as_number(
             out["signal_variance"], f"{path}.signal_variance", 0.0, True

@@ -13,7 +13,9 @@ algorithm; they differ in its factors and in how the query is selected:
 
 An iteration's lookups are its table entries plus the solver's lookups.
 A run with a static structure makes one kernels.GramBlocks cache for its
-fits; no state outlives a run.
+fits; its lengthscale is a config constant, so every fit reads the same
+blocks and the cache holds one block per factor of the run.  No state
+outlives a run.
 
 Everything runs internally on the unit box (the schedules' box edge r is
 1); queries are mapped back to the objective's natural box for evaluation
@@ -110,7 +112,7 @@ class RunConfig:
     def to_canonical_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         if isinstance(self.objective, SyntheticObjective):
-            doc["objective"] = {"kind": self.objective.kind.value, "in_memory": True}
+            doc["objective"] = {"kind": self.objective.kind, "in_memory": True}
         return copy.deepcopy(doc)
 
     @classmethod
@@ -260,31 +262,21 @@ def resolve(config: RunConfig) -> ResolvedRun:
 
 
 def _nearest_unvisited(grid, start_idx: tuple, visited: set) -> tuple:
-    """First unvisited grid point by L1 index distance, lexicographic ties."""
-    d = grid.num_dims
-    tau = grid.per_dim_points
+    """First unvisited grid point by L1 index distance from start_idx,
+    lexicographic ties; start_idx itself when every point is visited."""
     seen = {start_idx}
-    heap = []
-
-    def push(idx, dist):
-        if idx not in seen:
-            seen.add(idx)
-            heapq.heappush(heap, (dist, idx))
-
-    for j in range(d):
-        for step in (-1, 1):
-            v = start_idx[j] + step
-            if 0 <= v < tau:
-                push(start_idx[:j] + (v,) + start_idx[j + 1 :], 1)
+    heap = [(0, start_idx)]
     while heap:
         dist, idx = heapq.heappop(heap)
         if tuple(grid.point_at(idx)) not in visited:
             return idx
-        for j in range(d):
-            for step in (-1, 1):
-                v = idx[j] + step
-                if 0 <= v < tau:
-                    push(idx[:j] + (v,) + idx[j + 1 :], dist + 1)
+        for j in range(grid.num_dims):
+            for v in (idx[j] - 1, idx[j] + 1):
+                if 0 <= v < grid.per_dim_points:
+                    nxt = idx[:j] + (v,) + idx[j + 1 :]
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        heapq.heappush(heap, (dist + 1, nxt))
     return start_idx  # every grid point visited; allow the repeat
 
 
@@ -315,8 +307,9 @@ def run_resolved(res: ResolvedRun) -> RunResult:
     noise_rng = np.random.default_rng(streams[2])
 
     static_dec, mcmc = res.decomposition, res.mcmc
-    # under MCMC the fit's factors change at every refresh: caching their
-    # blocks raised the peak RSS of long runs and saved no measurable time
+    # under MCMC the fit's factors change at every refresh, and a cache
+    # frees no block: caching raised the peak RSS of long runs and saved no
+    # measurable time
     blocks = None if mcmc else GramBlocks(config.initial_evaluations + config.iterations)
 
     X_unit: list = []

@@ -160,7 +160,7 @@ def test_tau_caps_clamp():
 
 def test_grid_spec_geometry():
     grid = GridSpec(per_dim_points=5, num_dims=3)
-    np.testing.assert_allclose(grid.values(1), [0.0, 0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_allclose(grid.axis, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert grid.joint_size == 125
     np.testing.assert_allclose(grid.point_at((0, 4, 2)), [0.0, 1.0, 0.5])
 
@@ -192,7 +192,7 @@ def test_tabulate_matches_pointwise_phi():
         table = acq.tables[i]
         assert table.shape == (4,) * f.arity
         for idx in np.ndindex(*table.shape):
-            u = np.array([grid.values(dim)[j] for dim, j in zip(f.subset, idx)])
+            u = grid.axis[list(idx)]
             mean, var = post.factor_mean_var_batch(i, u.reshape(1, -1))
             want = mean[0] + math.sqrt(beta_value) * math.sqrt(var[0])
             assert abs(table[idx] - want) < 1e-10
@@ -268,11 +268,10 @@ def test_grid_spec_validation():
 
 def test_grid_axes_are_stored_read_only_linspace():
     grid = GridSpec(per_dim_points=9, num_dims=3)
-    for j in range(3):
-        np.testing.assert_array_equal(grid.values(j), np.linspace(0.0, 1.0, 9))
-        assert grid.values(j) is grid.values(j)
-        assert not grid.values(j).flags.writeable
-    assert grid.axes((2, 0)) == (grid.values(2), grid.values(0))
+    np.testing.assert_array_equal(grid.axis, np.linspace(0.0, 1.0, 9))
+    assert not grid.axis.flags.writeable
+    axes = grid.axes((2, 0))
+    assert len(axes) == 2 and all(a is grid.axis for a in axes)
     line = np.linspace(0.0, 1.0, 9)
     np.testing.assert_array_equal(grid.point_at((3, 8, 1)), [line[3], 1.0, line[1]])
     assert grid == GridSpec(per_dim_points=9, num_dims=3)

@@ -178,7 +178,7 @@ def test_prior_sample_validation():
 
 
 def test_make_objective():
-    assert make_objective("shekel4").kind.value == "shekel4"
+    assert make_objective("shekel4").kind == "shekel4"
     assert make_objective("hartmann6").dims == 6
     with pytest.raises(ConfigurationError):
         make_objective("rosenbrock")

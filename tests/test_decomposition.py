@@ -328,6 +328,10 @@ def test_mcmc_config_validation():
         McmcConfig(max_factor_size=2, chain_length=-1)
     with pytest.raises(ConfigurationError):
         McmcConfig(max_factor_size=2, chain_length=5, thinning=0)
+    with pytest.raises(ConfigurationError):
+        McmcConfig(max_factor_size=0, chain_length=3)
+    with pytest.raises(ConfigurationError):
+        McmcConfig(max_factor_size=2, chain_length=3, size_penalty=-0.5)
 
 
 def test_merge_for_acquisition_weights():

@@ -7,10 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fgbo.acquisition import GridSpec
 from fgbo.bench import hartmann6, make_objective, shekel4
 from fgbo.engine import (
     IterationRecord,
     RunConfig,
+    _nearest_unvisited,
     resolve,
     run,
     run_resolved,
@@ -184,6 +186,30 @@ def test_repeat_queries_are_perturbed():
     assert len(set(grid_queries)) == 4  # grid exhausted, fallback repeats
     assert result.perturbations
     assert all(3 <= t <= 10 for t in result.perturbations)
+
+
+def test_nearest_unvisited_order():
+    # the first unvisited point by (L1 index distance, index tuple), and the
+    # start itself once every point has been visited
+    rng = np.random.default_rng(21)
+    for d in range(1, 5):
+        for tau in range(2, 7):
+            grid = GridSpec(per_dim_points=tau, num_dims=d)
+            points = list(np.ndindex(*(tau,) * d))
+            for _ in range(6):
+                start = points[rng.integers(len(points))]
+                share = rng.uniform(0.2, 1.0)
+                chosen = {p for p in points if p == start or rng.uniform() < share}
+                visited = {tuple(grid.point_at(p)) for p in chosen}
+                unvisited = [p for p in points if p not in chosen]
+                want = min(
+                    unvisited,
+                    key=lambda p: (sum(abs(a - b) for a, b in zip(p, start)), p),
+                    default=start,
+                )
+                assert _nearest_unvisited(grid, start, visited) == want
+            every = {tuple(grid.point_at(p)) for p in points}
+            assert _nearest_unvisited(grid, start, every) == start
 
 
 def test_trace_csv_round_trip(tmp_path):
