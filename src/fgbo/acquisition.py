@@ -192,8 +192,11 @@ def tabulate(
     """The acquisition factor graph: every factor's phi table on its sub-grid.
 
     Each factor's sub-grid travels as axes, so its cross-covariance costs
-    O(|I| tau t) exponentials and tau^|I| t products (kernels), and its
-    variances one (tau^|I| x t)(t x t) GEMM against the cached L^-1 (gp).
+    O(|I| tau t) exponentials per row block and tau^|I| t products (kernels),
+    and its variances tau^|I| t^2 multiply-adds against the cached L^-1 (gp).
+    The posterior is built in row blocks of at least gp.BLOCK_ROWS rows, so
+    its temporaries are a few (block x t) arrays, not (tau^|I| x t) ones;
+    the tables hold tau^|I| floats per factor.
     weights, one per factor, scale the tables (averaging acquisitions over
     sampled decompositions).  A kernel with one factor over all d inputs
     gives the centralized GP-UCB table over the joint grid.

@@ -15,13 +15,22 @@ A fit builds K from a kernels.GramBlocks cache when the caller passes one
 costs O(n_f |I| t) new exponentials, n_f t^2 multiply-adds and the O(t^3)
 Cholesky and inverse.
 It factorizes K + sn2 I = L L' once and caches the weights
-(K + sn2 I)^-1 y and the inverse factor L^-1, so a batch of m inputs costs
-one (m x t) cross-covariance, one matrix-vector product for the means and
-one (m x t)(t x t) GEMM for the variances, var = prior - rowsum((Kxg L^-T)^2).
+(K + sn2 I)^-1 y and the inverse factor L^-1, so m inputs cost an (m x t)
+cross-covariance Kxg, one matrix-vector product for the means and one
+(m x t)(t x t) GEMM for the variances, var = prior - rowsum((Kxg L^-T)^2).
 Batch inputs are points; a factor's batch may also be axes (a tuple of 1-D
 arrays) standing for its Cartesian sub-grid, see kernels.  The objective
 posterior takes points only: on a grid, the centralized acquisition is the
 one-factor case of the factor path.
+
+A factor's batch is computed in row blocks: consecutive runs of points, or
+slices of the first axis, of at least BLOCK_ROWS rows (see _row_blocks).
+The temporaries are then a few (block x t) arrays instead of (m x t) ones;
+on a large sub-grid their cache and page traffic, not the flops, set the
+cost.  Every row gets the float operations of the one-block product, and
+with OpenBLAS on one thread the results are bitwise the same (fgbo selftest
+checks this).  Blocks this long keep each GEMM off OpenBLAS's small-matrix
+kernel, which rounds some t differently.
 """
 
 from __future__ import annotations
@@ -39,6 +48,9 @@ from .kernels import AdditiveKernel, GramBlocks, cross_additive, cross_factor, g
 
 # negative posterior variances beyond this are treated as bugs, not roundoff
 VARIANCE_CLAMP = 1e-9
+
+# least rows per block of a factor's batch (see the module docstring)
+BLOCK_ROWS = 4096
 
 JITTER_SCALE = 1e-10
 MAX_JITTER_ESCALATIONS = 6
@@ -127,6 +139,27 @@ def _batch_inputs(U):
     return U, m
 
 
+def _row_blocks(U):
+    """Split batch inputs into consecutive row blocks, as (start, stop, block).
+
+    Points split by rows and axes by their first axis.  Every block but the
+    last holds the same number of rows: at least BLOCK_ROWS, and a multiple
+    of 4, since a GEMV computes the last (rows mod 4) rows of its call with
+    another kernel.  The last block also takes the remainder, so a batch of
+    fewer than 2 BLOCK_ROWS rows is one block.
+    """
+    first, rest = (U[0], U[1:]) if isinstance(U, tuple) else (U, None)
+    inner = math.prod(len(axis) for axis in rest) if rest else 1
+    # first-axis entries per block: a multiple of `unit`, whose rows are a
+    # multiple of 4
+    unit = 4 // math.gcd(inner, 4)
+    per = -(-BLOCK_ROWS // max(inner, 1) // unit) * unit
+    bounds = [per * k for k in range(max(1, len(first) // per))] + [len(first)]
+    for a, b in zip(bounds, bounds[1:]):
+        block = first[a:b] if rest is None else (first[a:b],) + rest
+        yield a * inner, b * inner, block
+
+
 class FactorPosterior:
     """Cached solve state for all per-factor posteriors of one kernel + data.
 
@@ -184,14 +217,25 @@ class FactorPosterior:
         """Posterior mean and variance of one factor at sub-inputs U.
 
         U is (m, |I|) points or a tuple of |I| axes (m = product of lengths).
+        Each row block's cross-covariance and posterior is computed and
+        checked in turn (see the module docstring).
         """
         self._check_factor_index(factor_index)
         f = self.kernel.factors[factor_index]
         U, m = _batch_inputs(U)
+        width = len(U) if isinstance(U, tuple) else U.shape[1]
+        if width != f.arity:
+            raise ContractViolationError(
+                f"factor {factor_index} has arity {f.arity}, got {width} coordinates"
+            )
         if self._Linv is None:
             return np.zeros(m), np.full(m, f.signal_variance)
-        Kxg = cross_factor(f, U, f.restrict(self.observations.X))
-        return self._mean_var(Kxg, f.signal_variance, "factor")
+        V = f.restrict(self.observations.X)
+        mean, var = np.empty(m), np.empty(m)
+        for a, b, block in _row_blocks(U):
+            Kxg = cross_factor(f, block, V)
+            mean[a:b], var[a:b] = self._mean_var(Kxg, f.signal_variance, "factor")
+        return mean, var
 
     def factor_mean_var(self, factor_index: int, x):
         """Posterior (mean, variance) of factor `factor_index` at full input x."""

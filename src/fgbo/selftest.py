@@ -2,7 +2,7 @@
 shares with the test suite, each defined only here: the Michalewicz-10
 per-dimension search, the brute-force joint maximum of a factor graph, the
 defining-order factor-to-variable message, the dense-inverse GP posterior,
-and the 60-digit beta tables.
+the one-block factor posterior, and the 60-digit beta tables.
 """
 
 from __future__ import annotations
@@ -119,6 +119,27 @@ def dense_posterior(kernel: AdditiveKernel, obs: ObservationSet, x, factor_index
     return kx @ Kinv @ obs.y, prior - kx @ Kinv @ kx
 
 
+def posterior_block_mismatches(lengths, t: int, seed: int, points: bool = False) -> int:
+    """Rows where the blocked posterior of a seeded factor differs in any bit
+    from the one-block product over all rows.
+
+    The factor has one coordinate per entry of `lengths` and is fitted to t
+    random observations; its batch is the grid of random axes of those
+    lengths, as axes or, with points, as their C-order points.
+    """
+    rng = np.random.default_rng(seed)
+    k = len(lengths)
+    f = FactorKernel(tuple(range(k)), 1.3, tuple(rng.uniform(0.2, 0.6, size=k)))
+    post = fit(AdditiveKernel((f,)), ObservationSet(rng.uniform(size=(t, k)), rng.normal(size=t), 0.01))
+    U = tuple(np.sort(rng.uniform(size=n)) for n in lengths)
+    if points:
+        U = np.stack([a.ravel() for a in np.meshgrid(*U, indexing="ij")], axis=-1)
+    blocked = post.factor_mean_var_batch(0, U)
+    Kxg = cross_factor(f, U, f.restrict(post.observations.X))
+    whole = post._mean_var(Kxg, f.signal_variance, "factor")
+    return int(((blocked[0] != whole[0]) | (blocked[1] != whole[1])).sum())
+
+
 def checks():
     """Yield (name, passed, detail) for the quick audit battery."""
     rng = np.random.default_rng(20240817)
@@ -183,3 +204,12 @@ def checks():
         g = FactorGraph(n_vars, tau, subsets, tables)
         exact += run_rounds(g, max_rounds=4 * n_vars).best_value == brute_force_max(g)[0]
     yield "maxsum_tree_exactness", exact == trials, f"{exact}/{trials} exact"
+
+    # 33 x 32 x 32 rows make seven blocks of 4096 rows and a last one of
+    # 5120; t = 17 is among the t that OpenBLAS's small-matrix GEMM kernel
+    # rounds differently.  A threaded GEMV computes the last rows of an
+    # uneven thread share with another kernel, which would move the one-block
+    # means themselves; 33792 rows split into shares of a multiple of 4 rows
+    # over 2, 3, 4 or 8 threads
+    rows = posterior_block_mismatches((33, 32, 32), 17, seed=int(rng.integers(2**31)))
+    yield "posterior_blocks_bitwise", rows == 0, f"{rows}/33792 rows differ from one block"

@@ -1,10 +1,17 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import fgbo
+import fgbo.gp
 from fgbo.errors import ContractViolationError, NumericalFailureError
 from fgbo.gp import (
     MAX_JITTER_ESCALATIONS,
@@ -14,7 +21,7 @@ from fgbo.gp import (
     log_marginal_likelihood,
 )
 from fgbo.kernels import AdditiveKernel, FactorKernel, GramBlocks, gram
-from fgbo.selftest import dense_posterior
+from fgbo.selftest import dense_posterior, posterior_block_mismatches
 
 
 def random_kernel(rng, d, max_factors=3, max_arity=3):
@@ -193,6 +200,19 @@ def test_log_marginal_likelihood_needs_data():
         log_marginal_likelihood(kernel, ObservationSet(np.zeros((0, 1)), np.zeros(0), 0.1))
 
 
+def test_batch_arity_is_checked_with_and_without_observations():
+    rng = np.random.default_rng(4)
+    kernel = AdditiveKernel(
+        factors=(FactorKernel(subset=(0, 1, 2), signal_variance=1.0, lengthscales=(0.3,) * 3),)
+    )
+    axis = np.linspace(0.0, 1.0, 4)
+    for t in (0, 5):
+        post = fit(kernel, ObservationSet(rng.uniform(size=(t, 3)), rng.normal(size=t), 0.1))
+        for inputs in ((), (axis, axis), rng.uniform(size=(5, 2))):
+            with pytest.raises(ContractViolationError, match="arity 3"):
+                post.factor_mean_var_batch(0, inputs)
+
+
 def test_zero_observation_fit_has_zero_jitter():
     kernel = AdditiveKernel(
         factors=(FactorKernel(subset=(0, 1), signal_variance=1.0, lengthscales=(0.3, 0.3)),)
@@ -283,6 +303,127 @@ def test_non_finite_variance_raises_numerical_failure(monkeypatch):
         post.factor_mean_var_batch(0, axes)
     with pytest.raises(NumericalFailureError, match="not finite"):
         post.objective_mean_var_batch(axes[0].reshape(-1, 1))
+
+
+# (axis lengths, t, seed, as points): arities 1-4 at tau 7, 16 and 33
+# (33^3 rows split unevenly, 33^4 is left out for its size), an axis and a
+# point set of two blocks, and a grid whose other axes hold more than
+# BLOCK_ROWS rows
+BLOCK_CASES = [
+    [(tau,) * k, t, 100 * k + tau + t, False]
+    for k in (1, 2, 3, 4)
+    for tau in (7, 16, 33)
+    for t in (1, 2, 17, 45, 60)
+    if tau**k < 10**6
+] + [
+    [(9001,), 17, 1, False],
+    [(9001,), 45, 2, True],
+    [(33, 33, 33), 45, 3, True],
+    [(3, 16, 16, 17), 17, 4, False],
+    [(8, 17, 17, 17), 45, 5, False],
+]
+
+
+@pytest.mark.parametrize(
+    "lengths", [(16,) * 4, (33,) * 3, (7,) * 4, (9001,), (3, 16, 16, 17), (8, 17, 17, 17), (6, 0)]
+)
+def test_row_blocks_cover_the_batch_in_aligned_blocks(lengths):
+    axes = tuple(np.arange(n, dtype=float) for n in lengths)
+    m = math.prod(lengths)
+    blocks = list(fgbo.gp._row_blocks(axes))
+    assert [a for a, _, _ in blocks] == [0] + [b for _, b, _ in blocks[:-1]]
+    assert blocks[-1][1] == m
+    for a, b, block in blocks:
+        assert b - a == math.prod(len(axis) for axis in block)
+        assert all(x is y for x, y in zip(block[1:], axes[1:]))
+    sizes = [b - a for a, b, _ in blocks]
+    if len(sizes) > 1:
+        assert len(set(sizes[:-1])) == 1 and sizes[-1] >= sizes[0]
+        assert sizes[0] % 4 == 0 and sizes[0] >= fgbo.gp.BLOCK_ROWS
+    assert len(sizes) == 1 or m >= 2 * fgbo.gp.BLOCK_ROWS
+
+
+def test_blocked_posterior_is_bitwise_the_one_block_product():
+    # Run on one BLAS thread, as perfbench runs: a threaded GEMV computes the
+    # last row of an uneven thread share with another kernel, so the
+    # one-block means themselves move with the thread count (33^3 rows over
+    # two OpenBLAS threads move two of them)
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(
+            [str(Path(fgbo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        ),
+    )
+    code = (
+        "import json, sys\n"
+        "from fgbo.selftest import posterior_block_mismatches as rows\n"
+        "print(json.dumps([rows(*case) for case in json.loads(sys.argv[1])]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(BLOCK_CASES)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    differing = dict(zip(map(str, BLOCK_CASES), json.loads(proc.stdout)))
+    assert differing == dict.fromkeys(differing, 0)
+
+
+@pytest.mark.parametrize("lengths", [(0,), (0, 5), (5, 0, 3)])
+def test_empty_axis_gives_empty_posteriors(lengths):
+    assert posterior_block_mismatches(lengths, 4, 0) == 0
+    rng = np.random.default_rng(3)
+    k = len(lengths)
+    kernel = AdditiveKernel((FactorKernel(tuple(range(k)), 1.0, (0.3,) * k),))
+    axes = tuple(np.linspace(0.0, 1.0, n) for n in lengths)
+    for t in (0, 4):
+        post = fit(kernel, ObservationSet(rng.uniform(size=(t, k)), rng.normal(size=t), 0.1))
+        mean, var = post.factor_mean_var_batch(0, axes)
+        assert mean.shape == var.shape == (0,)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "scale, message", [(1e200, "not finite"), (10.0, "below")]
+)
+def test_every_row_block_is_checked(monkeypatch, scale, message):
+    # the last of four blocks is corrupted after three good ones
+    rng = np.random.default_rng(12)
+    kernel = AdditiveKernel((FactorKernel((0, 1), 1.0, (0.3, 0.3)),))
+    post = fit(kernel, ObservationSet(rng.uniform(size=(6, 2)), rng.normal(size=6), 0.1))
+    axes = (np.linspace(0.0, 1.0, 16), np.linspace(0.0, 1.0, fgbo.gp.BLOCK_ROWS // 4))
+    real = fgbo.gp.cross_factor
+    calls = []
+
+    def last_block_scaled(f, U, V):
+        calls.append(len(U[0]))
+        K = real(f, U, V)
+        return K * scale if len(calls) == 4 else K
+
+    monkeypatch.setattr(fgbo.gp, "cross_factor", last_block_scaled)
+    with pytest.raises(NumericalFailureError, match=message):
+        post.factor_mean_var_batch(0, axes)
+    assert calls == [4, 4, 4, 4]
+
+
+def test_tabulation_peak_allocation():
+    # a 4-ary factor at tau 16: the row blocks, not the (m x t) arrays, set
+    # the peak
+    tau, t = 16, 45
+    rng = np.random.default_rng(10)
+    kernel = AdditiveKernel((FactorKernel((0, 1, 2, 3), 1.0, (0.3,) * 4),))
+    post = fit(kernel, ObservationSet(rng.uniform(size=(t, 4)), rng.normal(size=t), 0.01))
+    axes = (np.linspace(0.0, 1.0, tau),) * 4
+    tracemalloc.start()
+    try:
+        post.factor_mean_var_batch(0, axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (tau**4 * t * 8) < 0.5
 
 
 def test_warm_fit_peak_allocation():
