@@ -8,11 +8,11 @@ tabulated over the factor's sub-grid of a shared per-dimension grid.  The
 tables are the factors of the maxsum.FactorGraph that tabulate returns, so
 the solver runs on them as they are; GP-UCB over the joint grid (the
 centralized baseline) is the graph of one factor over all d inputs.  The
-exploration coefficient beta_t comes from one of three schedules:
+exploration coefficient beta_t follows one of the three config.BETA_MODES:
 
-    DiscreteDomain      beta_t = 2 log(|D| |U| pi_t / delta),  pi_t = pi^2 t^2 / 6
-    ContinuousLipschitz beta_t = 2 log(2 |U| pi_t / delta) + 2 d log(Delta_t)
-    FixedConstant       beta_t = c
+    discrete_domain       beta_t = 2 log(|D| |U| pi_t / delta),  pi_t = pi^2 t^2 / 6
+    continuous_lipschitz  beta_t = 2 log(2 |U| pi_t / delta) + 2 d log(Delta_t)
+    fixed_constant        beta_t = c
 
 and the per-dimension grid resolution follows
 
@@ -29,34 +29,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
+from .config import BETA_MODES
 from .errors import ConfigurationError, ContractViolationError
 from .gp import FactorPosterior
 from .maxsum import FactorGraph
-
-
-class BetaMode(Enum):
-    DISCRETE_DOMAIN = "discrete_domain"
-    CONTINUOUS_LIPSCHITZ = "continuous_lipschitz"
-    FIXED_CONSTANT = "fixed_constant"
 
 
 @dataclass(frozen=True)
 class BetaSchedule:
     """Parameters of the exploration schedule.
 
-    mode is a BetaMode or its value, so a run config's beta section passes
+    mode is one of config.BETA_MODES, so a run config's beta section passes
     straight through: BetaSchedule(**config.beta, num_factors=u, dims=d).
-    dims and the Lipschitz constants a and b feed the ContinuousLipschitz
+    dims and the Lipschitz constants a and b feed the continuous_lipschitz
     mode and the grid schedule; a and b default to 1.0 when unknown, and only
     shift beta by a constant.  The joint domain size |D| of the
-    DiscreteDomain mode is tau_t^d, so it is an argument of beta.
+    discrete_domain mode is tau_t^d, so it is an argument of beta.
     """
 
-    mode: BetaMode | str
+    mode: str
     delta: float
     num_factors: int
     dims: int
@@ -65,10 +59,8 @@ class BetaSchedule:
     fixed_value: float | None = None
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "mode", BetaMode(self.mode))
-        except ValueError:
-            raise ConfigurationError(f"unknown beta mode {self.mode!r}") from None
+        if self.mode not in BETA_MODES:
+            raise ConfigurationError(f"unknown beta mode {self.mode!r}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must lie in (0,1), got {self.delta}")
         if self.num_factors < 1:
@@ -77,7 +69,7 @@ class BetaSchedule:
             raise ConfigurationError("dims must be a positive integer")
         if self.lipschitz_a <= 0 or self.lipschitz_b <= 0:
             raise ConfigurationError("a and b must be positive")
-        if self.mode is BetaMode.FIXED_CONSTANT:
+        if self.mode == "fixed_constant":
             if self.fixed_value is None or self.fixed_value <= 0:
                 raise ConfigurationError(
                     "FixedConstant mode needs a positive fixed_value"
@@ -103,16 +95,16 @@ def _discretization(schedule: BetaSchedule, t: int) -> float:
 def beta(schedule: BetaSchedule, t: int, domain_size: int | None = None) -> float:
     """Exploration coefficient at iteration t >= 1.
 
-    domain_size is |D|, which only the DiscreteDomain mode reads.  Raises
+    domain_size is |D|, which only the discrete_domain mode reads.  Raises
     ConfigurationError when the value is not finite (a huge lipschitz_b
     overflows the discretization term).
     """
     if t < 1:
         raise ContractViolationError(f"iteration must be >= 1, got {t}")
-    if schedule.mode is BetaMode.FIXED_CONSTANT:
+    if schedule.mode == "fixed_constant":
         return float(schedule.fixed_value)
     pi_t = math.pi * math.pi * t * t / 6.0
-    if schedule.mode is BetaMode.DISCRETE_DOMAIN:
+    if schedule.mode == "discrete_domain":
         if domain_size is None:
             raise ContractViolationError("DiscreteDomain mode needs the domain size")
         # sum of logs: |D| = tau^d may overflow a float as a product
@@ -160,11 +152,6 @@ class GridSpec:
     def joint_size(self) -> int:
         return self.per_dim_points ** self.num_dims
 
-    def axes(self, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """The grids of `dims`, standing for their Cartesian product in C
-        order (the axes form that kernels.cross_factor accepts)."""
-        return (self.axis,) * len(dims)
-
     def point_at(self, indices) -> np.ndarray:
         return self.axis[list(indices)]
 
@@ -197,18 +184,22 @@ def tabulate(
     The posterior is built in row blocks of at least gp.BLOCK_ROWS rows, so
     its temporaries are a few (block x t) arrays, not (tau^|I| x t) ones;
     the tables hold tau^|I| floats per factor.
-    weights, one per factor, scale the tables (averaging acquisitions over
-    sampled decompositions).  A kernel with one factor over all d inputs
-    gives the centralized GP-UCB table over the joint grid.
+    weights, exactly one per factor, scale the tables (averaging
+    acquisitions over sampled decompositions).  A kernel with one factor
+    over all d inputs gives the centralized GP-UCB table over the joint grid.
     """
     if beta_value <= 0:
         raise ContractViolationError("beta must be positive")
     factors = posterior.kernel.factors
+    if weights is not None and len(weights) != len(factors):
+        raise ContractViolationError(
+            f"need one weight per factor ({len(factors)}), got {len(weights)}"
+        )
     root_beta = math.sqrt(beta_value)
     tau = grid.per_dim_points
     tables = []
     for i, f in enumerate(factors):
-        mean, var = posterior.factor_mean_var_batch(i, grid.axes(f.subset))
+        mean, var = posterior.factor_mean_var_batch(i, (grid.axis,) * f.arity)
         phi = (mean + root_beta * np.sqrt(var)).reshape((tau,) * f.arity)
         tables.append(phi if weights is None else float(weights[i]) * phi)
     return FactorGraph(

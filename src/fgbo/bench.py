@@ -221,7 +221,7 @@ def prior_sample_objective(
     )
 
 
-_FACTORIES = {
+OBJECTIVES = {
     "shekel4": shekel4,
     "hartmann6": hartmann6,
     "michalewicz10": michalewicz10,
@@ -230,10 +230,10 @@ _FACTORIES = {
 
 def make_objective(name: str) -> SyntheticObjective:
     try:
-        return _FACTORIES[name]()
+        return OBJECTIVES[name]()
     except KeyError:
         raise ConfigurationError(
-            f"unknown objective {name!r}; choose from {sorted(_FACTORIES)}"
+            f"unknown objective {name!r}; choose from {sorted(OBJECTIVES)}"
         )
 
 

@@ -78,13 +78,13 @@ def _out_dir(flag_value: str | None) -> str:
     return os.environ.get(ENV_OUT_DIR) or "runs"
 
 
-def _load_canonical(path: str) -> engine.RunConfig:
+def _load_canonical(path: str) -> config_mod.RunConfig:
     if not os.path.isfile(path):  # a directory is a missing file too
         raise FileNotFoundError(path)
-    return engine.RunConfig.from_dict(config_mod.load_config_file(path))
+    return config_mod.RunConfig.from_dict(config_mod.load_config_file(path))
 
 
-def _execute(config: engine.RunConfig, out_dir: str, quiet: bool) -> engine.RunResult:
+def _execute(config: config_mod.RunConfig, out_dir: str, quiet: bool) -> engine.RunResult:
     resolved = engine.resolve(config)  # refusals here leave no directory behind
     os.makedirs(out_dir, exist_ok=True)
     engine.write_manifest(resolved.manifest, os.path.join(out_dir, "manifest.json"))
@@ -177,7 +177,7 @@ def cmd_table1(args) -> int:
     cells, jobs = [], []
     for benchmark in benchmarks:
         for label in labels:
-            config = engine.RunConfig.from_dict(
+            config = config_mod.RunConfig.from_dict(
                 benchmark_run_config(benchmark, label, 0, iterations=args.iterations)
             )
             for seed in seeds:

@@ -1,9 +1,9 @@
 """Run configuration: the schema, every default, and fail-closed validation.
 
 This module is the only place that knows what a run config may hold.  A
-configuration is a JSON object, or the fields of engine.RunConfig, which
-passes them through here on construction; so the CLI and the Python API
-accept and reject the same inputs, with the same exceptions.
+configuration is a JSON object, or the fields of RunConfig (its top-level
+keys), which passes them through here on construction; so the CLI and the
+Python API accept and reject the same inputs, with the same exceptions.
 validate_config fills the defaults and rejects unknown keys, wrong types,
 and cross-field inconsistencies with a ConfigurationError naming the
 offending path.  The returned canonical dict holds every key, nested ones
@@ -13,11 +13,13 @@ An in-memory SyntheticObjective passes through unchanged.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import numbers
+from dataclasses import MISSING, dataclass, fields
 
-from .bench import SyntheticObjective
+from .bench import OBJECTIVES, SyntheticObjective
 from .decomposition import McmcConfig
 from .errors import ConfigurationError
 
@@ -33,8 +35,7 @@ DEFAULT_BETA = {
 DEFAULT_MAXSUM = {"rounds": 30, "damping": 0.0, "tol": 1e-8}
 DEFAULT_GP = {"signal_variance": None, "lengthscale": 0.2, "center_observations": True}
 
-_OBJECTIVE_NAMES = ("shekel4", "hartmann6", "michalewicz10")
-_BETA_MODES = ("discrete_domain", "continuous_lipschitz", "fixed_constant")
+BETA_MODES = ("discrete_domain", "continuous_lipschitz", "fixed_constant")
 _DECOMPOSITION_MODES = ("static", "random", "mcmc")
 
 _PRIOR_SAMPLE_KEYS = (
@@ -109,8 +110,8 @@ def _validate_objective(value, path):
     if isinstance(value, SyntheticObjective):
         return value
     if isinstance(value, str):
-        if value not in _OBJECTIVE_NAMES:
-            _fail(path, f"unknown objective {value!r}; choose from {_OBJECTIVE_NAMES}")
+        if value not in OBJECTIVES:
+            _fail(path, f"unknown objective {value!r}; choose from {tuple(OBJECTIVES)}")
         return value
     if isinstance(value, dict):
         _check_keys(value, _PRIOR_SAMPLE_KEYS, path)
@@ -192,8 +193,8 @@ def _validate_decomposition(value, path):
 
 def _validate_beta(value, path):
     out = _section(value, DEFAULT_BETA, path)
-    if out["mode"] not in _BETA_MODES:
-        _fail(f"{path}.mode", f"expected one of {_BETA_MODES}, got {out['mode']!r}")
+    if out["mode"] not in BETA_MODES:
+        _fail(f"{path}.mode", f"expected one of {BETA_MODES}, got {out['mode']!r}")
     delta = _as_number(out["delta"], f"{path}.delta", 0.0, True)
     if delta >= 1.0:
         _fail(f"{path}.delta", f"must be < 1, got {delta}")
@@ -233,12 +234,51 @@ def _validate_gp(value, path):
     return out
 
 
-_TOP_KEYS = (
-    "objective", "algorithm", "iterations", "seed", "initial_evaluations",
-    "noise_variance", "decomposition", "beta", "grid_caps", "maxsum", "gp",
-    "measure_wall_time", "optimum_value",
-)
-_REQUIRED = ("objective", "algorithm", "iterations", "seed")
+@dataclass(frozen=True)
+class RunConfig:
+    """A run description, validated on construction like a CLI config.
+
+    The fields are the top-level keys of a config document, required when
+    they have no default; a field left None takes this module's default,
+    and nested dicts may be partial.  Construction runs them through
+    validate_config, so a bad value raises ConfigurationError, and stores
+    the canonical values.
+    """
+
+    objective: object  # name, prior-sample spec dict, or SyntheticObjective
+    algorithm: str
+    iterations: int
+    seed: int
+    initial_evaluations: int | None = None
+    noise_variance: float | None = None
+    decomposition: dict | None = None
+    beta: dict | None = None
+    grid_caps: list | tuple | None = None
+    maxsum: dict | None = None
+    gp: dict | None = None
+    measure_wall_time: bool | None = None
+    optimum_value: float | None = None
+
+    def __post_init__(self):
+        given = {f.name: getattr(self, f.name) for f in fields(self)}
+        canonical = validate_config({k: v for k, v in given.items() if v is not None})
+        for name, value in canonical.items():
+            object.__setattr__(self, name, value)
+
+    def to_canonical_dict(self) -> dict:
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        if isinstance(self.objective, SyntheticObjective):
+            doc["objective"] = {"kind": self.objective.kind, "in_memory": True}
+        return copy.deepcopy(doc)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "RunConfig":
+        """Construct from a config document or a manifest's canonical config."""
+        return cls(**validate_config(doc))
+
+
+_TOP_KEYS = tuple(f.name for f in fields(RunConfig))
+_REQUIRED = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 
 def validate_config(raw: dict) -> dict:

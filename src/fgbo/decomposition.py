@@ -167,15 +167,13 @@ State = tuple  # canonical tuple of sorted subset tuples
 @lru_cache(maxsize=None)
 def _cover_pairs(p: int, max_size: int) -> tuple:
     """Index pairs (a, b), a < b, of the distinct two-subset covers of
-    range(p) with parts of size 1..max_size.
+    range(p), p <= 2 max_size, with parts of size 1..max_size.
 
     The order is that of the first appearance of {a, b} in a scan over amask,
     then bmask, both increasing.  Since b must contain every index a leaves
     out, bmask = restmask | sub over the submasks sub of amask, taken in
     increasing order.
     """
-    if p > 2 * max_size:
-        return ()  # no two parts of at most max_size cover the pool
     full = (1 << p) - 1
     pairs = []
     seen = set()
@@ -357,25 +355,25 @@ def sample_posterior(
     max_size = mcmc_config.max_factor_size
     state = singleton_decomposition(d).subsets
 
-    cache: dict[State, tuple[float, list, Counter]] = {}
+    # state -> (log posterior, move list); multiplicities are list counts
+    cache: dict[State, tuple[float, list]] = {}
 
     def lookup(s: State):
         hit = cache.get(s)
         if hit is None:
             lp = log_evidence(s, obs, hypers) + mcmc_config.log_prior(s)
-            moves = enumerate_moves(s, d, max_size)
-            hit = (lp, moves, Counter(moves))
+            hit = (lp, enumerate_moves(s, d, max_size))
             cache[s] = hit
         return hit
 
     chain = [state]
     for _ in range(mcmc_config.chain_length):
-        logp, moves, move_counts = lookup(state)
+        logp, moves = lookup(state)
         if moves:
             proposal = moves[int(rng.integers(len(moves)))]
-            logp2, back_moves, back_counts = lookup(proposal)
-            q_fwd = move_counts[proposal] / len(moves)
-            q_bwd = (back_counts[state] / len(back_moves)) if back_moves else 0.0
+            logp2, back_moves = lookup(proposal)
+            q_fwd = moves.count(proposal) / len(moves)
+            q_bwd = (back_moves.count(state) / len(back_moves)) if back_moves else 0.0
             if q_bwd > 0.0:
                 log_alpha = (logp2 - logp) + math.log(q_bwd) - math.log(q_fwd)
                 if math.log(rng.uniform()) < log_alpha:

@@ -22,13 +22,14 @@ Everything runs internally on the unit box (the schedules' box edge r is
 and logging.  Objectives flagged minimize=True are negated, so the engine
 always maximizes g and reports the regret r_t = g(x*) - g(x_t).
 
-Configuration: RunConfig runs its fields through config.validate_config, so
-it holds canonical values with every nested key present, and this module
-reads them directly; the defaults and the checks live only in config.  A
-CLI run builds its RunConfig once, from the config file, and nothing here
-validates it again.  resolve draws any random decomposition once, hands
-the static structure to run_resolved and writes it into the manifest, and
-checks the exploration schedule once for every iteration.
+Configuration: config.RunConfig (re-exported here) runs its fields through
+config.validate_config, so it holds canonical values with every nested key
+present, and this module reads them directly; the defaults and the checks
+live only in config.  A CLI run builds its RunConfig once, from the config
+file, and nothing here validates it again.  resolve draws any random
+decomposition once, hands the static structure to run_resolved and writes
+it into the manifest, and checks the exploration schedule once for every
+iteration.
 
 Reproducibility: the seed spawns three independent child streams
 (decomposition, queries, noise), so re-running a manifest whose random
@@ -40,12 +41,11 @@ timing would break that byte-identity.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .bench import (
     noisy_evaluate,
     prior_sample_objective,
 )
-from .config import validate_config
+from .config import RunConfig
 from .decomposition import (
     Decomposition,
     McmcConfig,
@@ -77,48 +77,6 @@ from .maxsum import solve
 
 # refuse centralized joint grids beyond this many points
 MAX_JOINT_GRID = 4_000_000
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A run description, validated on construction like a CLI config.
-
-    The fields are the keys of a config document (see fgbo.config); a field
-    left None takes config's default, and nested dicts may be partial.
-    Construction runs them through config.validate_config, so a bad value
-    raises ConfigurationError, and stores the canonical values.
-    """
-
-    objective: object  # name, prior-sample spec dict, or SyntheticObjective
-    algorithm: str
-    iterations: int
-    seed: int
-    initial_evaluations: int | None = None
-    noise_variance: float | None = None
-    decomposition: dict | None = None
-    beta: dict | None = None
-    grid_caps: list | tuple | None = None
-    maxsum: dict | None = None
-    gp: dict | None = None
-    measure_wall_time: bool | None = None
-    optimum_value: float | None = None
-
-    def __post_init__(self):
-        given = {f.name: getattr(self, f.name) for f in fields(self)}
-        canonical = validate_config({k: v for k, v in given.items() if v is not None})
-        for name, value in canonical.items():
-            object.__setattr__(self, name, value)
-
-    def to_canonical_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        if isinstance(self.objective, SyntheticObjective):
-            doc["objective"] = {"kind": self.objective.kind, "in_memory": True}
-        return copy.deepcopy(doc)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        """Construct from a config document or a manifest's canonical config."""
-        return cls(**validate_config(doc))
 
 
 @dataclass(frozen=True)

@@ -124,10 +124,13 @@ def _factorize(
 def _batch_inputs(U):
     """Points (m, k) or a tuple of k axes, as floats, and their row count m.
 
-    Raises ContractViolationError on a NaN or infinite coordinate.
+    Raises ContractViolationError on an axis that is not 1-D or on a NaN or
+    infinite coordinate.
     """
     if isinstance(U, tuple):
         U = tuple(np.asarray(axis, dtype=float) for axis in U)
+        if any(axis.ndim != 1 for axis in U):
+            raise ContractViolationError("batch axes must be 1-D arrays")
         finite = all(np.isfinite(axis).all() for axis in U)
         m = math.prod(len(axis) for axis in U)
     else:

@@ -116,18 +116,21 @@ class AdditiveKernel:
 def cross_factor(kernel: FactorKernel, U, V: np.ndarray) -> np.ndarray:
     """Cross-covariance matrix of one factor between two sub-input sets.
 
-    U: (m, arity) points, or a tuple of arity axes with m = the product of
-    their lengths; V: (n, arity) -> (m, n).
+    U: (m, arity) points, or a tuple of arity 1-D axes with m = the product
+    of their lengths; V: (n, arity) -> (m, n).
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     if isinstance(U, tuple):
-        if len(U) != kernel.arity or V.shape[1] != kernel.arity:
+        U = tuple(np.asarray(axis, dtype=float) for axis in U)
+        if len(U) != kernel.arity or V.shape[1] != kernel.arity or any(
+            axis.ndim != 1 for axis in U
+        ):
             raise ContractViolationError(
-                f"need {kernel.arity} axes and {kernel.arity} columns"
+                f"need {kernel.arity} 1-D axes and {kernel.arity} columns"
             )
         K = None
         for axis, l, v in zip(U, kernel.lengthscales, V.T):
-            z = np.asarray(axis, dtype=float)[:, None] / l - v / l
+            z = axis[:, None] / l - v / l
             E = np.exp(-0.5 * (z * z))
             if K is None:
                 K = kernel.signal_variance * E

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import bench
-from .acquisition import BetaMode, BetaSchedule, beta
+from .acquisition import BetaSchedule, beta
 from .errors import ContractViolationError, NumericalFailureError
 from .gp import ObservationSet, dense_cholesky_with_jitter, fit
 from .kernels import AdditiveKernel, FactorKernel, cross_factor, gram
@@ -41,11 +41,11 @@ def beta_errors() -> tuple[float, float]:
     """Worst |beta - oracle| over the discrete cases and the Lipschitz ones."""
     discrete = lipschitz = 0.0
     for size, u, delta, t, want in BETA_DISCRETE_CASES:
-        sched = BetaSchedule(BetaMode.DISCRETE_DOMAIN, delta, u, dims=1)
+        sched = BetaSchedule("discrete_domain", delta, u, dims=1)
         discrete = max(discrete, abs(beta(sched, t, size) - want))
     for dims, a, b, u, delta, t, want in BETA_LIPSCHITZ_CASES:
         sched = BetaSchedule(
-            BetaMode.CONTINUOUS_LIPSCHITZ, delta, u, dims, lipschitz_a=a, lipschitz_b=b
+            "continuous_lipschitz", delta, u, dims, lipschitz_a=a, lipschitz_b=b
         )
         lipschitz = max(lipschitz, abs(beta(sched, t) - want))
     return discrete, lipschitz

@@ -133,16 +133,16 @@ def test_criterion_04_gp_oracle_equivalence():
 
 
 def test_criterion_05_schedule_spot_checks():
-    from fgbo.acquisition import BetaMode, BetaSchedule, beta, grid_for_iteration
+    from fgbo.acquisition import BetaSchedule, beta, grid_for_iteration
 
     worst = max(beta_errors())
 
     mono = True
     sched_d = BetaSchedule(
-        mode=BetaMode.DISCRETE_DOMAIN, delta=0.1, num_factors=3, dims=1
+        mode="discrete_domain", delta=0.1, num_factors=3, dims=1
     )
     sched_c = BetaSchedule(
-        mode=BetaMode.CONTINUOUS_LIPSCHITZ, delta=0.1, num_factors=2, dims=4
+        mode="continuous_lipschitz", delta=0.1, num_factors=2, dims=4
     )
     for sched in (sched_d, sched_c):
         vals = [beta(sched, t, 10_000) for t in range(1, 10_001)]
@@ -151,7 +151,7 @@ def test_criterion_05_schedule_spot_checks():
     tau_ok = True
     for dims, a, b, num_factors, delta, t, expected in TAU_CASES:
         sched = BetaSchedule(
-            mode=BetaMode.CONTINUOUS_LIPSCHITZ,
+            mode="continuous_lipschitz",
             delta=delta,
             num_factors=num_factors,
             dims=dims,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fgbo.acquisition import (
-    BetaMode,
     BetaSchedule,
     GridSpec,
     beta,
@@ -30,7 +29,7 @@ TAU_CASES = [
 @pytest.mark.parametrize("domain_size,num_factors,delta,t,expected", BETA_DISCRETE_CASES)
 def test_beta_discrete_spot_values(domain_size, num_factors, delta, t, expected):
     sched = BetaSchedule(
-        mode=BetaMode.DISCRETE_DOMAIN,
+        mode="discrete_domain",
         delta=delta,
         num_factors=num_factors,
         dims=1,
@@ -41,7 +40,7 @@ def test_beta_discrete_spot_values(domain_size, num_factors, delta, t, expected)
 @pytest.mark.parametrize("dims,a,b,num_factors,delta,t,expected", BETA_LIPSCHITZ_CASES)
 def test_beta_lipschitz_spot_values(dims, a, b, num_factors, delta, t, expected):
     sched = BetaSchedule(
-        mode=BetaMode.CONTINUOUS_LIPSCHITZ,
+        mode="continuous_lipschitz",
         delta=delta,
         num_factors=num_factors,
         dims=dims,
@@ -53,10 +52,10 @@ def test_beta_lipschitz_spot_values(dims, a, b, num_factors, delta, t, expected)
 
 def test_beta_monotone_in_t():
     sched_d = BetaSchedule(
-        mode=BetaMode.DISCRETE_DOMAIN, delta=0.1, num_factors=3, dims=1
+        mode="discrete_domain", delta=0.1, num_factors=3, dims=1
     )
     sched_c = BetaSchedule(
-        mode=BetaMode.CONTINUOUS_LIPSCHITZ, delta=0.1, num_factors=3, dims=6
+        mode="continuous_lipschitz", delta=0.1, num_factors=3, dims=6
     )
     for sched in (sched_d, sched_c):
         prev = -math.inf
@@ -68,44 +67,56 @@ def test_beta_monotone_in_t():
 
 def test_beta_fixed_constant():
     sched = BetaSchedule(
-        mode=BetaMode.FIXED_CONSTANT, delta=0.1, num_factors=2, dims=1, fixed_value=4.0
+        mode="fixed_constant", delta=0.1, num_factors=2, dims=1, fixed_value=4.0
     )
     assert beta(sched, 1) == 4.0
     assert beta(sched, 9999) == 4.0
 
 
+def _mode_string_case(mode):
+    """(config beta section, num_factors, dims, t, domain_size, expected):
+    each mode's own formula, from fixed_value or a 60-digit oracle row."""
+    if mode == "fixed_constant":
+        return dict(mode=mode, fixed_value=4.0), 2, 1, 5, 100, 4.0
+    if mode == "discrete_domain":
+        size, u, delta, t, want = BETA_DISCRETE_CASES[1]
+        return dict(mode=mode, delta=delta), u, 1, t, size, want
+    dims, a, b, u, delta, t, want = BETA_LIPSCHITZ_CASES[2]
+    overrides = dict(mode=mode, delta=delta, lipschitz_a=a, lipschitz_b=b)
+    return overrides, u, dims, t, None, want
+
+
 @pytest.mark.parametrize("mode", ["discrete_domain", "continuous_lipschitz", "fixed_constant"])
 def test_beta_schedule_takes_config_mode_strings(mode):
-    # a run config's beta section passes straight through as keywords, so its
-    # mode string must give the same schedule as the enum member
-    section = dict(DEFAULT_BETA, mode=mode)
-    if mode == "fixed_constant":
-        section["fixed_value"] = 4.0
-    from_config = BetaSchedule(**section, num_factors=2, dims=1)
-    from_enum = BetaSchedule(**dict(section, mode=BetaMode(mode)), num_factors=2, dims=1)
-    assert beta(from_config, 5, 100) == beta(from_enum, 5, 100)
-    assert from_config.mode is BetaMode(mode)
+    # a run config's beta section passes straight through as keywords, and
+    # each mode string must give its own formula: mode strings once gave the
+    # Lipschitz beta silently
+    overrides, num_factors, dims, t, size, want = _mode_string_case(mode)
+    section = dict(DEFAULT_BETA, **overrides)
+    sched = BetaSchedule(**section, num_factors=num_factors, dims=dims)
+    assert sched.mode == mode
+    assert abs(beta(sched, t, size) - want) < 1e-9
 
 
 def test_beta_schedule_validation():
     with pytest.raises(ConfigurationError, match="unknown beta mode 'bogus'"):
         BetaSchedule(mode="bogus", delta=0.1, num_factors=2, dims=1)
     with pytest.raises(ConfigurationError):
-        BetaSchedule(mode=BetaMode.FIXED_CONSTANT, delta=0.1, num_factors=2, dims=1)
+        BetaSchedule(mode="fixed_constant", delta=0.1, num_factors=2, dims=1)
     with pytest.raises(ConfigurationError):
-        BetaSchedule(mode=BetaMode.DISCRETE_DOMAIN, delta=0.0, num_factors=2, dims=1)
+        BetaSchedule(mode="discrete_domain", delta=0.0, num_factors=2, dims=1)
     with pytest.raises(ConfigurationError):
-        BetaSchedule(mode=BetaMode.DISCRETE_DOMAIN, delta=1.0, num_factors=2, dims=1)
+        BetaSchedule(mode="discrete_domain", delta=1.0, num_factors=2, dims=1)
     with pytest.raises(ContractViolationError):
         beta(
-            BetaSchedule(mode=BetaMode.DISCRETE_DOMAIN, delta=0.1, num_factors=1, dims=1),
+            BetaSchedule(mode="discrete_domain", delta=0.1, num_factors=1, dims=1),
             0,
             4,
         )
     # with a = 1e-3, log(2|U|a/delta) < 0: both users of the discretization
     # term refuse it
     low_a = BetaSchedule(
-        mode=BetaMode.CONTINUOUS_LIPSCHITZ, delta=0.1, num_factors=3, dims=6, lipschitz_a=1e-3
+        mode="continuous_lipschitz", delta=0.1, num_factors=3, dims=6, lipschitz_a=1e-3
     )
     with pytest.raises(ConfigurationError, match="log"):
         grid_for_iteration(low_a, 1, caps=(2, 64))
@@ -113,7 +124,7 @@ def test_beta_schedule_validation():
         beta(low_a, 1)
     # with b = 1e308 the discretization term overflows to inf: beta refuses it
     huge_b = BetaSchedule(
-        mode=BetaMode.CONTINUOUS_LIPSCHITZ, delta=0.1, num_factors=1, dims=4, lipschitz_b=1e308
+        mode="continuous_lipschitz", delta=0.1, num_factors=1, dims=4, lipschitz_b=1e308
     )
     with pytest.raises(ConfigurationError, match="lipschitz_b"):
         beta(huge_b, 1)
@@ -122,7 +133,7 @@ def test_beta_schedule_validation():
 @pytest.mark.parametrize("dims,a,b,num_factors,delta,t,expected", TAU_CASES)
 def test_tau_formula_pre_cap(dims, a, b, num_factors, delta, t, expected):
     sched = BetaSchedule(
-        mode=BetaMode.CONTINUOUS_LIPSCHITZ,
+        mode="continuous_lipschitz",
         delta=delta,
         num_factors=num_factors,
         dims=dims,
@@ -135,11 +146,11 @@ def test_tau_formula_pre_cap(dims, a, b, num_factors, delta, t, expected):
 
 def test_tau_caps_clamp():
     sched = BetaSchedule(
-        mode=BetaMode.CONTINUOUS_LIPSCHITZ, delta=0.1, num_factors=3, dims=6
+        mode="continuous_lipschitz", delta=0.1, num_factors=3, dims=6
     )
     assert grid_for_iteration(sched, 100, caps=(2, 32)).per_dim_points == 32
     tiny = BetaSchedule(
-        mode=BetaMode.CONTINUOUS_LIPSCHITZ,
+        mode="continuous_lipschitz",
         delta=0.5,
         num_factors=1,
         dims=1,
@@ -148,7 +159,7 @@ def test_tau_caps_clamp():
     assert grid_for_iteration(tiny, 1, caps=(4, 32)).per_dim_points == 4
     # the uncapped tau overflows to inf here; the cap still applies
     huge = BetaSchedule(
-        mode=BetaMode.FIXED_CONSTANT,
+        mode="fixed_constant",
         delta=0.1,
         num_factors=3,
         dims=6,
@@ -234,6 +245,15 @@ def test_acquisition_weights_scale_factors():
     assert sol.diagnostics.best_value == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("weights", [(0.5,), (0.5, 1.0, 2.0)], ids=["short", "long"])
+def test_tabulate_needs_one_weight_per_factor(weights):
+    rng = np.random.default_rng(23)
+    _, post = _toy_posterior(rng)
+    grid = GridSpec(per_dim_points=3, num_dims=3)
+    with pytest.raises(ContractViolationError, match="one weight per factor"):
+        tabulate(post, grid, 2.0, weights=weights)
+
+
 def test_ucb_covers_prior_draws():
     # phi with a healthy beta should upper-bound the truth at most grid points
     rng = np.random.default_rng(40)
@@ -241,7 +261,7 @@ def test_ucb_covers_prior_draws():
         factors=(FactorKernel(subset=(0,), signal_variance=1.0, lengthscales=(0.25,)),)
     )
     grid = GridSpec(per_dim_points=21, num_dims=1)
-    pts = _cartesian(grid.axes((0,)))
+    pts = _cartesian((grid.axis,))
     from fgbo.kernels import gram
 
     K = gram(kernel, pts) + 1e-10 * np.eye(21)
@@ -270,8 +290,6 @@ def test_grid_axes_are_stored_read_only_linspace():
     grid = GridSpec(per_dim_points=9, num_dims=3)
     np.testing.assert_array_equal(grid.axis, np.linspace(0.0, 1.0, 9))
     assert not grid.axis.flags.writeable
-    axes = grid.axes((2, 0))
-    assert len(axes) == 2 and all(a is grid.axis for a in axes)
     line = np.linspace(0.0, 1.0, 9)
     np.testing.assert_array_equal(grid.point_at((3, 8, 1)), [line[3], 1.0, line[1]])
     assert grid == GridSpec(per_dim_points=9, num_dims=3)

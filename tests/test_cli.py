@@ -75,7 +75,6 @@ def test_run_validates_its_config_once(tmp_path, monkeypatch):
         return validate(raw)
 
     monkeypatch.setattr(config_mod, "validate_config", counting)
-    monkeypatch.setattr(cli.engine, "validate_config", counting)
     cfg = str(CONFIGS / "shekel4_mf2.json")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
     assert len(calls) == 2

@@ -213,6 +213,19 @@ def test_batch_arity_is_checked_with_and_without_observations():
                 post.factor_mean_var_batch(0, inputs)
 
 
+def test_batch_axes_must_be_one_dimensional_with_and_without_observations():
+    rng = np.random.default_rng(5)
+    kernel = AdditiveKernel(
+        factors=(FactorKernel(subset=(0, 1), signal_variance=1.0, lengthscales=(0.3,) * 2),)
+    )
+    axis = np.linspace(0.0, 1.0, 4)
+    for t in (0, 5):
+        post = fit(kernel, ObservationSet(rng.uniform(size=(t, 2)), rng.normal(size=t), 0.1))
+        for bad in (np.float64(0.5), axis.reshape(2, 2)):
+            with pytest.raises(ContractViolationError, match="1-D"):
+                post.factor_mean_var_batch(0, (axis, bad))
+
+
 def test_zero_observation_fit_has_zero_jitter():
     kernel = AdditiveKernel(
         factors=(FactorKernel(subset=(0, 1), signal_variance=1.0, lengthscales=(0.3, 0.3)),)

@@ -149,6 +149,15 @@ def test_axes_count_must_match_arity():
         cross_factor(f, (np.linspace(0, 1, 4),), V)
 
 
+def test_cross_factor_axes_must_be_one_dimensional():
+    f = FactorKernel(subset=(0, 1), signal_variance=1.0, lengthscales=(0.2, 0.2))
+    V = np.zeros((3, 2))
+    axis = np.linspace(0, 1, 4)
+    for bad in (np.float64(0.5), axis.reshape(2, 2)):
+        with pytest.raises(ContractViolationError, match="1-D"):
+            cross_factor(f, (axis, bad), V)
+
+
 def _fresh_gram(kernel, X):
     """The reference: sum_f cross_factor(f, U_f, U_f) in factor order."""
     K = np.zeros((len(X), len(X)))

@@ -64,3 +64,39 @@ def test_module_uses_every_private_name_it_defines(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = _private_definitions(tree) - _used_names(tree)
     assert not unused, f"{path.name} defines private names it never uses: {sorted(unused)}"
+
+
+def _module_imports(path: Path) -> set:
+    """The fgbo modules a module imports at load time: its top-level relative
+    imports (the package imports itself relatively, and a function's own
+    import runs later and closes no cycle)."""
+    modules = {p.stem for p in MODULES}
+    edges = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is not None:
+                edges.add(node.module.split(".")[0])
+            else:  # from . import a, b: submodules, or names of the package
+                edges.update(a.name if a.name in modules else "__init__" for a in node.names)
+    return edges - {path.stem}
+
+
+def test_module_imports_are_acyclic():
+    graph = {path.stem: _module_imports(path) for path in MODULES}
+    assert set().union(*graph.values()) <= set(graph)
+    done, stack = set(), []
+
+    def visit(module):
+        if module in stack:
+            cycle = stack[stack.index(module) :] + [module]
+            pytest.fail(f"import cycle: {' -> '.join(cycle)}")
+        if module in done:
+            return
+        stack.append(module)
+        for target in sorted(graph[module]):
+            visit(target)
+        stack.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
