@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from fgbo.maxsum import FactorGraph, run_rounds
+from fgbo.maxsum import FactorGraph, solve
 
 rng = np.random.default_rng(7)
 tau = 6
@@ -17,8 +17,8 @@ subsets = [(0, 1), (1, 2), (2, 3), (0, 3)]  # a 4-cycle: loopy on purpose
 tables = [rng.normal(size=(tau, tau)) for _ in subsets]
 g = FactorGraph(num_variables=4, num_values=tau, subsets=subsets, tables=tables)
 
-diag = run_rounds(g, max_rounds=30, damping=0.0)
-idx = diag.best_indices
+sol = solve(g, rounds=30, damping=0.0)
+idx, diag = sol.indices, sol.diagnostics
 print(f"max-sum: {diag.rounds_used} rounds, converged={diag.converged}")
 print(f"decoded assignment {tuple(int(v) for v in idx)}  value {g.value_of(idx):+.5f}")
 

@@ -67,10 +67,10 @@ class BetaSchedule:
             raise ConfigurationError("num_factors must be >= 1")
         if self.dims < 1:
             raise ConfigurationError("dims must be a positive integer")
-        if self.lipschitz_a <= 0 or self.lipschitz_b <= 0:
+        if not (self.lipschitz_a > 0 and self.lipschitz_b > 0):
             raise ConfigurationError("a and b must be positive")
         if self.mode == "fixed_constant":
-            if self.fixed_value is None or self.fixed_value <= 0:
+            if self.fixed_value is None or not self.fixed_value > 0:
                 raise ConfigurationError(
                     "FixedConstant mode needs a positive fixed_value"
                 )
@@ -188,7 +188,7 @@ def tabulate(
     acquisitions over sampled decompositions).  A kernel with one factor
     over all d inputs gives the centralized GP-UCB table over the joint grid.
     """
-    if beta_value <= 0:
+    if not beta_value > 0:
         raise ContractViolationError("beta must be positive")
     factors = posterior.kernel.factors
     if weights is not None and len(weights) != len(factors):

@@ -84,7 +84,7 @@ def _check_box(obj: SyntheticObjective, X: np.ndarray):
     for j, (lo, hi) in enumerate(obj.box):
         tol = 1e-9 * (hi - lo)
         col = X[:, j]
-        if col.min() < lo - tol or col.max() > hi + tol:
+        if not np.all((col >= lo - tol) & (col <= hi + tol)):  # NaN fails, no rows pass
             raise ContractViolationError(
                 f"input coordinate {j} outside box [{lo}, {hi}]"
             )
@@ -108,7 +108,7 @@ def noisy_evaluate(
     obj: SyntheticObjective, x, noise_variance: float, rng: np.random.Generator
 ) -> float:
     """evaluate(x) plus a Normal(0, noise_variance) draw from rng."""
-    if noise_variance < 0:
+    if not noise_variance >= 0:
         raise ContractViolationError("noise variance must be >= 0")
     value = evaluate(obj, x)
     if noise_variance == 0:

@@ -315,7 +315,7 @@ class McmcConfig:
     def __post_init__(self):
         if self.max_factor_size < 1:
             raise ConfigurationError("max_factor_size must be >= 1")
-        if self.size_penalty < 0:
+        if not self.size_penalty >= 0:
             raise ConfigurationError("size_penalty must be >= 0")
         if self.chain_length < 0 or self.burn_in < 0:
             raise ConfigurationError("chain_length and burn_in must be >= 0")

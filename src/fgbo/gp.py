@@ -75,7 +75,7 @@ class ObservationSet:
             raise ContractViolationError(
                 f"|X| = {len(X)} must equal |y| = {len(y)}"
             )
-        if self.noise_variance <= 0:
+        if not self.noise_variance > 0:
             raise ContractViolationError("noise variance must be > 0")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ContractViolationError("observations must be finite")

@@ -74,7 +74,7 @@ class FactorKernel:
                 f"need one lengthscale per subset index: "
                 f"{len(lengthscales)} != {len(subset)}"
             )
-        if any(l <= 0 for l in lengthscales) or self.signal_variance <= 0:
+        if not (all(l > 0 for l in lengthscales) and self.signal_variance > 0):
             raise ContractViolationError(
                 "lengthscales and signal variance must be positive"
             )

@@ -26,19 +26,28 @@ starts from P_p, then for each q > p in order adds m_q and maximizes out
 position q.  These are the defining floats, bit for bit, with the same adds
 in the same order.  The messages to positions 1..k-1 share P_1, so a 3-ary
 factor's three messages take two full-table add+max passes per round, not
-six adds and three maxes; a 1-ary factor's message is a copy of phi.  The
-damping step blends, normalizes and measures the change of all messages of
-one kind at once, as one (edges x tau) array; it is elementwise and per
-row, so its floats are those of one message at a time.
+six adds and three maxes; a 1-ary factor's message is a copy of phi.  A
+variable's message to a factor is summed from zeros over its other incident
+factors' messages, in factor order.
+
+A solve keeps its messages in two (edges x tau) arrays, factor to variable
+and variable to factor, whose row r is the edge FactorGraph.edges[r]; each
+round's raw messages go into two arrays of the same shape.  The graph
+precomputes the rows the loop reads: each factor's rows in subset order
+(factor_rows), each edge's variable's other rows in factor order
+(other_rows) and each variable's decoding row (decoding_rows).  The damping
+step blends, normalizes and measures the change of all messages of one kind
+at once; it is elementwise and per row, so its floats are those of one
+message at a time.
 
 Decoding picks, per variable, the incident factor with the smallest
-lexicographic subset (its decoding edge) and takes argmax_h of the edge
-belief m_{phi->x_i}(h) + m_{x_i->phi}(h), both computed from the round being
-decoded; ties break to the lowest grid index.  On trees this attains the
-exact maximum of sum_I phi_I.  On loopy graphs messages may oscillate, so
-the solver decodes every round and keeps the assignment with the best
-achieved sum (anytime decoding); on trees the best round coincides with the
-converged one.
+lexicographic subset, then the lowest factor index (its decoding edge), and
+takes argmax_h of the edge belief m_{phi->x_i}(h) + m_{x_i->phi}(h), both
+computed from the round being decoded; ties break to the lowest grid index.
+On trees this attains the exact maximum of sum_I phi_I.  On loopy graphs
+messages may oscillate, so the solver decodes every round and keeps the
+assignment with the best achieved sum (anytime decoding); on trees the best
+round coincides with the converged one.
 
 Round k's beliefs are exactly the raw (unblended, unnormalized) messages
 that round k+1 computes from round k's messages, so decoding reuses them
@@ -101,18 +110,24 @@ class FactorGraph:
             raise ContractViolationError(
                 f"variables {sorted(orphans)} belong to no factor"
             )
-        self.neighborhoods = tuple(
-            tuple(fi for fi, s in enumerate(self.subsets) if v in s)
-            for v in range(self.num_variables)
+        # the message arrays' rows, factor-major, each factor in subset order
+        self.edges = tuple((fi, v) for fi, s in enumerate(self.subsets) for v in s)
+        # each factor's rows in subset order, each variable's in factor order
+        factor_rows = [[] for _ in self.subsets]
+        var_rows = [[] for _ in range(self.num_variables)]
+        for r, (fi, v) in enumerate(self.edges):
+            factor_rows[fi].append(r)
+            var_rows[v].append(r)
+        self.factor_rows = tuple(tuple(rows) for rows in factor_rows)
+        # per edge, the rows of its variable's other edges, in factor order
+        self.other_rows = tuple(
+            tuple(r2 for r2 in var_rows[v] if r2 != r)
+            for r, (fi, v) in enumerate(self.edges)
         )
-        self.edges = tuple(
-            (fi, v) for fi, s in enumerate(self.subsets) for v in s
-        )
-        # per variable, the incident factor with the smallest subset
-        # (lexicographic; the lowest factor index among equal subsets)
-        self.decoding_edges = tuple(
-            (min(nbhd, key=lambda f: self.subsets[f]), v)
-            for v, nbhd in enumerate(self.neighborhoods)
+        # per variable, the row of the incident factor with the smallest
+        # subset (lexicographic; the lowest factor index among equal subsets)
+        self.decoding_rows = np.array(
+            [min(rows, key=lambda r: self.subsets[self.edges[r][0]]) for rows in var_rows]
         )
         # the edges as (factor, ascending subset positions) groups: a
         # message round sends on every position, in self.edges order; the
@@ -121,13 +136,18 @@ class FactorGraph:
             (fi, tuple(range(len(s)))) for fi, s in enumerate(self.subsets)
         )
         decoding: dict = {}
-        for fi, v in self.decoding_edges:  # ascending v: ascending positions
+        for r in self.decoding_rows:  # ascending v: ascending positions
+            fi, v = self.edges[r]
             decoding.setdefault(fi, []).append(self.subsets[fi].index(v))
         self.decoding_groups = tuple((fi, tuple(ps)) for fi, ps in decoding.items())
 
     def value_of(self, indices) -> float:
         """Sum of factor tables at one joint grid-index assignment."""
         indices = tuple(int(i) for i in indices)
+        if len(indices) != self.num_variables or not all(0 <= i < self.num_values for i in indices):
+            raise ContractViolationError(
+                f"need {self.num_variables} indices in [0, {self.num_values}), got {indices}"
+            )
         return float(
             sum(
                 tab[tuple(indices[j] for j in s)]
@@ -164,21 +184,6 @@ def factor_messages(table: np.ndarray, incoming, positions) -> list:
     return out
 
 
-def variable_to_factor_message(
-    g: FactorGraph, factor_to_var: dict, variable: int, factor_index: int
-) -> np.ndarray:
-    """Pointwise sum of the other incident factors' messages; zero if none."""
-    if factor_index not in g.neighborhoods[variable]:
-        raise ContractViolationError(
-            f"factor {factor_index} not incident to variable {variable}"
-        )
-    out = np.zeros(g.num_values)
-    for f2 in g.neighborhoods[variable]:
-        if f2 != factor_index:
-            out = out + factor_to_var[(f2, variable)]
-    return out
-
-
 @dataclass
 class Diagnostics:
     """Everything observable about one solve, for tests and trace dumps."""
@@ -189,7 +194,6 @@ class Diagnostics:
     decode_lookups: int = 0
     trace: list = field(default_factory=list)  # (round, max_delta, sigma_phi)
     best_value: float | None = None  # anytime decoding: best round so far
-    best_indices: np.ndarray | None = None
 
     @property
     def total_lookups(self) -> int:
@@ -204,80 +208,12 @@ def _damped(old: np.ndarray, raw: np.ndarray, damping: float):
     return new, float(np.abs(new - old).max())
 
 
-def run_rounds(
-    g: FactorGraph,
-    max_rounds: int,
-    damping: float = DEFAULT_MAXSUM["damping"],
-    tol: float = DEFAULT_MAXSUM["tol"],
-) -> Diagnostics:
-    """Synchronous rounds until the max message change falls below tol.
-
-    Every stored message is normalized to max entry 0; damping blends
-    lambda*old + (1-lambda)*new before normalizing.  Every round is decoded
-    and the assignment with the best summed table value is kept; earlier
-    rounds win ties.  A round's messages are decoded from the raw messages
-    the next round computes from them, so after the last round only the
-    decoding edges are computed, and those are the decode lookups.
-    """
-    if max_rounds < 1:
-        raise ContractViolationError("max_rounds must be >= 1")
-    if not 0.0 <= damping < 1.0:
-        raise ContractViolationError("damping must lie in [0, 1)")
-    if tol < 0:
-        raise ContractViolationError("tol must be >= 0")
-    diag = Diagnostics()
-    # row e holds the message on edge g.edges[e] = (fi, v): factor to
-    # variable in f2v, variable to factor in v2f
-    f2v = np.zeros((len(g.edges), g.num_values))
-    v2f = np.zeros_like(f2v)
-    v2f_keys = [(v, fi) for fi, v in g.edges]
-    delta = math.inf
-    for rnd in range(max_rounds + 1):  # f2v and v2f hold round rnd
-        last = rnd == max_rounds or delta < tol
-        groups, edges = (
-            (g.decoding_groups, g.decoding_edges) if last else (g.message_groups, g.edges)
-        )
-        incoming = dict(zip(v2f_keys, v2f))
-        raw_f2v = {}
-        for fi, positions in groups:
-            s = g.subsets[fi]
-            msgs = factor_messages(g.tables[fi], [incoming[(j, fi)] for j in s], positions)
-            raw_f2v.update(((fi, s[p]), m) for p, m in zip(positions, msgs))
-        outgoing = dict(zip(g.edges, f2v))
-        raw_v2f = {(v, fi): variable_to_factor_message(g, outgoing, v, fi) for fi, v in edges}
-        lookups = sum(len(ps) * g.tables[fi].size for fi, ps in groups)
-        if rnd > 0:
-            idx = decode(g, raw_f2v, raw_v2f)
-            val = g.value_of(idx)
-            diag.trace.append((rnd, delta, val))
-            if diag.best_value is None or val > diag.best_value:
-                diag.best_value = val
-                diag.best_indices = idx
-        if last:
-            diag.decode_lookups = lookups
-            diag.rounds_used = rnd
-            diag.converged = delta < tol
-            return diag
-        diag.message_lookups += lookups
-        # a message round's dicts are in g.edges order, the rows' order
-        f2v, delta_f2v = _damped(f2v, np.array(list(raw_f2v.values())), damping)
-        v2f, delta_v2f = _damped(v2f, np.array(list(raw_v2f.values())), damping)
-        delta = max(delta_f2v, delta_v2f)
-
-
-def decode(g: FactorGraph, factor_to_var: dict, var_to_factor: dict) -> np.ndarray:
-    """Per-variable argmax of the edge belief; deterministic tie-breaking.
-
-    The messages are the raw ones computed from the round being decoded,
-    and only the decoding edges (g.decoding_edges) are read: the belief of
-    variable v is factor_to_var[(fi, v)] + var_to_factor[(v, fi)] for the
-    incident factor fi with the smallest lexicographic subset (then lowest
-    factor index).  Value ties go to the lowest grid index.
-    """
-    out = np.empty(g.num_variables, dtype=int)
-    for fi, v in g.decoding_edges:
-        out[v] = int(np.argmax(factor_to_var[(fi, v)] + var_to_factor[(v, fi)]))
-    return out
+def decode(g: FactorGraph, raw_f2v: np.ndarray, raw_v2f: np.ndarray) -> np.ndarray:
+    """Per-variable argmax of the belief on its decoding row, from the raw
+    messages computed from the round being decoded; ties go to the lowest
+    grid index."""
+    rows = g.decoding_rows
+    return np.argmax(raw_f2v[rows] + raw_v2f[rows], axis=1)
 
 
 @dataclass(frozen=True)
@@ -292,9 +228,59 @@ def solve(
     damping: float = DEFAULT_MAXSUM["damping"],
     tol: float = DEFAULT_MAXSUM["tol"],
 ) -> SolveResult:
-    """Run rounds on the acquisition graph and return its best assignment."""
-    diag = run_rounds(g, rounds, damping=damping, tol=tol)
-    return SolveResult(indices=diag.best_indices, diagnostics=diag)
+    """Synchronous rounds until the max message change falls below tol,
+    and the best assignment decoded on the way.
+
+    Every stored message is normalized to max entry 0; damping blends
+    lambda*old + (1-lambda)*new before normalizing.  Every round is decoded
+    and the assignment with the best summed table value is kept; earlier
+    rounds win ties.  A round's messages are decoded from the raw messages
+    the next round computes from them, so after the last round only the
+    decoding edges are computed, and those are the decode lookups.
+    """
+    if rounds < 1:
+        raise ContractViolationError("rounds must be >= 1")
+    if not 0.0 <= damping < 1.0:
+        raise ContractViolationError("damping must lie in [0, 1)")
+    if not tol >= 0:
+        raise ContractViolationError("tol must be >= 0")
+    diag = Diagnostics()
+    best = None
+    f2v = np.zeros((len(g.edges), g.num_values))  # row r: edge g.edges[r]
+    v2f = np.zeros_like(f2v)
+    delta = math.inf
+    for rnd in range(rounds + 1):  # f2v and v2f hold round rnd
+        last = rnd == rounds or delta < tol
+        groups, v2f_rows = g.message_groups, range(len(g.edges))
+        if last:
+            groups, v2f_rows = g.decoding_groups, g.decoding_rows
+        raw_f2v = np.zeros_like(f2v)
+        for fi, positions in groups:
+            rows = g.factor_rows[fi]
+            msgs = factor_messages(g.tables[fi], [v2f[r] for r in rows], positions)
+            for p, msg in zip(positions, msgs):
+                raw_f2v[rows[p]] = msg
+        raw_v2f = np.zeros_like(v2f)
+        for r in v2f_rows:  # summed from zeros in factor order
+            for r2 in g.other_rows[r]:
+                raw_v2f[r] += f2v[r2]
+        lookups = sum(len(ps) * g.tables[fi].size for fi, ps in groups)
+        if rnd > 0:
+            idx = decode(g, raw_f2v, raw_v2f)
+            val = g.value_of(idx)
+            diag.trace.append((rnd, delta, val))
+            if diag.best_value is None or val > diag.best_value:
+                diag.best_value = val
+                best = idx
+        if last:
+            diag.decode_lookups = lookups
+            diag.rounds_used = rnd
+            diag.converged = delta < tol
+            return SolveResult(indices=best, diagnostics=diag)
+        diag.message_lookups += lookups
+        f2v, delta_f2v = _damped(f2v, raw_f2v, damping)
+        v2f, delta_v2f = _damped(v2f, raw_v2f, damping)
+        delta = max(delta_f2v, delta_v2f)
 
 
 def dump_trace(diagnostics: Diagnostics, path) -> None:

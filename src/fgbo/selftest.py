@@ -16,7 +16,7 @@ from .acquisition import BetaSchedule, beta
 from .errors import ContractViolationError, NumericalFailureError
 from .gp import ObservationSet, dense_cholesky_with_jitter, fit
 from .kernels import AdditiveKernel, FactorKernel, cross_factor, gram
-from .maxsum import FactorGraph, run_rounds
+from .maxsum import FactorGraph, solve
 
 # Frozen from an independent arbitrary-precision (mpmath, 60 digits)
 # evaluation of the schedule formulas.  The discrete case at
@@ -202,7 +202,7 @@ def checks():
         subsets += [(j, j + 1) for j in range(n_vars - 1)]  # a chain: acyclic
         tables = [rng.normal(size=(tau,) * len(s)) for s in subsets]
         g = FactorGraph(n_vars, tau, subsets, tables)
-        exact += run_rounds(g, max_rounds=4 * n_vars).best_value == brute_force_max(g)[0]
+        exact += solve(g, rounds=4 * n_vars).diagnostics.best_value == brute_force_max(g)[0]
     yield "maxsum_tree_exactness", exact == trials, f"{exact}/{trials} exact"
 
     # 33 x 32 x 32 rows make seven blocks of 4096 rows and a last one of

@@ -23,7 +23,7 @@ from fgbo.decomposition import (
 from fgbo.engine import RunConfig, run
 from fgbo.gp import ObservationSet, dense_cholesky_with_jitter, fit
 from fgbo.kernels import gram
-from fgbo.maxsum import run_rounds
+from fgbo.maxsum import solve
 from fgbo.selftest import (
     BETA_DISCRETE_CASES,
     beta_errors,
@@ -63,7 +63,7 @@ def test_criterion_02_maxsum_tree_exactness():
     for i in range(trials):
         rng = np.random.default_rng(5000 + i)
         g = random_acyclic_graph(rng)  # <=6 vars, arity <=3, <=8 values
-        diag = run_rounds(g, max_rounds=4 * g.num_variables)
+        diag = solve(g, rounds=4 * g.num_variables).diagnostics
         best, _ = brute_force_max(g)
         # bitwise float equality, of the best round and of the last one
         exact += diag.best_value == best and diag.trace[-1][2] == best
@@ -80,7 +80,7 @@ def test_criterion_03_loopy_maxsum_quality():
     for i in range(50):
         rng = np.random.default_rng(1000 + i)
         g = loopy_overlap_graph(rng)  # 4 vars, size-2/3 overlapping, tau=6
-        diag = run_rounds(g, max_rounds=30)
+        diag = solve(g, rounds=30).diagnostics
         best, _ = brute_force_max(g)
         ratio = diag.best_value / best
         worst = min(worst, ratio)

@@ -130,6 +130,14 @@ def test_beta_schedule_validation():
         beta(huge_b, 1)
 
 
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize("field", ["lipschitz_a", "lipschitz_b", "fixed_value"])
+def test_beta_schedule_refuses_nan_and_nonpositive_constants(field, value):
+    message = "fixed_value" if field == "fixed_value" else "a and b must be positive"
+    section = {"mode": "fixed_constant", "delta": 0.1, "fixed_value": 2.0, field: value}
+    with pytest.raises(ConfigurationError, match=message):
+        BetaSchedule(**section, num_factors=2, dims=1)
+
 @pytest.mark.parametrize("dims,a,b,num_factors,delta,t,expected", TAU_CASES)
 def test_tau_formula_pre_cap(dims, a, b, num_factors, delta, t, expected):
     sched = BetaSchedule(
@@ -253,6 +261,12 @@ def test_tabulate_needs_one_weight_per_factor(weights):
     with pytest.raises(ContractViolationError, match="one weight per factor"):
         tabulate(post, grid, 2.0, weights=weights)
 
+
+@pytest.mark.parametrize("beta_value", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+def test_tabulate_refuses_nan_and_nonpositive_beta(beta_value):
+    _, post = _toy_posterior(np.random.default_rng(23))
+    with pytest.raises(ContractViolationError, match="beta must be positive"):
+        tabulate(post, GridSpec(per_dim_points=3, num_dims=3), beta_value)
 
 def test_ucb_covers_prior_draws():
     # phi with a healthy beta should upper-bound the truth at most grid points

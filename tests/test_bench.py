@@ -7,6 +7,7 @@ import pytest
 
 from fgbo.bench import (
     MAX_SAMPLE_GRID,
+    OBJECTIVES,
     benchmark_constants,
     evaluate,
     evaluate_batch,
@@ -65,6 +66,23 @@ def test_out_of_bounds_raises():
     with pytest.raises(ContractViolationError):
         evaluate(obj, (4.0, 4.0, 4.0))  # wrong dimension count
 
+
+@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+def test_evaluate_batch_of_no_rows_is_empty_and_nan_is_out_of_bounds(name):
+    obj = make_objective(name)
+    out = evaluate_batch(obj, np.empty((0, obj.dims)))
+    assert out.shape == (0,)
+    x = np.array([lo for lo, _ in obj.box])
+    x[-1] = math.nan
+    with pytest.raises(ContractViolationError, match="outside box"):
+        evaluate_batch(obj, x)
+
+
+@pytest.mark.parametrize("noise", [math.nan, -0.1], ids=["nan", "negative"])
+def test_noisy_evaluate_refuses_nan_and_negative_variance(noise):
+    obj = shekel4()
+    with pytest.raises(ContractViolationError, match="noise variance must be >= 0"):
+        noisy_evaluate(obj, (1.0, 2.0, 3.0, 4.0), noise, np.random.default_rng(0))
 
 def test_noisy_evaluate_statistics():
     obj = hartmann6()

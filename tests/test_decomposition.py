@@ -334,6 +334,11 @@ def test_mcmc_config_validation():
         McmcConfig(max_factor_size=2, chain_length=3, size_penalty=-0.5)
 
 
+@pytest.mark.parametrize("size_penalty", [math.nan, -0.5], ids=["nan", "negative"])
+def test_mcmc_config_refuses_nan_and_negative_size_penalty(size_penalty):
+    with pytest.raises(ConfigurationError, match="size_penalty must be >= 0"):
+        McmcConfig(max_factor_size=2, chain_length=3, size_penalty=size_penalty)
+
 def test_merge_for_acquisition_weights():
     a = Decomposition(d=3, subsets=((0, 1), (2,)), max_factor_size=2)
     b = Decomposition(d=3, subsets=((0,), (1, 2)), max_factor_size=2)

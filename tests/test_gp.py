@@ -164,6 +164,11 @@ def test_observation_set_validation():
         ObservationSet(np.zeros((2, 2)), np.zeros(2), 0.0)
 
 
+@pytest.mark.parametrize("noise", [math.nan, 0.0, -0.1], ids=["nan", "zero", "negative"])
+def test_observation_set_refuses_nan_and_nonpositive_noise(noise):
+    with pytest.raises(ContractViolationError, match="noise variance must be > 0"):
+        ObservationSet(np.zeros((2, 1)), np.zeros(2), noise)
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_observations_raise_contract_violation(bad):
     with pytest.raises(ContractViolationError, match="finite"):

@@ -43,6 +43,15 @@ def test_factor_kernel_validation():
         FactorKernel(subset=(0, 1), signal_variance=1.0, lengthscales=(0.1,))
 
 
+@pytest.mark.parametrize(
+    "signal_variance,lengthscale",
+    [(math.nan, 0.1), (1.0, math.nan), (0.0, 0.1), (1.0, -0.1)],
+    ids=["nan_variance", "nan_lengthscale", "zero_variance", "negative_lengthscale"],
+)
+def test_factor_kernel_refuses_nan_and_nonpositive_hypers(signal_variance, lengthscale):
+    with pytest.raises(ContractViolationError, match="must be positive"):
+        FactorKernel((0, 1), signal_variance, (0.2, lengthscale))
+
 def test_restrict_picks_subset_columns():
     f = FactorKernel(subset=(1, 3), signal_variance=1.0, lengthscales=(0.2, 0.2))
     X = np.arange(12.0).reshape(3, 4)

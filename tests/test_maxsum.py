@@ -14,9 +14,7 @@ from fgbo.maxsum import (
     decode,
     dump_trace,
     factor_messages,
-    run_rounds,
     solve,
-    variable_to_factor_message,
 )
 from fgbo.selftest import brute_force_max, factor_to_variable_message
 
@@ -54,24 +52,19 @@ def test_tree_exactness_sample():
     rng = np.random.default_rng(123)
     for _ in range(40):
         g = random_acyclic_graph(rng)
-        diag = run_rounds(g, max_rounds=4 * g.num_variables)
+        sol = solve(g, rounds=4 * g.num_variables)
+        diag = sol.diagnostics
         want_val, _ = brute_force_max(g)
-        assert g.value_of(diag.best_indices) == diag.best_value
+        assert g.value_of(sol.indices) == diag.best_value
         assert diag.best_value == want_val  # bitwise on the table sums
         assert diag.trace[-1][2] == want_val  # the last round's decode too
-
-
-def _messages(g, rng):
-    f2v = {e: rng.normal(size=g.num_values) for e in g.edges}
-    v2f = {(v, fi): rng.normal(size=g.num_values) for fi, v in g.edges}
-    return f2v, v2f
 
 
 def test_factor_to_variable_message_oracle():
     rng = np.random.default_rng(5)
     tau = 4
     g = FactorGraph(3, tau, [(0, 1, 2)], [rng.normal(size=(tau, tau, tau))])
-    _, v2f = _messages(g, rng)
+    v2f = {(v, fi): rng.normal(size=tau) for fi, v in g.edges}
     for target in range(3):
         got = factor_to_variable_message(g, v2f, 0, target)
         want = np.full(tau, -math.inf)
@@ -119,43 +112,34 @@ def test_factor_messages_equal_the_defining_order(kind):
                 assert factor_messages(table, incoming, (0,))[0] is not table
 
 
-def test_variable_to_factor_message_oracle():
-    rng = np.random.default_rng(6)
-    tau = 3
-    g = FactorGraph(1, tau, [(0,), (0,), (0,)], [rng.normal(size=tau) for _ in range(3)])
-    f2v, _ = _messages(g, rng)
-    got = variable_to_factor_message(g, f2v, 0, 1)
-    want = f2v[(0, 0)] + f2v[(2, 0)]
-    np.testing.assert_allclose(got, want, atol=1e-12)
-
-
 def test_unary_chain_trivial():
     # single variable, single factor: decode is the table argmax
     table = np.array([0.3, 1.7, -0.2, 1.7])
     g = FactorGraph(1, 4, [(0,)], [table])
-    assert tuple(run_rounds(g, max_rounds=3).best_indices) == (1,)  # lowest index
+    assert tuple(solve(g, rounds=3).indices) == (1,)  # lowest index
 
 
 def test_tie_breaking_lowest_index():
     g = FactorGraph(2, 3, [(0, 1)], [np.zeros((3, 3))])
-    assert tuple(run_rounds(g, max_rounds=5).best_indices) == (0, 0)
+    assert tuple(solve(g, rounds=5).indices) == (0, 0)
 
 
 def test_decode_uses_lexicographically_smallest_incident_factor():
-    # decoding zeroed messages: the belief comes from the chosen factor's table
+    # decoding the raw messages of zeroed ones: a variable-to-factor message
+    # sums zeros, so the belief comes from the chosen factor's table alone
     t01 = np.zeros((4, 4))
     t02 = np.zeros((4, 4))
     t01[3, :] = 1.0  # factor (0,1) votes x0=3
     t02[1, :] = 5.0  # factor (0,2) votes x0=1, and louder
     g = FactorGraph(3, 4, [(0, 1), (0, 2)], [t01, t02])
-    assert g.decoding_edges == ((0, 0), (0, 1), (1, 2))
+    assert g.edges == ((0, 0), (0, 1), (1, 0), (1, 2))
+    assert g.decoding_rows.tolist() == [0, 1, 3]
     assert g.message_groups == ((0, (0, 1)), (1, (0, 1)))
     assert g.decoding_groups == ((0, (0, 1)), (1, (1,)))
-    zero_f2v = {e: np.zeros(4) for e in g.edges}
     zero_v2f = {(v, fi): np.zeros(4) for fi, v in g.edges}
-    f2v = {e: factor_to_variable_message(g, zero_v2f, *e) for e in g.edges}
-    v2f = {(v, fi): variable_to_factor_message(g, zero_f2v, v, fi) for fi, v in g.edges}
-    idx = decode(g, f2v, v2f)
+    raw_f2v = np.array([factor_to_variable_message(g, zero_v2f, *e) for e in g.edges])
+    np.testing.assert_array_equal(raw_f2v[2], [0.0, 5.0, 0.0, 0.0])  # the louder vote
+    idx = decode(g, raw_f2v, np.zeros_like(raw_f2v))
     assert idx[0] == 3
 
 
@@ -165,27 +149,25 @@ def test_normalization_invariance_of_argmax():
     tables = [rng.normal(size=(5, 5)) for _ in subsets]
     g1 = FactorGraph(3, 5, subsets, tables)
     g2 = FactorGraph(3, 5, subsets, [t + 13.7 for t in tables])
-    d1 = run_rounds(g1, max_rounds=30)
-    d2 = run_rounds(g2, max_rounds=30)
-    np.testing.assert_array_equal(d1.best_indices, d2.best_indices)
+    np.testing.assert_array_equal(solve(g1, rounds=30).indices, solve(g2, rounds=30).indices)
 
 
 def test_damping_converges_to_same_tree_answer():
     rng = np.random.default_rng(31)
     for _ in range(10):
         g = random_acyclic_graph(rng, max_vars=5)
-        plain = run_rounds(g, max_rounds=40)
-        damped = run_rounds(g, max_rounds=200, damping=0.5)
+        plain = solve(g, rounds=40).diagnostics
+        damped = solve(g, rounds=200, damping=0.5).diagnostics
         assert plain.best_value == damped.best_value
 
 
 def test_convergence_flag_and_tolerance_zero():
     rng = np.random.default_rng(9)
     g = random_acyclic_graph(rng, max_vars=4)
-    diag = run_rounds(g, max_rounds=50)
+    diag = solve(g, rounds=50).diagnostics
     assert diag.converged
     assert diag.rounds_used < 50
-    diag = run_rounds(g, max_rounds=12, tol=0.0)
+    diag = solve(g, rounds=12, tol=0.0).diagnostics
     assert not diag.converged
     assert diag.rounds_used == 12
     assert [row[0] for row in diag.trace] == list(range(1, 13))
@@ -203,7 +185,7 @@ def test_lookup_counting_exact():
     g = FactorGraph(4, tau, subsets, tables)
     per_round = sum(len(s) * tau ** len(s) for s in subsets)
     for rounds in (1, 7):
-        diag = run_rounds(g, max_rounds=rounds, tol=0.0)
+        diag = solve(g, rounds=rounds, tol=0.0).diagnostics
         assert diag.rounds_used == rounds
         assert diag.message_lookups == rounds * per_round
         assert diag.decode_lookups == tau + tau**2 + 2 * tau**3
@@ -234,7 +216,7 @@ def test_loopy_quality_smoke():
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
         g = loopy_overlap_graph(rng)
-        diag = run_rounds(g, max_rounds=30)
+        diag = solve(g, rounds=30).diagnostics
         best, _ = brute_force_max(g)
         if diag.best_value >= 0.95 * best:
             wins += 1
@@ -246,10 +228,10 @@ def test_determinism():
     rng2 = np.random.default_rng(2)
     g1 = random_acyclic_graph(rng1)
     g2 = random_acyclic_graph(rng2)
-    d1 = run_rounds(g1, max_rounds=20)
-    d2 = run_rounds(g2, max_rounds=20)
-    np.testing.assert_array_equal(d1.best_indices, d2.best_indices)
-    assert d1.trace == d2.trace
+    s1 = solve(g1, rounds=20)
+    s2 = solve(g2, rounds=20)
+    np.testing.assert_array_equal(s1.indices, s2.indices)
+    assert s1.diagnostics.trace == s2.diagnostics.trace
 
 
 def test_graph_validation():
@@ -299,44 +281,142 @@ def test_solve_records_trace_and_dump(tmp_path):
     assert len(lines) == 1 + len(trace)
 
 
-# SHA-256 over _maxsum_digest(), recorded from the solver that re-decoded
-# every round's messages from scratch.  It pins the best indices, the best
-# value, rounds_used, converged and every (round, max_delta, sigma_phi) row.
-MAXSUM_SHA256 = "c2d35f79f8fb3c619c81c62ac07aa75cb8a0ee99114d34f9ab77f03eba9de0ff"
-
-
-def _maxsum_digest() -> tuple[str, int, int]:
-    """Digest, run count and round-capped run count over seeded loopy and
-    acyclic graphs, undamped and damped; the acyclic caps vary from 2 to 7
-    rounds so that some runs stop before converging."""
+def _digest(graphs) -> tuple[str, int, int]:
+    """SHA-256, run count and round-capped run count of solving each
+    (graph, rounds) pair undamped and damped.  It pins the best indices, the
+    best value, rounds_used, converged and every (round, max_delta,
+    sigma_phi) row."""
     digest = hashlib.sha256()
     runs = capped = 0
-    for i in range(12):
-        graphs = (
-            (loopy_overlap_graph(np.random.default_rng(7000 + i)), 30),
-            (random_acyclic_graph(np.random.default_rng(8000 + i)), 2 + i % 6),
-        )
-        for g, max_rounds in graphs:
-            for damping in (0.0, 0.4):
-                diag = run_rounds(g, max_rounds, damping=damping)
-                rows = ["%d,%.17g,%.17g" % row for row in diag.trace]
-                digest.update(
-                    repr(
-                        (
-                            tuple(int(v) for v in diag.best_indices),
-                            "%.17g" % diag.best_value,
-                            diag.rounds_used,
-                            diag.converged,
-                            rows,
-                        )
-                    ).encode()
-                )
-                runs += 1
-                capped += not diag.converged
+    for g, rounds in graphs:
+        for damping in (0.0, 0.4):
+            sol = solve(g, rounds, damping=damping)
+            diag = sol.diagnostics
+            rows = ["%d,%.17g,%.17g" % row for row in diag.trace]
+            digest.update(
+                repr(
+                    (
+                        tuple(int(v) for v in sol.indices),
+                        "%.17g" % diag.best_value,
+                        diag.rounds_used,
+                        diag.converged,
+                        rows,
+                    )
+                ).encode()
+            )
+            runs += 1
+            capped += not diag.converged
     return digest.hexdigest(), runs, capped
 
 
+# Recorded from the solver that re-decoded every round's messages from
+# scratch.
+MAXSUM_SHA256 = "c2d35f79f8fb3c619c81c62ac07aa75cb8a0ee99114d34f9ab77f03eba9de0ff"
+
+
+def _pinned_graphs():
+    """Seeded loopy and acyclic graphs; the acyclic caps vary from 2 to 7
+    rounds so that some runs stop before converging."""
+    for i in range(12):
+        yield loopy_overlap_graph(np.random.default_rng(7000 + i)), 30
+        yield random_acyclic_graph(np.random.default_rng(8000 + i)), 2 + i % 6
+
+
 def test_maxsum_results_and_traces_are_pinned():
-    digest, runs, capped = _maxsum_digest()
+    digest, runs, capped = _digest(_pinned_graphs())
     assert (runs, capped) == (48, 35)
     assert digest == MAXSUM_SHA256
+
+
+def repeated_subset_graph(rng, num_vars, tau=4):
+    """Graph of singletons, pairs and triples drawn with replacement, two of
+    them drawn again, and a singleton for every uncovered variable; the
+    subsets come in no particular order."""
+    pool = [s for k in (1, 2, 3) for s in itertools.combinations(range(num_vars), k)]
+    subsets = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(2, 7)))]
+    subsets += [subsets[i] for i in rng.integers(len(subsets), size=2)]
+    subsets += [(v,) for v in range(num_vars) if not any(v in s for s in subsets)]
+    tables = [rng.normal(size=(tau,) * len(s)) for s in subsets]
+    return FactorGraph(num_vars, tau, subsets, tables)
+
+
+def _repeated_subset_graphs():
+    rng = np.random.default_rng(9100)
+    for subsets in ([(0,), (0,), (0,)], [(0, 1, 2), (0,), (1, 2, 3), (2,), (0, 1, 2), (3,)]):
+        tables = [rng.normal(size=(5,) * len(s)) for s in subsets]
+        yield FactorGraph(1 + max(max(s) for s in subsets), 5, subsets, tables), 30
+    for i in range(12):
+        rounds = 30 if i % 2 == 0 else 2 + i % 5
+        yield repeated_subset_graph(np.random.default_rng(9000 + i), 3 + i % 4), rounds
+
+
+# Recorded from the solver that kept each round's messages in dicts keyed
+# by edge and summed variable-to-factor messages one call per edge.
+REPEATED_SUBSET_SHA256 = "56e32ecf3b8a11068dfcf5fd58851bc64433619ad8c26d7f1edc4f1270adeefe"
+
+
+def test_repeated_subset_results_and_traces_are_pinned():
+    digest, runs, capped = _digest(_repeated_subset_graphs())
+    assert (runs, capped) == (28, 21)
+    assert digest == REPEATED_SUBSET_SHA256
+
+
+def _index_table_graphs():
+    yield FactorGraph(1, 3, [(0,), (0,), (0,)], [np.zeros(3)] * 3)
+    subsets = [(1, 2), (0, 1), (1,), (0, 1, 2)]  # variable 1 in all four
+    yield FactorGraph(3, 2, subsets, [np.zeros((2,) * len(s)) for s in subsets])
+    for i in range(30):
+        yield repeated_subset_graph(np.random.default_rng(9500 + i), 2 + i % 5, tau=2)
+    for i in range(10):
+        yield random_acyclic_graph(np.random.default_rng(9600 + i))
+
+
+def test_index_tables_match_their_definitions():
+    seen_three_factor_variable = False
+    for g in _index_table_graphs():
+        edges = g.edges
+        assert edges == tuple((fi, v) for fi, s in enumerate(g.subsets) for v in s)
+        message_edges = [(fi, g.subsets[fi][p]) for fi, ps in g.message_groups for p in ps]
+        assert tuple(message_edges) == edges
+        for fi, rows in enumerate(g.factor_rows):
+            assert rows == tuple(r for r, e in enumerate(edges) if e[0] == fi)
+            assert tuple(edges[r][1] for r in rows) == g.subsets[fi]  # subset order
+        for r, (fi, v) in enumerate(edges):
+            others = g.other_rows[r]
+            assert others == tuple(r2 for r2, e in enumerate(edges) if e[1] == v and e[0] != fi)
+            factors = [edges[r2][0] for r2 in others]
+            assert factors == sorted(set(factors))  # factor order, no repeats
+            seen_three_factor_variable |= len(others) >= 2
+        assert len(g.decoding_rows) == g.num_variables
+        for v, r in enumerate(g.decoding_rows):
+            fi, var = edges[r]
+            incident = [f for f, s in enumerate(g.subsets) if v in s]
+            smallest = min(g.subsets[f] for f in incident)
+            assert var == v
+            assert fi == min(f for f in incident if g.subsets[f] == smallest)
+        decoding_edges = [(fi, g.subsets[fi][p]) for fi, ps in g.decoding_groups for p in ps]
+        assert sorted(decoding_edges) == sorted(edges[r] for r in g.decoding_rows)
+        assert all(list(ps) == sorted(set(ps)) for _, ps in g.decoding_groups)
+        assert len({fi for fi, _ in g.decoding_groups}) == len(g.decoding_groups)
+    assert seen_three_factor_variable
+
+
+@pytest.mark.parametrize(
+    "indices", [(-1, 0), (0, 4), (0,), (0, 0, 0)], ids=["negative", "too_large", "short", "long"]
+)
+def test_value_of_needs_one_in_range_index_per_variable(indices):
+    g = FactorGraph(2, 4, [(0, 1)], [np.arange(16.0).reshape(4, 4)])
+    assert g.value_of((3, 1)) == 13.0
+    with pytest.raises(ContractViolationError):
+        g.value_of(indices)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"rounds": 0}, {"damping": 1.0}, {"damping": math.nan}, {"tol": -1e-9}, {"tol": math.nan}],
+    ids=["rounds_0", "damping_1", "damping_nan", "tol_negative", "tol_nan"],
+)
+def test_solve_refuses_bad_settings(kwargs):
+    g = FactorGraph(1, 3, [(0,)], [np.zeros(3)])
+    with pytest.raises(ContractViolationError):
+        solve(g, **kwargs)
