@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import BETA_MODES
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ConfigurationError, ContractViolationError, is_integer
 from .gp import FactorPosterior
 from .maxsum import FactorGraph
 
@@ -63,6 +63,10 @@ class BetaSchedule:
             raise ConfigurationError(f"unknown beta mode {self.mode!r}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must lie in (0,1), got {self.delta}")
+        for name in ("num_factors", "dims"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.num_factors < 1:
             raise ConfigurationError("num_factors must be >= 1")
         if self.dims < 1:

@@ -16,12 +16,11 @@ from __future__ import annotations
 import copy
 import json
 import math
-import numbers
 from dataclasses import MISSING, dataclass, fields
 
 from .bench import OBJECTIVES, SyntheticObjective
 from .decomposition import McmcConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_integer
 
 ALGORITHMS = ("dec_hbo", "add_independent", "centralized_gp_ucb", "random_search")
 
@@ -64,8 +63,7 @@ def _section(value, defaults: dict, path: str) -> dict:
 
 
 def _as_int(value, path, minimum=None):
-    # numbers.Integral admits numpy integers; bool is one too, and is refused
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_integer(value):
         _fail(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(path, f"must be >= {minimum}, got {value}")

@@ -17,11 +17,25 @@ move list; the acceptance ratio carries the Hastings correction for the
 asymmetric move counts.  The sampler draws a proposal by its index in the
 list, so the order of the list is part of a seeded chain's reproducibility.
 
-The chain walks canonical subset tuples and scores each new one with
-log_evidence, which takes subsets as induced_kernel does; only the samples
-sample_posterior returns, a tuple, are built and validated as
-Decompositions.  McmcConfig holds both the chain's settings and the prior,
-the keys of a run config's mcmc section other than mode and interval.
+move_deltas builds that list once, on subsets held as integer bitmasks (bit
+j for coordinate j), and holds each move as its net change: the subsets it
+removes and the subsets it adds.  Every state is a set of distinct subsets,
+so a move's successor and its net change determine each other, and the
+reverse move's net change is the same pair swapped.  The multiplicity of a
+successor in the move list is therefore the count of its change, and the
+Hastings counts q_fwd and q_bwd are counts of a change and its reverse.
+That holds only for net changes: a move of family (a) whose source minus
+the moved dimension is its destination changes nothing, and families (c)
+and (e) can keep one of the two subsets they take, so a subset that a move
+both removes and adds is left out of both sides.  enumerate_moves is the
+list of successors, move_deltas applied in order.
+
+The chain scores each new state with log_evidence, which takes canonical
+subset tuples as induced_kernel does, and builds such a tuple only for a
+state it has not met.  Only the samples sample_posterior returns, a tuple,
+are built and validated as Decompositions.  McmcConfig holds both the
+chain's settings and the prior, the keys of a run config's mcmc section
+other than mode and interval.
 """
 
 from __future__ import annotations
@@ -33,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ConfigurationError, ContractViolationError, is_integer
 from .gp import ObservationSet, log_marginal_likelihood
 from .kernels import AdditiveKernel, FactorKernel
 
@@ -162,141 +176,187 @@ def default_hypers(obs: ObservationSet) -> SharedHypers:
 
 
 State = tuple  # canonical tuple of sorted subset tuples
+Delta = tuple  # (removed, added): two increasing tuples of subset bitmasks
+
+
+def _mask(subset) -> int:
+    return sum(1 << j for j in subset)
 
 
 @lru_cache(maxsize=None)
-def _cover_pairs(p: int, max_size: int) -> tuple:
-    """Index pairs (a, b), a < b, of the distinct two-subset covers of
-    range(p), p <= 2 max_size, with parts of size 1..max_size.
+def _subset(mask: int) -> tuple[int, ...]:
+    """The sorted coordinates of a subset bitmask."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
-    The order is that of the first appearance of {a, b} in a scan over amask,
-    then bmask, both increasing.  Since b must contain every index a leaves
-    out, bmask = restmask | sub over the submasks sub of amask, taken in
-    increasing order.
+
+@lru_cache(maxsize=None)
+def _bits(mask: int) -> tuple[int, ...]:
+    """The one-bit masks of mask's coordinates, increasing."""
+    return tuple(1 << j for j in _subset(mask))
+
+
+@lru_cache(maxsize=None)
+def _submasks(mask: int) -> tuple[int, ...]:
+    """The nonempty strict submasks of mask, increasing: the sub-subsets
+    family (f) spawns, in order, whose first 2^(k-1) - 1 (those without the
+    largest coordinate) are the first parts of family (b)'s splits."""
+    out = []
+    sub = -mask & mask
+    while sub != mask:
+        out.append(sub)
+        sub = (sub - mask) & mask  # next submask of mask
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _cover_masks(union: int, max_size: int) -> tuple[tuple[int, int], ...]:
+    """The distinct two-subset covers {a, b} of union with parts of size
+    1..max_size, as increasing bitmask pairs.
+
+    The order is that of the first appearance of {a, b} in a scan over a,
+    then b, both increasing.  Since b must contain every coordinate a leaves
+    out, b = rest | sub over the submasks sub of a, taken in increasing
+    order.
     """
-    full = (1 << p) - 1
-    pairs = []
-    seen = set()
-    for amask in range(1, full + 1):
-        restmask = full & ~amask
-        if amask.bit_count() > max_size or restmask.bit_count() > max_size:
+    pairs = {}
+    for a in _submasks(union) + (union,):
+        rest = union ^ a
+        if a.bit_count() > max_size or rest.bit_count() > max_size:
             continue
-        a = tuple(q for q in range(p) if amask >> q & 1)
         sub = 0
         while True:
-            bmask = restmask | sub
-            if bmask and bmask != amask and bmask.bit_count() <= max_size:
-                b = tuple(q for q in range(p) if bmask >> q & 1)
-                pair = (a, b) if a <= b else (b, a)
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
-            if sub == amask:
+            b = rest | sub
+            if b and b != a and b.bit_count() <= max_size:
+                pairs.setdefault((a, b) if a < b else (b, a))
+            if sub == a:
                 break
-            sub = (sub - amask) & amask  # next submask of amask
+            sub = (sub - a) & a  # next submask of a
     return tuple(pairs)
+
+
+def move_deltas(state: State, d: int, max_size: int) -> list[Delta]:
+    """Every single-step move of a canonical state as its net change, in the
+    order and with the multiplicity in which families (a)-(f) build them.
+
+    A change is (removed, added), two increasing tuples of subset bitmasks
+    with no mask in common: a subset a move both removes and re-adds is in
+    neither.
+    """
+    masks = [_mask(s) for s in state]
+    n = len(masks)
+    existing = set(masks)
+    once = twice = 0  # the coordinates covered at least once, and twice
+    for m in masks:
+        twice |= once & m
+        once |= m
+    deltas: list[Delta] = []
+    append = deltas.append
+
+    # (a) move one coordinate j from subset src to subset dst, a subset with
+    # room for it (and so not src, which has j)
+    room = [dst for dst in masks if dst.bit_count() < max_size]
+    for src in masks:
+        if src.bit_count() < 2:
+            continue
+        for j in _bits(src):
+            new_src = src ^ j
+            for dst in room:
+                if dst & j:
+                    continue
+                if new_src == dst:  # so dst | j == src: the move changes nothing
+                    append(((), ()))
+                    continue
+                new_dst = dst | j
+                if new_src in existing or new_dst in existing:
+                    continue
+                append((
+                    (src, dst) if src < dst else (dst, src),
+                    (new_src, new_dst) if new_src < new_dst else (new_dst, new_src),
+                ))
+    # (b) split a subset into two nonempty parts, a the one without its
+    # largest coordinate
+    for src in masks:
+        k = src.bit_count()
+        if k < 2:
+            continue
+        for a in _submasks(src)[: 2 ** (k - 1) - 1]:
+            b = src ^ a
+            if a in existing or b in existing:
+                continue
+            append(((src,), (a, b)))
+    # (c) merge two subsets when the union fits; a union equal to one of
+    # them only removes the other
+    for si in range(n):
+        x = masks[si]
+        for y in masks[si + 1 :]:
+            merged = x | y
+            if merged.bit_count() > max_size:
+                continue
+            if merged == x:
+                append(((y,), ()))
+            elif merged == y:
+                append(((x,), ()))
+            elif merged not in existing:
+                append(((x, y) if x < y else (y, x), (merged,)))
+    # (d) add or remove one membership, keeping coverage
+    all_bits = _bits((1 << d) - 1)
+    for src in masks:
+        k = src.bit_count()
+        if k < max_size:
+            for j in all_bits:
+                if src & j or src | j in existing:
+                    continue
+                append(((src,), (src | j,)))
+        if k >= 2:
+            for j in _bits(src):
+                # removing j from src would orphan j unless another subset has it
+                if not twice & j or src ^ j in existing:
+                    continue
+                append(((src,), (src ^ j,)))
+    # (e) re-pair two subsets: any other two-subset cover of their union.
+    # This jumps directly between pairings that single moves can only reach
+    # through deep evidence valleys, and it is closed under reversal since
+    # the union is preserved.  A part already in the state must be x or y,
+    # and the move then only replaces the other (x + y - part); the cover
+    # {x, y} itself changes nothing and is not a move.
+    for si in range(n):
+        x = masks[si]
+        for y in masks[si + 1 :]:
+            removed = (x, y) if x < y else (y, x)
+            for added in _cover_masks(x | y, max_size):
+                a, b = added
+                if a not in existing:
+                    if b not in existing:
+                        append((removed, added))
+                    elif b == x or b == y:
+                        append(((x + y - b,), (a,)))
+                elif b not in existing and (a == x or a == y):
+                    append(((x + y - a,), (b,)))
+    # (f) spawn a strict sub-subset as a new factor (reverse of a merge
+    # whose union coincides with one operand)
+    for src in masks:
+        if src.bit_count() < 2:
+            continue
+        for t in _submasks(src):
+            if t not in existing:
+                append(((), (t,)))
+    return deltas
+
+
+def _apply(masks: frozenset, delta: Delta) -> frozenset:
+    removed, added = delta
+    return masks.difference(removed).union(added)
+
+
+def _state(masks: frozenset) -> State:
+    return tuple(sorted(map(_subset, masks)))
 
 
 def enumerate_moves(state: State, d: int, max_size: int) -> list[State]:
     """All single-step successors (with multiplicity) of a canonical state,
-    in the order families (a)-(f) build them."""
-    subs = list(state)
-    n = len(subs)
-    existing = set(subs)
-    counts = Counter()
-    for s in subs:
-        counts.update(s)
-    # the subsets other than subs[si], and other than both subs[si] and subs[di]
-    without = [subs[:si] + subs[si + 1 :] for si in range(n)]
-    without_set = [set(rest) for rest in without]
-    without_pair = [
-        [[s for q, s in enumerate(subs) if q != si and q != di] for di in range(n)]
-        for si in range(n)
-    ]
-    without_pair_set = [[set(rest) for rest in row] for row in without_pair]
-    moves: list[State] = []
-
-    # Every subset built below is already a sorted tuple, so sorting the
-    # outer list is enough to canonicalise a successor.
-    # (a) move one dimension from subset src to subset dst
-    for si, src in enumerate(subs):
-        if len(src) < 2:
-            continue
-        for j in src:
-            new_src = tuple(v for v in src if v != j)
-            for di, dst in enumerate(subs):
-                if di == si or j in dst or len(dst) + 1 > max_size:
-                    continue
-                new_dst = tuple(sorted(dst + (j,)))
-                others = without_pair_set[si][di]
-                if new_src in others or new_dst in others:
-                    continue
-                moves.append(tuple(sorted(without_pair[si][di] + [new_src, new_dst])))
-    # (b) split a subset into two nonempty parts
-    for si, src in enumerate(subs):
-        k = len(src)
-        if k < 2:
-            continue
-        others = without_set[si]
-        for mask in range(1, 2 ** (k - 1)):
-            a = tuple(src[q] for q in range(k) if mask >> q & 1)
-            b = tuple(src[q] for q in range(k) if not mask >> q & 1)
-            if a in others or b in others:
-                continue
-            moves.append(tuple(sorted(without[si] + [a, b])))
-    # (c) merge two subsets when the union fits
-    for si in range(n):
-        for di in range(si + 1, n):
-            merged = tuple(sorted(set(subs[si]) | set(subs[di])))
-            if len(merged) > max_size or merged in without_pair_set[si][di]:
-                continue
-            moves.append(tuple(sorted(without_pair[si][di] + [merged])))
-    # (d) add or remove one membership, keeping coverage
-    for si, src in enumerate(subs):
-        others = without_set[si]
-        if len(src) + 1 <= max_size:
-            for j in range(d):
-                if j in src:
-                    continue
-                grown = tuple(sorted(src + (j,)))
-                if grown in others:
-                    continue
-                moves.append(tuple(sorted(without[si] + [grown])))
-        if len(src) >= 2:
-            for j in src:
-                if counts[j] < 2:
-                    continue  # removal would orphan j
-                shrunk = tuple(v for v in src if v != j)
-                if shrunk in others:
-                    continue
-                moves.append(tuple(sorted(without[si] + [shrunk])))
-    # (e) re-pair two subsets: any other two-subset cover of their union.
-    # This jumps directly between pairings that single moves can only reach
-    # through deep evidence valleys, and it is closed under reversal since
-    # the union is preserved.
-    for si in range(n):
-        for di in range(si + 1, n):
-            pool = tuple(sorted(set(subs[si]) | set(subs[di])))
-            current = (subs[si], subs[di])
-            others = without_pair_set[si][di]
-            for ia, ib in _cover_pairs(len(pool), max_size):
-                a = tuple([pool[q] for q in ia])
-                b = tuple([pool[q] for q in ib])
-                if (a, b) == current or a in others or b in others:
-                    continue
-                moves.append(tuple(sorted(without_pair[si][di] + [a, b])))
-    # (f) spawn a strict sub-subset as a new factor (reverse of a merge
-    # whose union coincides with one operand)
-    for src in subs:
-        k = len(src)
-        if k < 2:
-            continue
-        for mask in range(1, 2**k - 1):
-            t = tuple(src[q] for q in range(k) if mask >> q & 1)
-            if t in existing:
-                continue
-            moves.append(tuple(sorted(subs + [t])))
-    return moves
+    in the order families (a)-(f) build them: move_deltas applied in order."""
+    masks = frozenset(map(_mask, state))
+    return [_state(_apply(masks, delta)) for delta in move_deltas(state, d, max_size)]
 
 
 @dataclass(frozen=True)
@@ -313,6 +373,10 @@ class McmcConfig:
     size_penalty: float = 0.0
 
     def __post_init__(self):
+        for name in ("max_factor_size", "chain_length", "burn_in", "thinning", "num_samples"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.max_factor_size < 1:
             raise ConfigurationError("max_factor_size must be >= 1")
         if not self.size_penalty >= 0:
@@ -354,30 +418,34 @@ def sample_posterior(
     d = obs.X.shape[1]
     max_size = mcmc_config.max_factor_size
     state = singleton_decomposition(d).subsets
+    masks = frozenset(map(_mask, state))
 
-    # state -> (log posterior, move list); multiplicities are list counts
-    cache: dict[State, tuple[float, list]] = {}
+    # subset bitmasks -> (log posterior, canonical state, move deltas)
+    cache: dict[frozenset, tuple[float, State, list[Delta]]] = {}
 
-    def lookup(s: State):
-        hit = cache.get(s)
+    def lookup(m: frozenset):
+        hit = cache.get(m)
         if hit is None:
+            s = _state(m)
             lp = log_evidence(s, obs, hypers) + mcmc_config.log_prior(s)
-            hit = (lp, enumerate_moves(s, d, max_size))
-            cache[s] = hit
+            hit = cache[m] = (lp, s, move_deltas(s, d, max_size))
         return hit
 
     chain = [state]
     for _ in range(mcmc_config.chain_length):
-        logp, moves = lookup(state)
-        if moves:
-            proposal = moves[int(rng.integers(len(moves)))]
-            logp2, back_moves = lookup(proposal)
-            q_fwd = moves.count(proposal) / len(moves)
-            q_bwd = (back_moves.count(state) / len(back_moves)) if back_moves else 0.0
+        logp, state, deltas = lookup(masks)
+        if deltas:
+            # a delta and the successor it leads to determine each other, so
+            # these counts are the successor's multiplicities in either list
+            delta = deltas[int(rng.integers(len(deltas)))]
+            proposal = _apply(masks, delta)
+            logp2, proposal_state, back = lookup(proposal)
+            q_fwd = deltas.count(delta) / len(deltas)
+            q_bwd = (back.count(delta[::-1]) / len(back)) if back else 0.0
             if q_bwd > 0.0:
                 log_alpha = (logp2 - logp) + math.log(q_bwd) - math.log(q_fwd)
                 if math.log(rng.uniform()) < log_alpha:
-                    state = proposal
+                    masks, state = proposal, proposal_state
         chain.append(state)
 
     # McmcConfig bounds the picks by chain_length only when it is positive;

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer test of the
+checks that raise them."""
+
+import numbers
 
 
 class FgboError(Exception):
@@ -26,3 +29,9 @@ class NumericalFailureError(FgboError):
     def __init__(self, message, jitter=None):
         super().__init__(message)
         self.jitter = jitter
+
+
+def is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer; bool, an Integral too, is
+    not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

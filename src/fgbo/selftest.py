@@ -2,17 +2,20 @@
 shares with the test suite, each defined only here: the Michalewicz-10
 per-dimension search, the brute-force joint maximum of a factor graph, the
 defining-order factor-to-variable message, the dense-inverse GP posterior,
-the one-block factor posterior, and the 60-digit beta tables.
+the one-block factor posterior, the 60-digit beta tables, and the seeded
+walk over decompositions whose move lists the test suite pins.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from . import bench
 from .acquisition import BetaSchedule, beta
+from .decomposition import enumerate_moves, move_deltas, random_covering_decomposition
 from .errors import ContractViolationError, NumericalFailureError
 from .gp import ObservationSet, dense_cholesky_with_jitter, fit
 from .kernels import AdditiveKernel, FactorKernel, cross_factor, gram
@@ -140,6 +143,53 @@ def posterior_block_mismatches(lengths, t: int, seed: int, points: bool = False)
     return int(((blocked[0] != whole[0]) | (blocked[1] != whole[1])).sum())
 
 
+def move_walk():
+    """Yield (d, max_size, state, enumerate_moves(state)) over seeded random
+    covering states and a few random-walk steps from each: 150 states."""
+    for d, max_size in ((3, 2), (4, 2), (6, 3), (6, 4), (8, 3)):
+        rng = np.random.default_rng(100 * d + max_size)
+        for _ in range(6):
+            extras = int(rng.integers(0, 3))
+            state = random_covering_decomposition(d, max_size, rng, extras).subsets
+            for _ in range(5):
+                moves = enumerate_moves(state, d, max_size)
+                yield d, max_size, state, moves
+                state = moves[int(rng.integers(len(moves)))]
+
+
+def _masks(state) -> frozenset:
+    return frozenset(sum(1 << j for j in s) for s in state)
+
+
+def move_count_mismatches() -> int:
+    """Hastings counts the chain would read wrong, over the states of
+    move_walk().
+
+    For each delta of a state, its multiplicity must be its successor's
+    multiplicity in enumerate_moves(state), and the reversed delta's
+    multiplicity in the successor's deltas must be enumerate_moves(successor)
+    .count(state).  The latter applies each of the successor's deltas to its
+    set of subset bitmasks, as enumerate_moves does before it sorts.
+    """
+    mismatches = 0
+    for d, max_size, state, moves in move_walk():
+        deltas = move_deltas(state, d, max_size)
+        forward, successors = Counter(deltas), Counter(moves)
+        target = _masks(state)
+        # a repeated delta repeats its successor, so each is checked once
+        for delta, successor in dict(zip(deltas, moves)).items():
+            back = move_deltas(successor, d, max_size)
+            start = _masks(successor)
+            # a move back adds only subsets of the state
+            returns = sum(
+                target.issuperset(a) and start.difference(r).union(a) == target
+                for r, a in back
+            )
+            mismatches += forward[delta] != successors[successor]
+            mismatches += back.count(delta[::-1]) != returns
+    return mismatches
+
+
 def checks():
     """Yield (name, passed, detail) for the quick audit battery."""
     rng = np.random.default_rng(20240817)
@@ -213,3 +263,6 @@ def checks():
     # over 2, 3, 4 or 8 threads
     rows = posterior_block_mismatches((33, 32, 32), 17, seed=int(rng.integers(2**31)))
     yield "posterior_blocks_bitwise", rows == 0, f"{rows}/33792 rows differ from one block"
+
+    bad = move_count_mismatches()
+    yield "mcmc_move_counts", bad == 0, f"{bad} Hastings counts differ from enumerate_moves"

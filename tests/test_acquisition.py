@@ -98,6 +98,21 @@ def test_beta_schedule_takes_config_mode_strings(mode):
     assert abs(beta(sched, t, size) - want) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("num_factors", math.nan), ("num_factors", 2.5), ("num_factors", True),
+        ("dims", math.nan), ("dims", 1.5), ("dims", True), ("dims", 2.0),
+    ],
+    ids=lambda v: repr(v) if not isinstance(v, str) else v,
+)
+def test_beta_schedule_refuses_non_integer_counts(field, value):
+    counts = {"num_factors": 2, "dims": 3}
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        BetaSchedule("discrete_domain", 0.1, **{**counts, field: value})
+    BetaSchedule("discrete_domain", 0.1, **{**counts, field: np.int64(counts[field])})
+
+
 def test_beta_schedule_validation():
     with pytest.raises(ConfigurationError, match="unknown beta mode 'bogus'"):
         BetaSchedule(mode="bogus", delta=0.1, num_factors=2, dims=1)

@@ -477,6 +477,7 @@ def test_selftest_passes(capsys):
         "beta_discrete_spot",
         "gp_mean_additivity",
         "maxsum_tree_exactness",
+        "mcmc_move_counts",
     ):
         assert f"PASS  {name}" in out
 

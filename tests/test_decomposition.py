@@ -24,6 +24,7 @@ from fgbo.decomposition import (
 from fgbo.errors import ConfigurationError, ContractViolationError
 from fgbo.gp import ObservationSet, log_marginal_likelihood
 from fgbo.kernels import AdditiveKernel, FactorKernel, gram
+from fgbo.selftest import move_count_mismatches, move_walk
 
 
 def test_decomposition_canonicalization():
@@ -136,28 +137,20 @@ def test_repair_move_crosses_pairings_directly():
     assert tuple(sorted([(0, 1), (2, 3)])) in enumerate_moves(state, 4, 2)
 
 
-# SHA-256 of the ordered move lists over _move_list_digest(), recorded from the
+# SHA-256 of the ordered move lists over move_walk(), recorded from the
 # original enumeration, which scanned all 2^p x 2^p mask pairs for move (e).
-# sample_posterior proposes moves[rng.integers(len(moves))], so the order of
-# the list, not only its multiset, fixes a seeded chain.
+# sample_posterior proposes the rng.integers(len(moves))-th move, so the order
+# of the list, not only its multiset, fixes a seeded chain.
 MOVE_LIST_SHA256 = "5515d465a4a0425b1018e9ce0a521c9c19d7aea55b2f72ca981c3be655f8c30c"
 
 
 def _move_list_digest() -> tuple[str, int]:
-    """Digest and count of the move lists of seeded random covering states
-    and a few random-walk steps from each."""
+    """Digest and count of the move lists of the states of move_walk()."""
     digest = hashlib.sha256()
     num_states = 0
-    for d, max_size in ((3, 2), (4, 2), (6, 3), (6, 4), (8, 3)):
-        rng = np.random.default_rng(100 * d + max_size)
-        for _ in range(6):
-            extras = int(rng.integers(0, 3))
-            state = random_covering_decomposition(d, max_size, rng, extras).subsets
-            for _ in range(5):
-                moves = enumerate_moves(state, d, max_size)
-                digest.update(repr((d, max_size, state, moves)).encode())
-                num_states += 1
-                state = moves[int(rng.integers(len(moves)))]
+    for d, max_size, state, moves in move_walk():
+        digest.update(repr((d, max_size, state, moves)).encode())
+        num_states += 1
     return digest.hexdigest(), num_states
 
 
@@ -165,6 +158,11 @@ def test_move_list_order_is_pinned():
     digest, num_states = _move_list_digest()
     assert num_states == 150
     assert digest == MOVE_LIST_SHA256
+
+
+def test_move_deltas_give_enumerate_moves_multiplicities():
+    # the chain reads q_fwd and q_bwd as counts of a delta and its reverse
+    assert move_count_mismatches() == 0
 
 
 def _hartmann6_obs(n: int = 24) -> ObservationSet:
@@ -198,6 +196,40 @@ HARTMANN6_ENSEMBLE = [
 
 def test_sample_posterior_hartmann6_ensemble_is_pinned():
     assert _hartmann6_ensemble() == HARTMANN6_ENSEMBLE
+
+
+# SHA-256 of every state of the seeded chains in _chain_digest(), recorded
+# from the chain that listed each state's successors in full.
+# HARTMANN6_ENSEMBLE sees only 5 states of one 16-step chain; this pins every
+# draw and every accept of 1,200 steps.
+CHAIN_SHA256 = "460bdf4edda10d139946bbec43e9ed367e92c06dce6322755d107901e846eeb7"
+
+
+def _chain_digest() -> tuple[str, int]:
+    """Digest of every state of 300-step chains at d = 6 and 8, factors of
+    size <= 3, size penalty 0 and 1; and the number of distinct states."""
+    digest = hashlib.sha256()
+    seen = set()
+    for d in (6, 8):
+        rng = np.random.default_rng(30 + d)
+        X = rng.uniform(size=(24, d))
+        y = -evaluate_batch(hartmann6(), X[:, :6]) + np.sin(6.0 * X[:, 6:] @ np.ones(d - 6))
+        obs = ObservationSet(X, y - y.mean(), 0.01)
+        for size_penalty in (0.0, 1.0):
+            cfg = McmcConfig(
+                max_factor_size=3, chain_length=300, burn_in=0, thinning=1, num_samples=301,
+                size_penalty=size_penalty,
+            )
+            chain = [dec.subsets for dec in sample_posterior(obs, cfg, rng=np.random.default_rng(d))]
+            digest.update(repr((d, size_penalty, chain)).encode())
+            seen.update((d, s) for s in chain)
+    return digest.hexdigest(), len(seen)
+
+
+def test_sample_posterior_chain_is_pinned():
+    digest, num_states = _chain_digest()
+    assert num_states > 100  # the chains move, so the digest pins accepts too
+    assert digest == CHAIN_SHA256
 
 
 def test_mh_kernel_leaves_exact_posterior_invariant():
@@ -332,6 +364,22 @@ def test_mcmc_config_validation():
         McmcConfig(max_factor_size=0, chain_length=3)
     with pytest.raises(ConfigurationError):
         McmcConfig(max_factor_size=2, chain_length=3, size_penalty=-0.5)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("max_factor_size", math.nan), ("max_factor_size", True), ("chain_length", 2.5),
+        ("chain_length", math.nan), ("burn_in", True), ("burn_in", 0.5),
+        ("thinning", 1.5), ("thinning", True), ("num_samples", math.nan), ("num_samples", 2.0),
+    ],
+    ids=lambda v: repr(v) if not isinstance(v, str) else v,
+)
+def test_mcmc_config_refuses_non_integer_counts(field, value):
+    counts = {"max_factor_size": 2, "chain_length": 10, "burn_in": 0, "thinning": 1, "num_samples": 2}
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        McmcConfig(**{**counts, field: value})
+    McmcConfig(**{**counts, field: np.int64(counts[field])})
 
 
 @pytest.mark.parametrize("size_penalty", [math.nan, -0.5], ids=["nan", "negative"])
