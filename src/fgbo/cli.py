@@ -107,12 +107,21 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(job) -> tuple:
-    """One seed's run of a sweep or table1; a failure names its seed and
-    keeps its exception type, so the exit code stays the same."""
-    config, seed, out_dir = job
+def _seeded(config: config_mod.RunConfig, seed: int) -> config_mod.RunConfig:
+    """config at another seed; a refused seed is named in the error."""
     try:
-        result = _execute(replace(config, seed=seed), out_dir, quiet=True)
+        return replace(config, seed=seed)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"seed {seed}: {exc}") from exc
+
+
+def _sweep_worker(job) -> tuple:
+    """One seeded run of a sweep or table1; a failure names its seed and
+    keeps its exception type, so the exit code stays the same."""
+    config, out_dir = job
+    seed = config.seed
+    try:
+        result = _execute(config, out_dir, quiet=True)
     except NumericalFailureError as exc:
         raise NumericalFailureError(f"seed {seed}: {exc}", jitter=exc.jitter) from exc
     except (FileNotFoundError, ConfigurationError, ContractViolationError) as exc:
@@ -134,18 +143,24 @@ def _at_least_one(flag: str, value: int) -> None:
         raise ConfigurationError(f"{flag} must be >= 1, got {value}")
 
 
+def _distinct(flag: str, values: list) -> list:
+    """values, refused if any repeats: each entry's runs have their own
+    directories."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigurationError(f"{flag} repeats {repeated}")
+    return values
+
+
 def _parse_seeds(text: str) -> list[int]:
-    """Distinct integer seeds: each seed's run has its own directory."""
+    """Distinct integer seeds."""
     seeds = []
     for token in text.split(","):
         try:
             seeds.append(int(token))
         except ValueError:
             raise ConfigurationError(f"--seeds entry {token!r} is not an integer") from None
-    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
-    if repeated:
-        raise ConfigurationError(f"--seeds repeats {repeated}")
-    return seeds
+    return _distinct("--seeds", seeds)
 
 
 def cmd_sweep(args) -> int:
@@ -153,7 +168,8 @@ def cmd_sweep(args) -> int:
     config = _load_canonical(args.config)
     seeds = _parse_seeds(args.seeds)
     base = _out_dir(args.out)
-    jobs = [(config, seed, os.path.join(base, f"seed{seed}")) for seed in seeds]
+    # every seed is validated before the first run writes its directory
+    jobs = [(_seeded(config, seed), os.path.join(base, f"seed{seed}")) for seed in seeds]
     rows = _map_runs(jobs, args.jobs)
     os.makedirs(base, exist_ok=True)
     summary = os.path.join(base, "summary.csv")
@@ -171,8 +187,8 @@ def cmd_table1(args) -> int:
     _at_least_one("--num-seeds", args.num_seeds)
     _at_least_one("--jobs", args.jobs)
     base = _out_dir(args.out)
-    benchmarks = [b.strip() for b in args.benchmarks.split(",")]
-    labels = [l.strip() for l in args.labels.split(",")]
+    benchmarks = _distinct("--benchmarks", [b.strip() for b in args.benchmarks.split(",")])
+    labels = _distinct("--labels", [l.strip() for l in args.labels.split(",")])
     seeds = list(range(args.num_seeds))
     cells, jobs = [], []
     for benchmark in benchmarks:
@@ -183,7 +199,7 @@ def cmd_table1(args) -> int:
             for seed in seeds:
                 out_dir = os.path.join(base, "table1", f"{benchmark}_{label}_seed{seed}")
                 cells.append((benchmark, label))
-                jobs.append((config, seed, out_dir))
+                jobs.append((_seeded(config, seed), out_dir))
     rows = _map_runs(jobs, args.jobs)
     finals = {}
     for cell, (seed, best, _R) in zip(cells, rows):

@@ -129,7 +129,7 @@ def _validate_objective(value, path):
                 value.get("lengthscale", 0.2), f"{path}.lengthscale", 0.0, True
             ),
             "grid_points": _as_int(value.get("grid_points", 7), f"{path}.grid_points", 1),
-            "sample_seed": _as_int(value["sample_seed"], f"{path}.sample_seed"),
+            "sample_seed": _as_int(value["sample_seed"], f"{path}.sample_seed", minimum=0),
         }
         return out
     _fail(path, f"expected an objective name or prior_sample dict, got {value!r}")

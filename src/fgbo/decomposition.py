@@ -410,8 +410,6 @@ def sample_posterior(
     the singleton decomposition; chain_length 0 returns num_samples copies
     of it.
     """
-    if len(obs) == 0:
-        raise ContractViolationError("posterior sampling needs observations")
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     if hypers is None:
         hypers = default_hypers(obs)

@@ -8,7 +8,8 @@ Observing only y_i = f(x_i) + eps with f = sum_I f_I, each factor posterior is
 where k_I(x) is the cross-covariance of factor I between x and the observed
 inputs and K is the Gram matrix of the full additive kernel.  The sum of the
 factor means equals the additive GP's posterior mean of f, which the engine
-relies on; no analogous identity holds for variances.
+relies on; no analogous identity holds for variances.  An ObservationSet
+holds at least one observation, so every posterior here is a fitted one.
 
 A fit builds K from a kernels.GramBlocks cache when the caller passes one
 (the engine owns one per run with a static structure), so over a run it
@@ -18,10 +19,12 @@ It factorizes K + sn2 I = L L' once and caches the weights
 (K + sn2 I)^-1 y and the inverse factor L^-1, so m inputs cost an (m x t)
 cross-covariance Kxg, one matrix-vector product for the means and one
 (m x t)(t x t) GEMM for the variances, var = prior - rowsum((Kxg L^-T)^2).
-Batch inputs are points; a factor's batch may also be axes (a tuple of 1-D
-arrays) standing for its Cartesian sub-grid, see kernels.  The objective
-posterior takes points only: on a grid, the centralized acquisition is the
-one-factor case of the factor path.
+A posterior answers in batches: a factor's batch is (m, |I|) points or
+axes (a tuple of 1-D arrays) standing for its Cartesian sub-grid, see
+kernels; a single input is a one-row batch.  No run asks for the posterior
+of f itself: on a grid, the centralized acquisition is the one-factor case
+of the factor path, and fgbo.selftest.dense_posterior is f's oracle.
+objective_mean_var_batch stays only while perfbench's tracer patches it.
 
 A factor's batch is computed in row blocks: consecutive runs of points, or
 slices of the first axis, of at least BLOCK_ROWS rows (see _row_blocks).
@@ -67,10 +70,10 @@ class ObservationSet:
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
         y = np.asarray(self.y, dtype=float).ravel()
-        if X.size == 0:
-            X = X.reshape(0, X.shape[1] if X.ndim == 2 and X.shape[1] else 0)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
+        if len(y) == 0:
+            raise ContractViolationError("a GP needs at least one observation")
         if len(X) != len(y):
             raise ContractViolationError(
                 f"|X| = {len(X)} must equal |y| = {len(y)}"
@@ -111,7 +114,7 @@ def _factorize(
     kernel: AdditiveKernel, observations: ObservationSet, blocks: GramBlocks | None = None
 ):
     """(L, jitter, alpha): the lower Cholesky factor of K + sn2 I, its
-    jitter, and alpha = (K + sn2 I)^-1 y, for t >= 1 observations."""
+    jitter, and alpha = (K + sn2 I)^-1 y."""
     K = gram(kernel, observations.X, blocks)
     K.flat[:: len(observations) + 1] += observations.noise_variance
     L, jitter = dense_cholesky_with_jitter(K)
@@ -166,8 +169,7 @@ def _row_blocks(U):
 class FactorPosterior:
     """Cached solve state for all per-factor posteriors of one kernel + data.
 
-    Immutable after construction; safe for concurrent readers.  With no
-    observations every factor posterior is its prior.
+    Immutable after construction; safe for concurrent readers.
     """
 
     def __init__(
@@ -178,24 +180,12 @@ class FactorPosterior:
     ):
         self.kernel = kernel
         self.observations = observations
-        if len(observations) == 0:
-            self.jitter = 0.0
-            self._Linv = None
-            self.weights = np.zeros(0)
-        else:
-            L, self.jitter, self.weights = _factorize(kernel, observations, blocks)
-            self._Linv, info = dtrtri(L, lower=1, overwrite_c=1)
-            if info != 0:
-                raise NumericalFailureError(
-                    f"inverting the Cholesky factor failed (LAPACK info {info})",
-                    jitter=self.jitter,
-                )
-
-    def _check_factor_index(self, factor_index: int):
-        if not 0 <= factor_index < self.kernel.num_factors:
-            raise ContractViolationError(
-                f"factor index {factor_index} out of range "
-                f"[0, {self.kernel.num_factors})"
+        L, self.jitter, self.weights = _factorize(kernel, observations, blocks)
+        self._Linv, info = dtrtri(L, lower=1, overwrite_c=1)
+        if info != 0:
+            raise NumericalFailureError(
+                f"inverting the Cholesky factor failed (LAPACK info {info})",
+                jitter=self.jitter,
             )
 
     def _mean_var(self, Kxg: np.ndarray, prior: float, what: str):
@@ -223,7 +213,10 @@ class FactorPosterior:
         Each row block's cross-covariance and posterior is computed and
         checked in turn (see the module docstring).
         """
-        self._check_factor_index(factor_index)
+        if not 0 <= factor_index < self.kernel.num_factors:
+            raise ContractViolationError(
+                f"factor index {factor_index} out of range [0, {self.kernel.num_factors})"
+            )
         f = self.kernel.factors[factor_index]
         U, m = _batch_inputs(U)
         width = len(U) if isinstance(U, tuple) else U.shape[1]
@@ -231,22 +224,12 @@ class FactorPosterior:
             raise ContractViolationError(
                 f"factor {factor_index} has arity {f.arity}, got {width} coordinates"
             )
-        if self._Linv is None:
-            return np.zeros(m), np.full(m, f.signal_variance)
         V = f.restrict(self.observations.X)
         mean, var = np.empty(m), np.empty(m)
         for a, b, block in _row_blocks(U):
             Kxg = cross_factor(f, block, V)
             mean[a:b], var[a:b] = self._mean_var(Kxg, f.signal_variance, "factor")
         return mean, var
-
-    def factor_mean_var(self, factor_index: int, x):
-        """Posterior (mean, variance) of factor `factor_index` at full input x."""
-        self._check_factor_index(factor_index)
-        f = self.kernel.factors[factor_index]
-        u = f.restrict(np.asarray(x, dtype=float).reshape(1, -1))
-        mean, var = self.factor_mean_var_batch(factor_index, u)
-        return float(mean[0]), float(var[0])
 
     def objective_mean_var_batch(self, X):
         """Posterior of f itself under the full additive kernel at (m, d) points.
@@ -256,16 +239,9 @@ class FactorPosterior:
         """
         if isinstance(X, tuple):
             raise ContractViolationError("objective posteriors take (m, d) points, not axes")
-        X, m = _batch_inputs(X)
-        prior = self.kernel.prior_variance()
-        if self._Linv is None:
-            return np.zeros(m), np.full(m, prior)
+        X, _ = _batch_inputs(X)
         Kxg = cross_additive(self.kernel, X, self.observations.X)
-        return self._mean_var(Kxg, prior, "objective")
-
-    def objective_mean_var(self, x):
-        mean, var = self.objective_mean_var_batch(np.asarray(x, dtype=float).reshape(1, -1))
-        return float(mean[0]), float(var[0])
+        return self._mean_var(Kxg, self.kernel.prior_variance(), "objective")
 
 
 def fit(
@@ -280,12 +256,9 @@ def fit(
 
 def log_marginal_likelihood(kernel: AdditiveKernel, observations: ObservationSet) -> float:
     """GP evidence  -y'(K+sn2 I)^-1 y / 2 - log det(...)/2 - t log(2 pi)/2."""
-    t = len(observations)
-    if t == 0:
-        raise ContractViolationError("evidence needs at least one observation")
     L, _, alpha = _factorize(kernel, observations)
     return float(
         -0.5 * observations.y @ alpha
         - np.log(np.diag(L)).sum()
-        - 0.5 * t * math.log(2.0 * math.pi)
+        - 0.5 * len(observations) * math.log(2.0 * math.pi)
     )

@@ -224,10 +224,13 @@ def checks():
     )
     Xo = rng.uniform(size=(12, 3))
     yo = rng.normal(size=12)
-    post = fit(kernel, ObservationSet(Xo, yo, 0.05))
-    xq = rng.uniform(size=3)
-    total_mean = sum(post.factor_mean_var(i, xq)[0] for i in range(2))
-    full_mean = post.objective_mean_var(xq)[0]
+    obs = ObservationSet(Xo, yo, 0.05)
+    post = fit(kernel, obs)
+    xq = rng.uniform(size=(1, 3))
+    total_mean = sum(
+        post.factor_mean_var_batch(i, f.restrict(xq))[0][0] for i, f in enumerate(kernel.factors)
+    )
+    full_mean = dense_posterior(kernel, obs, xq)[0]
     yield (
         "gp_mean_additivity",
         abs(total_mean - full_mean) <= 1e-8,

@@ -232,16 +232,6 @@ def test_tabulate_matches_pointwise_phi():
             assert abs(table[idx] - want) < 1e-10
 
 
-def test_tabulate_prior_is_sqrt_beta_sigma():
-    kernel = AdditiveKernel(
-        factors=(FactorKernel(subset=(0,), signal_variance=2.25, lengthscales=(0.3,)),)
-    )
-    post = fit(kernel, ObservationSet(np.zeros((0, 1)), np.zeros(0), 0.1))
-    grid = GridSpec(per_dim_points=3, num_dims=1)
-    acq = tabulate(post, grid, 4.0)
-    np.testing.assert_allclose(acq.tables[0], 2.0 * 1.5)
-
-
 def test_total_value_sums_tables():
     rng = np.random.default_rng(21)
     _, post = _toy_posterior(rng)

@@ -175,6 +175,10 @@ BAD_CONFIGS = {
     "mcmc_without_chain_length": dict(DEC_CFG, decomposition=_MCMC_NO_CHAIN),
     "mcmc_chain_too_short": dict(DEC_CFG, decomposition=_MCMC_SHORT_CHAIN),
     "negative_seed": dict(RANDOM_CFG, seed=-1),
+    "negative_sample_seed": dict(
+        RANDOM_CFG,
+        objective={"kind": "prior_sample", "dims": 2, "subsets": [[0, 1]], "sample_seed": -1},
+    ),
     "fractional_seed": dict(RANDOM_CFG, seed=1.5),
     "model_without_noise": dict(DEC_CFG, noise_variance=0.0),
     "dec_hbo_without_decomposition": dict(DEC_CFG, decomposition=None),
@@ -372,6 +376,7 @@ def test_sweep_error_names_the_failing_seed(tmp_path, capsys, jobs):
     argv = ["sweep", "--config", cfg, "--out", out, "--seeds", "0,-1,2", "--jobs", jobs]
     assert main(argv + ["--quiet"]) == 3
     assert "invalid configuration: seed -1: " in capsys.readouterr().err
+    assert not os.path.exists(out)  # seed 0 did not run before the refusal
 
 
 @pytest.mark.parametrize("seeds, token", [("0,x", "'x'"), ("0,,1", "''")])
@@ -426,6 +431,19 @@ def test_sweep_and_table1_failures_keep_their_exit_code(tmp_path, monkeypatch, c
     argv += ["--num-seeds", "1", "--benchmarks", "shekel4", "--labels", "add"]
     assert main(argv + ["--quiet"]) == 4
     assert "numerical failure: seed 0: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("benchmarks, labels, repeated", [
+    ("michalewicz10,michalewicz10", "add", "--benchmarks repeats ['michalewicz10']"),
+    ("shekel4", "add,mf2,add", "--labels repeats ['add']"),
+])
+def test_table1_refuses_repeated_names(tmp_path, capsys, benchmarks, labels, repeated):
+    # two runs of one cell would share its seed directories and summary row
+    out = tmp_path / "t"
+    argv = ["table1", "--out", str(out), "--iterations", "2", "--num-seeds", "2"]
+    assert main(argv + ["--benchmarks", benchmarks, "--labels", labels, "--quiet"]) == 3
+    assert repeated in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_table1_small_matrix(tmp_path):

@@ -115,6 +115,10 @@ def test_missing_required_keys():
         ({"measure_wall_time": "yes"}, "boolean"),
         ({"optimum_value": "low"}, "number"),
         ({"seed": -1}, "seed: must be >= 0"),
+        (
+            {"objective": {"kind": "prior_sample", "dims": 2, "subsets": [[0, 1]], "sample_seed": -1}},
+            "sample_seed: must be >= 0",
+        ),
     ],
 )
 def test_type_and_range_errors(patch, fragment):

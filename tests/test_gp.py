@@ -60,9 +60,9 @@ def test_factor_posterior_matches_dense_inverse_oracle():
             rng.uniform(size=(t, d)), rng.normal(size=t), float(rng.uniform(0.01, 0.3))
         )
         post = fit(kernel, obs)
-        x = rng.uniform(size=d)
-        for i in range(kernel.num_factors):
-            mean, var = post.factor_mean_var(i, x)
+        x = rng.uniform(size=(1, d))
+        for i, f in enumerate(kernel.factors):
+            (mean,), (var,) = post.factor_mean_var_batch(i, f.restrict(x))
             omean, ovar = dense_posterior(kernel, obs, x, i)
             assert mean == pytest.approx(omean, rel=1e-8, abs=1e-10)
             assert var == pytest.approx(ovar, rel=1e-8, abs=1e-10)
@@ -90,24 +90,13 @@ def test_mean_additivity():
         t = int(rng.integers(1, 20))
         obs = ObservationSet(rng.uniform(size=(t, d)), rng.normal(size=t), 0.1)
         post = fit(kernel, obs)
-        x = rng.uniform(size=d)
-        total = sum(post.factor_mean_var(i, x)[0] for i in range(kernel.num_factors))
-        full, _ = post.objective_mean_var(x)
+        x = rng.uniform(size=(1, d))
+        total = sum(
+            post.factor_mean_var_batch(i, f.restrict(x))[0][0]
+            for i, f in enumerate(kernel.factors)
+        )
+        full, _ = dense_posterior(kernel, obs, x)
         assert abs(total - full) < 1e-8
-
-
-def test_empty_observation_set_returns_prior():
-    kernel = AdditiveKernel(
-        factors=(FactorKernel(subset=(0,), signal_variance=1.3, lengthscales=(0.2,)),)
-    )
-    obs = ObservationSet(np.zeros((0, 1)), np.zeros(0), 0.1)
-    post = fit(kernel, obs)
-    mean, var = post.factor_mean_var(0, np.array([0.4]))
-    assert mean == 0.0
-    assert var == pytest.approx(1.3)
-    mean, var = post.objective_mean_var(np.array([0.4]))
-    assert mean == 0.0
-    assert var == pytest.approx(1.3)
 
 
 def test_variance_never_negative_near_duplicates():
@@ -155,6 +144,14 @@ def test_jitter_escalation_count():
     finally:
         np.linalg.cholesky = orig
     assert len(calls) == MAX_JITTER_ESCALATIONS + 1
+
+
+@pytest.mark.parametrize(
+    "X, y", [(np.zeros((0, 2)), np.zeros(0)), ([], [])], ids=["no_rows", "empty_lists"]
+)
+def test_observation_set_refuses_an_empty_set(X, y):
+    with pytest.raises(ContractViolationError, match="at least one observation"):
+        ObservationSet(X, y, 0.1)
 
 
 def test_observation_set_validation():
@@ -205,41 +202,28 @@ def test_log_marginal_likelihood_needs_data():
         log_marginal_likelihood(kernel, ObservationSet(np.zeros((0, 1)), np.zeros(0), 0.1))
 
 
-def test_batch_arity_is_checked_with_and_without_observations():
+def test_batch_arity_is_checked():
     rng = np.random.default_rng(4)
     kernel = AdditiveKernel(
         factors=(FactorKernel(subset=(0, 1, 2), signal_variance=1.0, lengthscales=(0.3,) * 3),)
     )
     axis = np.linspace(0.0, 1.0, 4)
-    for t in (0, 5):
-        post = fit(kernel, ObservationSet(rng.uniform(size=(t, 3)), rng.normal(size=t), 0.1))
-        for inputs in ((), (axis, axis), rng.uniform(size=(5, 2))):
-            with pytest.raises(ContractViolationError, match="arity 3"):
-                post.factor_mean_var_batch(0, inputs)
+    post = fit(kernel, ObservationSet(rng.uniform(size=(5, 3)), rng.normal(size=5), 0.1))
+    for inputs in ((), (axis, axis), rng.uniform(size=(5, 2))):
+        with pytest.raises(ContractViolationError, match="arity 3"):
+            post.factor_mean_var_batch(0, inputs)
 
 
-def test_batch_axes_must_be_one_dimensional_with_and_without_observations():
+def test_batch_axes_must_be_one_dimensional():
     rng = np.random.default_rng(5)
     kernel = AdditiveKernel(
         factors=(FactorKernel(subset=(0, 1), signal_variance=1.0, lengthscales=(0.3,) * 2),)
     )
     axis = np.linspace(0.0, 1.0, 4)
-    for t in (0, 5):
-        post = fit(kernel, ObservationSet(rng.uniform(size=(t, 2)), rng.normal(size=t), 0.1))
-        for bad in (np.float64(0.5), axis.reshape(2, 2)):
-            with pytest.raises(ContractViolationError, match="1-D"):
-                post.factor_mean_var_batch(0, (axis, bad))
-
-
-def test_zero_observation_fit_has_zero_jitter():
-    kernel = AdditiveKernel(
-        factors=(FactorKernel(subset=(0, 1), signal_variance=1.0, lengthscales=(0.3, 0.3)),)
-    )
-    post = fit(kernel, ObservationSet(np.zeros((0, 2)), np.zeros(0), 0.1))
-    assert post.jitter == 0.0
-    mean, var = post.factor_mean_var_batch(0, (np.linspace(0, 1, 3), np.linspace(0, 1, 4)))
-    np.testing.assert_array_equal(mean, np.zeros(12))
-    np.testing.assert_array_equal(var, np.ones(12))
+    post = fit(kernel, ObservationSet(rng.uniform(size=(5, 2)), rng.normal(size=5), 0.1))
+    for bad in (np.float64(0.5), axis.reshape(2, 2)):
+        with pytest.raises(ContractViolationError, match="1-D"):
+            post.factor_mean_var_batch(0, (axis, bad))
 
 
 def _cartesian(axes):
@@ -275,11 +259,10 @@ def test_objective_posterior_refuses_axes():
         factors=(FactorKernel(subset=(0, 1), signal_variance=1.0, lengthscales=(0.3, 0.3)),)
     )
     axes = (np.array([0.1, 0.6]), np.array([0.2, 0.9]))
-    for t in (0, 5):
-        post = fit(kernel, ObservationSet(rng.uniform(size=(t, 2)), rng.normal(size=t), 0.1))
-        with pytest.raises(ContractViolationError, match="not axes"):
-            post.objective_mean_var_batch(axes)
-        assert post.objective_mean_var_batch(np.stack(axes))[0].shape == (2,)
+    post = fit(kernel, ObservationSet(rng.uniform(size=(5, 2)), rng.normal(size=5), 0.1))
+    with pytest.raises(ContractViolationError, match="not axes"):
+        post.objective_mean_var_batch(axes)
+    assert post.objective_mean_var_batch(np.stack(axes))[0].shape == (2,)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -288,15 +271,14 @@ def test_non_finite_batch_inputs_raise_contract_violation(bad):
     kernel = AdditiveKernel(
         factors=(FactorKernel(subset=(0, 1), signal_variance=1.0, lengthscales=(0.3, 0.3)),)
     )
-    for t in (0, 6):
-        post = fit(kernel, ObservationSet(rng.uniform(size=(t, 2)), rng.normal(size=t), 0.1))
-        points = np.array([[0.2, 0.3], [0.4, bad]])
-        axes = (np.array([0.2, bad]), np.array([0.1, 0.5]))
-        for inputs in (points, axes, [[bad, 0.5]]):
-            with pytest.raises(ContractViolationError):
-                post.factor_mean_var_batch(0, inputs)
-            with pytest.raises(ContractViolationError):
-                post.objective_mean_var_batch(inputs)
+    post = fit(kernel, ObservationSet(rng.uniform(size=(6, 2)), rng.normal(size=6), 0.1))
+    points = np.array([[0.2, 0.3], [0.4, bad]])
+    axes = (np.array([0.2, bad]), np.array([0.1, 0.5]))
+    for inputs in (points, axes, [[bad, 0.5]]):
+        with pytest.raises(ContractViolationError):
+            post.factor_mean_var_batch(0, inputs)
+        with pytest.raises(ContractViolationError):
+            post.objective_mean_var_batch(inputs)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -396,10 +378,9 @@ def test_empty_axis_gives_empty_posteriors(lengths):
     k = len(lengths)
     kernel = AdditiveKernel((FactorKernel(tuple(range(k)), 1.0, (0.3,) * k),))
     axes = tuple(np.linspace(0.0, 1.0, n) for n in lengths)
-    for t in (0, 4):
-        post = fit(kernel, ObservationSet(rng.uniform(size=(t, k)), rng.normal(size=t), 0.1))
-        mean, var = post.factor_mean_var_batch(0, axes)
-        assert mean.shape == var.shape == (0,)
+    post = fit(kernel, ObservationSet(rng.uniform(size=(4, k)), rng.normal(size=4), 0.1))
+    mean, var = post.factor_mean_var_batch(0, axes)
+    assert mean.shape == var.shape == (0,)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
