@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import BETA_MODES
-from .errors import ConfigurationError, ContractViolationError, is_integer
+from .errors import ConfigurationError, ContractViolationError, check_counts
 from .gp import FactorPosterior
 from .maxsum import FactorGraph
 
@@ -63,20 +63,13 @@ class BetaSchedule:
             raise ConfigurationError(f"unknown beta mode {self.mode!r}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must lie in (0,1), got {self.delta}")
-        for name in ("num_factors", "dims"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.num_factors < 1:
-            raise ConfigurationError("num_factors must be >= 1")
-        if self.dims < 1:
-            raise ConfigurationError("dims must be a positive integer")
-        if not (self.lipschitz_a > 0 and self.lipschitz_b > 0):
-            raise ConfigurationError("a and b must be positive")
+        check_counts(ConfigurationError, 1, num_factors=self.num_factors, dims=self.dims)
+        if not (0 < self.lipschitz_a < math.inf and 0 < self.lipschitz_b < math.inf):
+            raise ConfigurationError("a and b must be positive and finite")
         if self.mode == "fixed_constant":
-            if self.fixed_value is None or not self.fixed_value > 0:
+            if self.fixed_value is None or not 0 < self.fixed_value < math.inf:
                 raise ConfigurationError(
-                    "FixedConstant mode needs a positive fixed_value"
+                    "FixedConstant mode needs a positive finite fixed_value"
                 )
 
 
@@ -144,10 +137,8 @@ class GridSpec:
     axis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.per_dim_points < 2:
-            raise ContractViolationError("grids need >= 2 points per dimension")
-        if self.num_dims < 1:
-            raise ContractViolationError("grids need >= 1 dimension")
+        check_counts(ContractViolationError, 2, per_dim_points=self.per_dim_points)
+        check_counts(ContractViolationError, 1, num_dims=self.num_dims)
         axis = np.linspace(0.0, 1.0, self.per_dim_points)
         axis.flags.writeable = False
         object.__setattr__(self, "axis", axis)
@@ -166,11 +157,9 @@ def grid_for_iteration(
     """Per-dimension resolution tau_t, clamped to caps, on the unit box."""
     if t < 1:
         raise ContractViolationError(f"iteration must be >= 1, got {t}")
-    min_pts, max_pts = int(caps[0]), int(caps[1])
-    if min_pts < 2:
-        raise ContractViolationError("caps.min must be >= 2")
-    if max_pts < min_pts:
-        raise ContractViolationError("caps.max must be >= caps.min")
+    min_pts, max_pts = caps[0], caps[1]
+    check_counts(ContractViolationError, 2, **{"caps.min": min_pts})
+    check_counts(ContractViolationError, min_pts, **{"caps.max": max_pts})
     raw = _discretization(schedule, t)
     # compare before ceil: an overflowed raw is inf, which ceil refuses
     tau = max_pts if raw >= max_pts else max(math.ceil(raw), min_pts)

@@ -30,12 +30,12 @@ and (e) can keep one of the two subsets they take, so a subset that a move
 both removes and adds is left out of both sides.  enumerate_moves is the
 list of successors, move_deltas applied in order.
 
-The chain scores each new state with log_evidence, which takes canonical
-subset tuples as induced_kernel does, and builds such a tuple only for a
-state it has not met.  Only the samples sample_posterior returns, a tuple,
-are built and validated as Decompositions.  McmcConfig holds both the
-chain's settings and the prior, the keys of a run config's mcmc section
-other than mode and interval.
+The chain keeps only its current state, whose memory does not grow with the
+chain: each step scores its proposal afresh with log_evidence (on canonical
+subset tuples, as induced_kernel takes them) and move_deltas, revisits too.
+Only the samples sample_posterior returns, a tuple, are built and validated
+as Decompositions.  McmcConfig holds both the chain's settings and the
+prior, the keys of a run config's mcmc section other than mode and interval.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, is_integer
+from .errors import ConfigurationError, ContractViolationError, check_counts
 from .gp import ObservationSet, log_marginal_likelihood
 from .kernels import AdditiveKernel, FactorKernel
 
@@ -67,10 +67,7 @@ class Decomposition:
     def __post_init__(self):
         subsets = _canonical(self.subsets)
         object.__setattr__(self, "subsets", subsets)
-        if self.d < 1:
-            raise ContractViolationError("d must be >= 1")
-        if self.max_factor_size < 1:
-            raise ContractViolationError("max_factor_size must be >= 1")
+        check_counts(ContractViolationError, 1, d=self.d, max_factor_size=self.max_factor_size)
         if len(subsets) == 0:
             raise ContractViolationError("decomposition needs >= 1 subset")
         covered = set()
@@ -105,8 +102,7 @@ def random_covering_decomposition(
 ) -> Decomposition:
     """Shuffled partition into chunks of max_factor_size, plus optional
     random extra subsets that create overlaps."""
-    if max_factor_size < 1:
-        raise ContractViolationError("max_factor_size must be >= 1")
+    check_counts(ContractViolationError, 1, max_factor_size=max_factor_size)
     perm = [int(i) for i in rng.permutation(d)]
     subsets = [
         tuple(sorted(perm[i : i + max_factor_size]))
@@ -373,18 +369,11 @@ class McmcConfig:
     size_penalty: float = 0.0
 
     def __post_init__(self):
-        for name in ("max_factor_size", "chain_length", "burn_in", "thinning", "num_samples"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.max_factor_size < 1:
-            raise ConfigurationError("max_factor_size must be >= 1")
-        if not self.size_penalty >= 0:
-            raise ConfigurationError("size_penalty must be >= 0")
-        if self.chain_length < 0 or self.burn_in < 0:
-            raise ConfigurationError("chain_length and burn_in must be >= 0")
-        if self.thinning < 1 or self.num_samples < 1:
-            raise ConfigurationError("thinning and num_samples must be >= 1")
+        check_counts(ConfigurationError, 1, max_factor_size=self.max_factor_size)
+        check_counts(ConfigurationError, 0, chain_length=self.chain_length, burn_in=self.burn_in)
+        check_counts(ConfigurationError, 1, thinning=self.thinning, num_samples=self.num_samples)
+        if not 0 <= self.size_penalty < math.inf:
+            raise ConfigurationError("size_penalty must be >= 0 and finite")
         if self.chain_length > 0:
             need = self.burn_in + (self.num_samples - 1) * self.thinning
             if need > self.chain_length:
@@ -408,42 +397,37 @@ def sample_posterior(
 
     rng may be an integer seed or a numpy Generator.  The chain starts at
     the singleton decomposition; chain_length 0 returns num_samples copies
-    of it.
+    of it.  A step scores one proposal and lists its moves; only the
+    current state's score and moves are kept.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     if hypers is None:
         hypers = default_hypers(obs)
     d = obs.X.shape[1]
     max_size = mcmc_config.max_factor_size
+
+    def score(s: State) -> tuple[float, list[Delta]]:  # log posterior, moves
+        return log_evidence(s, obs, hypers) + mcmc_config.log_prior(s), move_deltas(s, d, max_size)
+
     state = singleton_decomposition(d).subsets
     masks = frozenset(map(_mask, state))
-
-    # subset bitmasks -> (log posterior, canonical state, move deltas)
-    cache: dict[frozenset, tuple[float, State, list[Delta]]] = {}
-
-    def lookup(m: frozenset):
-        hit = cache.get(m)
-        if hit is None:
-            s = _state(m)
-            lp = log_evidence(s, obs, hypers) + mcmc_config.log_prior(s)
-            hit = cache[m] = (lp, s, move_deltas(s, d, max_size))
-        return hit
-
     chain = [state]
+    if mcmc_config.chain_length:  # a chain of length 0 scores no state
+        logp, deltas = score(state)
     for _ in range(mcmc_config.chain_length):
-        logp, state, deltas = lookup(masks)
         if deltas:
             # a delta and the successor it leads to determine each other, so
             # these counts are the successor's multiplicities in either list
             delta = deltas[int(rng.integers(len(deltas)))]
             proposal = _apply(masks, delta)
-            logp2, proposal_state, back = lookup(proposal)
+            proposal_state = _state(proposal)
+            logp2, back = score(proposal_state)
             q_fwd = deltas.count(delta) / len(deltas)
             q_bwd = (back.count(delta[::-1]) / len(back)) if back else 0.0
             if q_bwd > 0.0:
                 log_alpha = (logp2 - logp) + math.log(q_bwd) - math.log(q_fwd)
                 if math.log(rng.uniform()) < log_alpha:
-                    masks, state = proposal, proposal_state
+                    masks, state, logp, deltas = proposal, proposal_state, logp2, back
         chain.append(state)
 
     # McmcConfig bounds the picks by chain_length only when it is positive;

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer test of the
-checks that raise them."""
+"""Exception types shared across the package, and the integer checks that
+raise them."""
 
 import numbers
 
@@ -35,3 +35,13 @@ def is_integer(value) -> bool:
     """Whether value is an int or a numpy integer; bool, an Integral too, is
     not."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_counts(error: type, minimum: int, **values) -> None:
+    """Raise error naming the first of values that is not an integer >=
+    minimum."""
+    for name, value in values.items():
+        if not is_integer(value):
+            raise error(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise error(f"{name} must be >= {minimum}, got {value}")

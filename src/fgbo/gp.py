@@ -72,14 +72,16 @@ class ObservationSet:
         y = np.asarray(self.y, dtype=float).ravel()
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
+        if X.ndim != 2:
+            raise ContractViolationError(f"X must be a (t, d) array, got {X.ndim} dimensions")
         if len(y) == 0:
             raise ContractViolationError("a GP needs at least one observation")
         if len(X) != len(y):
             raise ContractViolationError(
                 f"|X| = {len(X)} must equal |y| = {len(y)}"
             )
-        if not self.noise_variance > 0:
-            raise ContractViolationError("noise variance must be > 0")
+        if not 0 < self.noise_variance < math.inf:
+            raise ContractViolationError("noise variance must be > 0 and finite")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ContractViolationError("observations must be finite")
 

@@ -36,11 +36,12 @@ here is a pure function of immutable values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, is_integer
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,8 @@ class FactorKernel:
     lengthscales: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(is_integer(i) for i in self.subset):
+            raise ContractViolationError(f"subset indices must be integers, got {self.subset!r}")
         subset = tuple(int(i) for i in self.subset)
         lengthscales = tuple(float(l) for l in self.lengthscales)
         object.__setattr__(self, "subset", subset)
@@ -74,9 +77,9 @@ class FactorKernel:
                 f"need one lengthscale per subset index: "
                 f"{len(lengthscales)} != {len(subset)}"
             )
-        if not (all(l > 0 for l in lengthscales) and self.signal_variance > 0):
+        if not all(0 < v < math.inf for v in (*lengthscales, self.signal_variance)):
             raise ContractViolationError(
-                "lengthscales and signal variance must be positive"
+                "lengthscales and signal variance must be positive and finite"
             )
 
     @property

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_MAXSUM
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_counts, is_integer
 
 
 class FactorGraph:
@@ -79,12 +79,11 @@ class FactorGraph:
     """
 
     def __init__(self, num_variables: int, num_values: int, subsets, tables):
+        check_counts(ContractViolationError, 1, num_variables=num_variables, num_values=num_values)
         self.num_variables = int(num_variables)
         self.num_values = int(num_values)
         self.subsets = tuple(tuple(int(j) for j in s) for s in subsets)
         self.tables = tuple(np.asarray(t, dtype=float) for t in tables)
-        if self.num_variables < 1 or self.num_values < 1:
-            raise ContractViolationError("graph needs >= 1 variable and value")
         if len(self.subsets) != len(self.tables):
             raise ContractViolationError("one table per subset required")
         covered = set()
@@ -143,10 +142,13 @@ class FactorGraph:
 
     def value_of(self, indices) -> float:
         """Sum of factor tables at one joint grid-index assignment."""
-        indices = tuple(int(i) for i in indices)
-        if len(indices) != self.num_variables or not all(0 <= i < self.num_values for i in indices):
+        indices = tuple(indices)
+        if len(indices) != self.num_variables or not all(
+            is_integer(i) and 0 <= i < self.num_values for i in indices
+        ):
             raise ContractViolationError(
-                f"need {self.num_variables} indices in [0, {self.num_values}), got {indices}"
+                f"need {self.num_variables} integer indices in [0, {self.num_values}), "
+                f"got {indices}"
             )
         return float(
             sum(
@@ -238,8 +240,7 @@ def solve(
     the next round computes from them, so after the last round only the
     decoding edges are computed, and those are the decode lookups.
     """
-    if rounds < 1:
-        raise ContractViolationError("rounds must be >= 1")
+    check_counts(ContractViolationError, 1, rounds=rounds)
     if not 0.0 <= damping < 1.0:
         raise ContractViolationError("damping must lie in [0, 1)")
     if not tol >= 0:

@@ -145,7 +145,9 @@ def test_beta_schedule_validation():
         beta(huge_b, 1)
 
 
-@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize(
+    "value", [math.nan, 0.0, -1.0, math.inf], ids=["nan", "zero", "negative", "inf"]
+)
 @pytest.mark.parametrize("field", ["lipschitz_a", "lipschitz_b", "fixed_value"])
 def test_beta_schedule_refuses_nan_and_nonpositive_constants(field, value):
     message = "fixed_value" if field == "fixed_value" else "a and b must be positive"
@@ -190,6 +192,9 @@ def test_tau_caps_clamp():
         fixed_value=4.0,
     )
     assert grid_for_iteration(huge, 100, caps=(2, 32)).per_dim_points == 32
+    # fractional caps would be truncated to (2, 8)
+    with pytest.raises(ContractViolationError, match="caps.min must be an integer"):
+        grid_for_iteration(sched, 100, caps=(2.9, 8.7))
 
 
 def test_grid_spec_geometry():
@@ -303,6 +308,10 @@ def test_grid_spec_validation():
         GridSpec(per_dim_points=1, num_dims=1)
     with pytest.raises(ContractViolationError):
         GridSpec(per_dim_points=4, num_dims=0)
+    with pytest.raises(ContractViolationError, match="per_dim_points must be an integer"):
+        GridSpec(per_dim_points=2.5, num_dims=3)
+    with pytest.raises(ContractViolationError, match="num_dims must be an integer"):
+        GridSpec(per_dim_points=3, num_dims=True)
 
 
 def test_grid_axes_are_stored_read_only_linspace():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,10 @@ def test_decomposition_validation():
         Decomposition(d=2, subsets=((0,), (0,), (1,)), max_factor_size=1)  # dup
     with pytest.raises(ContractViolationError):
         Decomposition(d=2, subsets=((0,), (2,)), max_factor_size=1)  # out of range
+    with pytest.raises(ContractViolationError, match="d must be an integer"):
+        Decomposition(d=2.0, subsets=((0,), (1,)), max_factor_size=1)
+    with pytest.raises(ContractViolationError, match="max_factor_size must be an integer"):
+        Decomposition(d=2, subsets=((0,), (1,)), max_factor_size=1.5)
 
 
 def test_singleton_and_full():
@@ -232,6 +237,24 @@ def test_sample_posterior_chain_is_pinned():
     assert digest == CHAIN_SHA256
 
 
+def test_chain_memory_does_not_grow_with_its_length():
+    # the chain keeps only its current state's move list, so a chain four
+    # times as long peaks at about the same traced memory
+    obs = _hartmann6_obs(24)
+    peaks = {}
+    for chain_length in (100, 400):
+        tracemalloc.start()
+        try:
+            sample_posterior(
+                obs, McmcConfig(max_factor_size=3, chain_length=chain_length),
+                rng=np.random.default_rng(0),
+            )
+            peaks[chain_length] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400] - peaks[100] < 2**20, peaks
+
+
 def test_mh_kernel_leaves_exact_posterior_invariant():
     # build the full transition matrix of the sampler's kernel (uniform
     # proposal over the move list, Hastings acceptance, rejection of
@@ -382,7 +405,9 @@ def test_mcmc_config_refuses_non_integer_counts(field, value):
     McmcConfig(**{**counts, field: np.int64(counts[field])})
 
 
-@pytest.mark.parametrize("size_penalty", [math.nan, -0.5], ids=["nan", "negative"])
+@pytest.mark.parametrize(
+    "size_penalty", [math.nan, -0.5, math.inf], ids=["nan", "negative", "inf"]
+)
 def test_mcmc_config_refuses_nan_and_negative_size_penalty(size_penalty):
     with pytest.raises(ConfigurationError, match="size_penalty must be >= 0"):
         McmcConfig(max_factor_size=2, chain_length=3, size_penalty=size_penalty)

@@ -159,9 +159,14 @@ def test_observation_set_validation():
         ObservationSet(np.zeros((3, 2)), np.zeros(2), 0.1)
     with pytest.raises(ContractViolationError):
         ObservationSet(np.zeros((2, 2)), np.zeros(2), 0.0)
+    # fitting such an X would raise numpy's einsum ValueError
+    with pytest.raises(ContractViolationError, match="X must be a"):
+        ObservationSet(np.zeros((2, 2, 2)), np.zeros(2), 0.1)
 
 
-@pytest.mark.parametrize("noise", [math.nan, 0.0, -0.1], ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize(
+    "noise", [math.nan, 0.0, -0.1, math.inf], ids=["nan", "zero", "negative", "inf"]
+)
 def test_observation_set_refuses_nan_and_nonpositive_noise(noise):
     with pytest.raises(ContractViolationError, match="noise variance must be > 0"):
         ObservationSet(np.zeros((2, 1)), np.zeros(2), noise)

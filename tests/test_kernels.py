@@ -41,12 +41,20 @@ def test_factor_kernel_validation():
         FactorKernel(subset=(0,), signal_variance=1.0, lengthscales=(-0.1,))
     with pytest.raises(ContractViolationError):
         FactorKernel(subset=(0, 1), signal_variance=1.0, lengthscales=(0.1,))
+    with pytest.raises(ContractViolationError, match="subset indices must be integers"):
+        FactorKernel(subset=(0.5, 1.7), signal_variance=1.0, lengthscales=(0.1, 0.1))
 
 
 @pytest.mark.parametrize(
     "signal_variance,lengthscale",
-    [(math.nan, 0.1), (1.0, math.nan), (0.0, 0.1), (1.0, -0.1)],
-    ids=["nan_variance", "nan_lengthscale", "zero_variance", "negative_lengthscale"],
+    [
+        (math.nan, 0.1), (1.0, math.nan), (0.0, 0.1), (1.0, -0.1),
+        (math.inf, 0.1), (1.0, math.inf),
+    ],
+    ids=[
+        "nan_variance", "nan_lengthscale", "zero_variance", "negative_lengthscale",
+        "inf_variance", "inf_lengthscale",
+    ],
 )
 def test_factor_kernel_refuses_nan_and_nonpositive_hypers(signal_variance, lengthscale):
     with pytest.raises(ContractViolationError, match="must be positive"):

@@ -243,6 +243,8 @@ def test_graph_validation():
         FactorGraph(2, 4, [(0, 1)], [np.full((4, 4), np.nan)])
     with pytest.raises(ContractViolationError):
         FactorGraph(2, 4, [(0, 2)], [np.zeros((4, 4))])  # var out of range
+    with pytest.raises(ContractViolationError, match="num_values must be an integer"):
+        FactorGraph(1, 2.5, [(0,)], [np.zeros(2)])
 
 
 def test_solve_on_acquisition_matches_brute_force():
@@ -402,7 +404,9 @@ def test_index_tables_match_their_definitions():
 
 
 @pytest.mark.parametrize(
-    "indices", [(-1, 0), (0, 4), (0,), (0, 0, 0)], ids=["negative", "too_large", "short", "long"]
+    "indices",
+    [(-1, 0), (0, 4), (0,), (0, 0, 0), (0.7, 1)],
+    ids=["negative", "too_large", "short", "long", "fractional"],
 )
 def test_value_of_needs_one_in_range_index_per_variable(indices):
     g = FactorGraph(2, 4, [(0, 1)], [np.arange(16.0).reshape(4, 4)])
@@ -413,8 +417,14 @@ def test_value_of_needs_one_in_range_index_per_variable(indices):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"rounds": 0}, {"damping": 1.0}, {"damping": math.nan}, {"tol": -1e-9}, {"tol": math.nan}],
-    ids=["rounds_0", "damping_1", "damping_nan", "tol_negative", "tol_nan"],
+    [
+        {"rounds": 0}, {"damping": 1.0}, {"damping": math.nan}, {"tol": -1e-9}, {"tol": math.nan},
+        {"rounds": 2.5}, {"rounds": math.nan}, {"rounds": True},
+    ],
+    ids=[
+        "rounds_0", "damping_1", "damping_nan", "tol_negative", "tol_nan",
+        "rounds_fractional", "rounds_nan", "rounds_true",
+    ],
 )
 def test_solve_refuses_bad_settings(kwargs):
     g = FactorGraph(1, 3, [(0,)], [np.zeros(3)])
