@@ -157,6 +157,8 @@ def grid_for_iteration(
     """Per-dimension resolution tau_t, clamped to caps, on the unit box."""
     if t < 1:
         raise ContractViolationError(f"iteration must be >= 1, got {t}")
+    if len(caps) != 2:
+        raise ContractViolationError(f"caps must be (min, max), got {tuple(caps)}")
     min_pts, max_pts = caps[0], caps[1]
     check_counts(ContractViolationError, 2, **{"caps.min": min_pts})
     check_counts(ContractViolationError, min_pts, **{"caps.max": max_pts})
@@ -174,15 +176,19 @@ def tabulate(
     Each factor's sub-grid travels as axes, so its cross-covariance costs
     O(|I| tau t) exponentials per row block and tau^|I| t products (kernels),
     and its variances tau^|I| t^2 multiply-adds against the cached L^-1 (gp).
-    The posterior is built in row blocks of at least gp.BLOCK_ROWS rows, so
-    its temporaries are a few (block x t) arrays, not (tau^|I| x t) ones;
-    the tables hold tau^|I| floats per factor.
+    The posterior comes pack by pack from gp's grid_mean_var: a large
+    factor alone in row blocks of at least gp.BLOCK_ROWS rows, and small
+    factors of one arity together in packs of at most that many rows, so
+    the temporaries are a few (block x t) arrays, not (tau^|I| x t) ones.
+    phi, and the weights, are one pass per pack; every table is bitwise the
+    one the factor would get alone.  The tables hold tau^|I| floats per
+    factor.
     weights, exactly one per factor, scale the tables (averaging
     acquisitions over sampled decompositions).  A kernel with one factor
     over all d inputs gives the centralized GP-UCB table over the joint grid.
     """
-    if not beta_value > 0:
-        raise ContractViolationError("beta must be positive")
+    if not 0 < beta_value < math.inf:
+        raise ContractViolationError("beta must be positive and finite")
     factors = posterior.kernel.factors
     if weights is not None and len(weights) != len(factors):
         raise ContractViolationError(
@@ -190,11 +196,14 @@ def tabulate(
         )
     root_beta = math.sqrt(beta_value)
     tau = grid.per_dim_points
-    tables = []
-    for i, f in enumerate(factors):
-        mean, var = posterior.factor_mean_var_batch(i, (grid.axis,) * f.arity)
-        phi = (mean + root_beta * np.sqrt(var)).reshape((tau,) * f.arity)
-        tables.append(phi if weights is None else float(weights[i]) * phi)
+    tables = [None] * len(factors)
+    for pack, mean, var in posterior.grid_mean_var(grid.axis):
+        phi = mean + root_beta * np.sqrt(var)
+        m = len(phi) // len(pack)
+        if weights is not None:
+            phi *= np.repeat([float(weights[i]) for i in pack], m)
+        for j, i in enumerate(pack):
+            tables[i] = phi[j * m : (j + 1) * m].reshape((tau,) * factors[i].arity)
     return FactorGraph(
         num_variables=grid.num_dims,
         num_values=tau,

@@ -108,8 +108,8 @@ def noisy_evaluate(
     obj: SyntheticObjective, x, noise_variance: float, rng: np.random.Generator
 ) -> float:
     """evaluate(x) plus a Normal(0, noise_variance) draw from rng."""
-    if not noise_variance >= 0:
-        raise ContractViolationError("noise variance must be >= 0")
+    if not 0 <= noise_variance < math.inf:
+        raise ContractViolationError("noise variance must be >= 0 and finite")
     value = evaluate(obj, x)
     if noise_variance == 0:
         return value

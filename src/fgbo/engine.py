@@ -222,12 +222,17 @@ def resolve(config: RunConfig) -> ResolvedRun:
 
 def _nearest_unvisited(grid, start_idx: tuple, visited: set) -> tuple:
     """First unvisited grid point by L1 index distance from start_idx,
-    lexicographic ties; start_idx itself when every point is visited."""
+    lexicographic ties; start_idx itself when every point is visited.
+
+    Points are looked up as tuples of Python floats, which hash and compare
+    equal to the np.float64 coordinates that visited holds.
+    """
+    axis = grid.axis.tolist()
     seen = {start_idx}
     heap = [(0, start_idx)]
     while heap:
         dist, idx = heapq.heappop(heap)
-        if tuple(grid.point_at(idx)) not in visited:
+        if tuple(axis[i] for i in idx) not in visited:
             return idx
         for j in range(grid.num_dims):
             for v in (idx[j] - 1, idx[j] + 1):

@@ -34,6 +34,17 @@ cost.  Every row gets the float operations of the one-block product, and
 with OpenBLAS on one thread the results are bitwise the same (fgbo selftest
 checks this).  Blocks this long keep each GEMM off OpenBLAS's small-matrix
 kernel, which rounds some t differently.
+
+Small factors share blocks instead.  grid_mean_var packs the sub-grids of
+factors of one arity with fewer than BLOCK_ROWS rows into blocks of at most
+BLOCK_ROWS rows, each factor's rows contiguous, so no temporary outgrows a
+block; on a sub-grid of tens of rows the per-call costs, not the flops, set
+the cost.  A pack makes one batched cross-covariance (kernels.cross_factors)
+and one pass of row sums, checks and clamp, but every factor keeps its own
+matrix-vector product and GEMM on its slice, of the shape it has alone: one
+(160 x t) GEMM against L^-T rounds differently from ten (16 x t) ones at
+some t.  Packed results are bitwise the one-factor ones (fgbo selftest
+checks this too).
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtri
 
 from .errors import ContractViolationError, NumericalFailureError
-from .kernels import AdditiveKernel, GramBlocks, cross_additive, cross_factor, gram
+from .kernels import AdditiveKernel, GramBlocks, cross_additive, cross_factor, cross_factors, gram
 
 # negative posterior variances beyond this are treated as bugs, not roundoff
 VARIANCE_CLAMP = 1e-9
@@ -190,14 +201,22 @@ class FactorPosterior:
                 jitter=self.jitter,
             )
 
-    def _mean_var(self, Kxg: np.ndarray, prior: float, what: str):
+    def _mean_var(self, Kxg: np.ndarray, prior, what: str, rows: int | None = None):
         """Posterior (mean, variance) from the cross-covariance Kxg (m, t).
 
-        A non-finite variance raises; variances in [-VARIANCE_CLAMP, 0) clamp
-        to 0 and anything lower raises.
+        Kxg stacks segments of `rows` rows (default: one segment of all m),
+        one per factor of a pack; each segment gets its own matrix-vector
+        product and GEMM, of the shape it has alone, and the row sums, checks
+        and clamp run once over the stack.  prior is a scalar or one value
+        per row.  A non-finite variance raises; variances in
+        [-VARIANCE_CLAMP, 0) clamp to 0 and anything lower raises.
         """
-        mean = Kxg @ self.weights
-        W = Kxg @ self._Linv.T  # (L^-1 Kxg')'
+        rows = rows or max(len(Kxg), 1)
+        mean, W = np.empty(len(Kxg)), np.empty(Kxg.shape)
+        for a in range(0, len(Kxg), rows):
+            np.matmul(Kxg[a : a + rows], self.weights, out=mean[a : a + rows])
+            # (L^-1 Kxg')'
+            np.matmul(Kxg[a : a + rows], self._Linv.T, out=W[a : a + rows])
         var = prior - np.einsum("mt,mt->m", W, W)
         if not np.isfinite(var).all():
             raise NumericalFailureError(f"{what} posterior variance is not finite")
@@ -207,6 +226,30 @@ class FactorPosterior:
                 f"{what} posterior variance {low:.3e} below -{VARIANCE_CLAMP:.0e}"
             )
         return mean, np.maximum(var, 0.0)
+
+    def _factors_mean_var(self, indices, U, m: int):
+        """Stacked posterior (mean, variance) of the factors `indices`, all of
+        one arity, at the same checked sub-inputs U of m rows each: factor
+        indices[j] at row r of U is row j m + r.
+
+        One factor runs in row blocks (see _row_blocks).  Several factors
+        form one block, the pack: U must then be axes, and the pack at most
+        BLOCK_ROWS rows.
+        """
+        factors = [self.kernel.factors[i] for i in indices]
+        X = self.observations.X
+        if len(factors) > 1:
+            V = np.stack([f.restrict(X) for f in factors])
+            Kxg = cross_factors(factors, U, V).reshape(-1, len(X))
+            prior = np.repeat([f.signal_variance for f in factors], m)
+            return self._mean_var(Kxg, prior, "factor", m)
+        (f,) = factors
+        V = f.restrict(X)
+        mean, var = np.empty(m), np.empty(m)
+        for a, b, block in _row_blocks(U):
+            Kxg = cross_factor(f, block, V)
+            mean[a:b], var[a:b] = self._mean_var(Kxg, f.signal_variance, "factor")
+        return mean, var
 
     def factor_mean_var_batch(self, factor_index: int, U):
         """Posterior mean and variance of one factor at sub-inputs U.
@@ -226,12 +269,33 @@ class FactorPosterior:
             raise ContractViolationError(
                 f"factor {factor_index} has arity {f.arity}, got {width} coordinates"
             )
-        V = f.restrict(self.observations.X)
-        mean, var = np.empty(m), np.empty(m)
-        for a, b, block in _row_blocks(U):
-            Kxg = cross_factor(f, block, V)
-            mean[a:b], var[a:b] = self._mean_var(Kxg, f.signal_variance, "factor")
-        return mean, var
+        return self._factors_mean_var((factor_index,), U, m)
+
+    def grid_mean_var(self, axis):
+        """Yield (indices, mean, var) pack by pack, covering every factor on
+        its sub-grid (axis,) * |I| of the shared 1-D axis.
+
+        A pack holds factors of one arity, in factor order (see the module
+        docstring): factors whose sub-grids hold fewer than BLOCK_ROWS rows
+        share packs of at most BLOCK_ROWS rows, each one posterior pass, and
+        mean and var stack the pack's factors (factor indices[j] at sub-grid
+        row r is row j m + r).  A larger factor is a pack of its own, in row
+        blocks.  A one-factor pack goes through factor_mean_var_batch, the
+        name perfbench's tracer times.
+        """
+        (axis,), m = _batch_inputs((axis,))
+        by_arity: dict = {}
+        for i, f in enumerate(self.kernel.factors):
+            by_arity.setdefault(f.arity, []).append(i)
+        for arity, indices in by_arity.items():
+            axes = (axis,) * arity
+            per = max(1, BLOCK_ROWS // max(m**arity, 1))
+            for start in range(0, len(indices), per):
+                pack = indices[start : start + per]
+                if len(pack) == 1:
+                    yield pack, *self.factor_mean_var_batch(pack[0], axes)
+                else:
+                    yield pack, *self._factors_mean_var(pack, axes, m**arity)
 
     def objective_mean_var_batch(self, X):
         """Posterior of f itself under the full additive kernel at (m, d) points.

@@ -22,6 +22,9 @@ so a factor's block costs O(|I| tau t) exponentials and tau^|I| t products
 instead of tau^|I| t |I| differences and exponentials.  Results equal the
 point form to rounding; a single-axis block is bitwise equal to it.  A
 centralized joint grid is the one-factor case: one factor over all d inputs.
+cross_factors runs this product for k factors of one arity at the same
+axes at once, over a leading factor axis; cross_factor's axes form is its
+k = 1 case.
 
 Gram matrices.  gram builds K from GramBlocks, a cache of unscaled
 per-factor blocks exp(-0.5 |z|^2) that grows by the new observations' rows
@@ -131,21 +134,44 @@ def cross_factor(kernel: FactorKernel, U, V: np.ndarray) -> np.ndarray:
             raise ContractViolationError(
                 f"need {kernel.arity} 1-D axes and {kernel.arity} columns"
             )
-        K = None
-        for axis, l, v in zip(U, kernel.lengthscales, V.T):
-            z = axis[:, None] / l - v / l
-            E = np.exp(-0.5 * (z * z))
-            if K is None:
-                K = kernel.signal_variance * E
-            else:
-                K = (K[:, None, :] * E).reshape(-1, V.shape[0])
-        return K
+        return cross_factors((kernel,), U, V[None])[0]
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if U.shape[1] != kernel.arity or V.shape[1] != kernel.arity:
         raise ContractViolationError(
             f"sub-inputs must have {kernel.arity} columns"
         )
     return kernel.signal_variance * _se(U, V, np.asarray(kernel.lengthscales))
+
+
+def cross_factors(kernels, axes: tuple, V: np.ndarray) -> np.ndarray:
+    """Cross-covariances of k factors of one arity at the same axes, (k, m, n).
+
+    axes is a tuple of arity 1-D float arrays (m = the product of their
+    lengths) and V (k, n, arity) holds each factor's sub-inputs.  The
+    Khatri-Rao product runs once over a leading factor axis, with the
+    lengthscales and signal variances as (k, ...) arrays.  Every entry gets
+    the same float operations whatever k, so factor j's slice equals
+    cross_factor(kernels[j], axes, V[j]), the k = 1 case, bit for bit.
+    """
+    k, n = V.shape[:2]
+    # per factor (s2, l_1, ..., l_arity), and v / l per axis as (arity, k, 1, n)
+    params = np.array([(f.signal_variance, *f.lengthscales) for f in kernels])
+    ls = params[:, 1:]
+    Vl = (V / ls[:, None, :]).transpose(2, 0, 1)[:, :, None, :]
+    K = None
+    for axis, l, vl in zip(axes, ls.T[:, :, None, None], Vl):
+        # E = exp(-0.5 z^2) for z = axis/l - v/l, in place: a pack's (k, m, n)
+        # temporaries are as large as its block
+        E = axis[:, None] / l - vl
+        E *= E
+        E *= -0.5
+        np.exp(E, out=E)
+        if K is None:
+            E *= params[:, 0, None, None]
+            K = E
+        else:
+            K = (K[:, :, None, :] * E[:, None]).reshape(k, -1, n)
+    return K
 
 
 def _se(U: np.ndarray, V: np.ndarray, ls: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 shares with the test suite, each defined only here: the Michalewicz-10
 per-dimension search, the brute-force joint maximum of a factor graph, the
 defining-order factor-to-variable message, the dense-inverse GP posterior,
-the one-block factor posterior, the 60-digit beta tables, and the seeded
+the one-block factor posterior, the one-factor-at-a-time acquisition
+tables, the 60-digit beta tables, and the seeded
 walk over decompositions whose move lists the test suite pins.
 """
 
@@ -14,7 +15,7 @@ from collections import Counter
 import numpy as np
 
 from . import bench
-from .acquisition import BetaSchedule, beta
+from .acquisition import BetaSchedule, GridSpec, beta, tabulate
 from .decomposition import enumerate_moves, move_deltas, random_covering_decomposition
 from .errors import ContractViolationError, NumericalFailureError
 from .gp import ObservationSet, dense_cholesky_with_jitter, fit
@@ -143,6 +144,37 @@ def posterior_block_mismatches(lengths, t: int, seed: int, points: bool = False)
     return int(((blocked[0] != whole[0]) | (blocked[1] != whole[1])).sum())
 
 
+def packed_table_mismatches(arities, tau: int, t: int, seed: int, weighted: bool = False) -> int:
+    """Entries where tabulate's tables differ in any bit from tables built one
+    factor at a time from factor_mean_var_batch.
+
+    The seeded kernel has one factor per entry of `arities`, on consecutive
+    coordinates, fitted to t random observations, and is tabulated at tau
+    points per dimension, with seeded weights when `weighted`.  tabulate
+    packs the factors of one arity whose sub-grids hold fewer than
+    gp.BLOCK_ROWS rows.
+    """
+    rng = np.random.default_rng(seed)
+    factors, start = [], 0
+    for k in arities:
+        ls = tuple(rng.uniform(0.1, 0.6, size=k))
+        factors.append(FactorKernel(tuple(range(start, start + k)), rng.uniform(0.5, 2.0), ls))
+        start += k
+    obs = ObservationSet(rng.uniform(size=(t, start)), rng.normal(size=t), 0.01)
+    post = fit(AdditiveKernel(tuple(factors)), obs)
+    weights = rng.uniform(0.1, 1.0, size=len(factors)) if weighted else None
+    grid = GridSpec(per_dim_points=tau, num_dims=start)
+    tables = tabulate(post, grid, 2.5, weights).tables
+    differing = 0
+    for i, f in enumerate(factors):
+        mean, var = post.factor_mean_var_batch(i, (grid.axis,) * f.arity)
+        phi = mean + math.sqrt(2.5) * np.sqrt(var)
+        if weighted:
+            phi = float(weights[i]) * phi
+        differing += int((tables[i].ravel() != phi).sum())
+    return differing
+
+
 def move_walk():
     """Yield (d, max_size, state, enumerate_moves(state)) over seeded random
     covering states and a few random-walk steps from each: 150 states."""
@@ -266,6 +298,18 @@ def checks():
     # over 2, 3, 4 or 8 threads
     rows = posterior_block_mismatches((33, 32, 32), 17, seed=int(rng.integers(2**31)))
     yield "posterior_blocks_bitwise", rows == 0, f"{rows}/33792 rows differ from one block"
+
+    # ten 15-row singletons pack into one 150-row block; OpenBLAS takes
+    # their (15 x t)(t x t) products with its small-matrix GEMM kernel at
+    # t = 17 and not at t = 300.  Pairs and triples pack at tau 7
+    cases = (((1,) * 10, 15, 17), ((1,) * 10, 15, 300), ((2, 3, 2, 3, 1), 7, 60))
+    entries = sum(
+        packed_table_mismatches(arities, tau, t, int(rng.integers(2**31)), weighted)
+        for arities, tau, t in cases
+        for weighted in (False, True)
+    )
+    detail = f"{entries} table entries differ from one factor at a time"
+    yield "packed_factors_bitwise", entries == 0, detail
 
     bad = move_count_mismatches()
     yield "mcmc_move_counts", bad == 0, f"{bad} Hastings counts differ from enumerate_moves"

@@ -197,6 +197,13 @@ def test_tau_caps_clamp():
         grid_for_iteration(sched, 100, caps=(2.9, 8.7))
 
 
+@pytest.mark.parametrize("caps", [(2, 8, 99), (8,), ()], ids=["three", "one", "none"])
+def test_grid_for_iteration_refuses_caps_not_a_pair(caps):
+    sched = BetaSchedule(mode="fixed_constant", delta=0.1, num_factors=3, dims=6, fixed_value=4.0)
+    with pytest.raises(ContractViolationError, match="caps must be"):
+        grid_for_iteration(sched, 100, caps=caps)
+
+
 def test_grid_spec_geometry():
     grid = GridSpec(per_dim_points=5, num_dims=3)
     np.testing.assert_allclose(grid.axis, [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -272,7 +279,9 @@ def test_tabulate_needs_one_weight_per_factor(weights):
         tabulate(post, grid, 2.0, weights=weights)
 
 
-@pytest.mark.parametrize("beta_value", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize(
+    "beta_value", [math.nan, 0.0, -1.0, math.inf], ids=["nan", "zero", "negative", "inf"]
+)
 def test_tabulate_refuses_nan_and_nonpositive_beta(beta_value):
     _, post = _toy_posterior(np.random.default_rng(23))
     with pytest.raises(ContractViolationError, match="beta must be positive"):

@@ -78,7 +78,9 @@ def test_evaluate_batch_of_no_rows_is_empty_and_nan_is_out_of_bounds(name):
         evaluate_batch(obj, x)
 
 
-@pytest.mark.parametrize("noise", [math.nan, -0.1], ids=["nan", "negative"])
+@pytest.mark.parametrize(
+    "noise", [math.nan, -0.1, math.inf], ids=["nan", "negative", "inf"]
+)
 def test_noisy_evaluate_refuses_nan_and_negative_variance(noise):
     obj = shekel4()
     with pytest.raises(ContractViolationError, match="noise variance must be >= 0"):

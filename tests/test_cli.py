@@ -495,6 +495,8 @@ def test_selftest_passes(capsys):
         "beta_discrete_spot",
         "gp_mean_additivity",
         "maxsum_tree_exactness",
+        "posterior_blocks_bitwise",
+        "packed_factors_bitwise",
         "mcmc_move_counts",
     ):
         assert f"PASS  {name}" in out

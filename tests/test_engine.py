@@ -208,6 +208,12 @@ def test_nearest_unvisited_order():
                     default=start,
                 )
                 assert _nearest_unvisited(grid, start, visited) == want
+                # the engine's visited set holds np.float64 coordinates; plain
+                # floats of the same values, and off-grid points, change nothing
+                as_floats = {tuple(float(v) for v in u) for u in visited}
+                off_grid = visited | {(0.5 / tau,) * d, (math.pi,) * d}
+                assert _nearest_unvisited(grid, start, as_floats) == want
+                assert _nearest_unvisited(grid, start, off_grid) == want
             every = {tuple(grid.point_at(p)) for p in points}
             assert _nearest_unvisited(grid, start, every) == start
 

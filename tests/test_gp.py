@@ -21,7 +21,7 @@ from fgbo.gp import (
     log_marginal_likelihood,
 )
 from fgbo.kernels import AdditiveKernel, FactorKernel, GramBlocks, gram
-from fgbo.selftest import dense_posterior, posterior_block_mismatches
+from fgbo.selftest import dense_posterior, packed_table_mismatches, posterior_block_mismatches
 
 
 def random_kernel(rng, d, max_factors=3, max_arity=3):
@@ -374,6 +374,65 @@ def test_blocked_posterior_is_bitwise_the_one_block_product():
     assert proc.returncode == 0, proc.stderr
     differing = dict(zip(map(str, BLOCK_CASES), json.loads(proc.stdout)))
     assert differing == dict.fromkeys(differing, 0)
+
+
+PACK_CASES = [
+    # (arities, tau, t).  OpenBLAS takes a factor's (tau^|I| x t)(t x t)
+    # variance product with its small-matrix GEMM kernel when tau^|I| t^2 is
+    # below about 1e6, so each arity runs at a t on either side
+    ((1,) * 10, 15, 17),
+    ((1,) * 10, 15, 300),
+    ((1,) * 300, 15, 5),  # two packs: 273 singletons, then 27
+    ((2,) * 4, 7, 17),
+    ((2,) * 4, 7, 150),
+    ((2, 2, 2), 17, 45),
+    ((3, 3, 3), 7, 17),
+    ((3, 3, 3), 7, 60),
+    ((3, 3), 15, 45),  # 3375 rows: each factor alone
+    ((1, 2, 3, 2, 1, 3), 6, 35),
+]
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("arities, tau, t", PACK_CASES)
+def test_packed_tables_are_bitwise_one_factor_at_a_time(arities, tau, t, weighted):
+    seed = 7 * tau + t + len(arities)
+    assert packed_table_mismatches(arities, tau, t, seed, weighted) == 0
+
+
+def test_grid_posterior_packs_small_factors_of_one_arity():
+    # sub-grids of 16, 256 and 4096 rows at tau 16: the singletons share one
+    # pack, the pairs two packs of at most BLOCK_ROWS rows, and the 4096-row
+    # triple is alone
+    rng = np.random.default_rng(31)
+    subsets = [(j,) for j in range(10)] + [(j, j + 1) for j in range(20)] + [(0, 1, 2)]
+    kernel = AdditiveKernel(tuple(FactorKernel(s, 1.0, (0.3,) * len(s)) for s in subsets))
+    post = fit(kernel, ObservationSet(rng.uniform(size=(9, 21)), rng.normal(size=9), 0.1))
+    axis = np.linspace(0.0, 1.0, 16)
+    packs = [(pack, len(mean), len(var)) for pack, mean, var in post.grid_mean_var(axis)]
+    pairs = list(range(10, 30))
+    assert packs == [
+        (list(range(10)), 160, 160),
+        (pairs[:16], 4096, 4096),
+        (pairs[16:], 1024, 1024),
+        ([30], 4096, 4096),
+    ]
+
+
+def test_a_pack_is_one_posterior_pass(monkeypatch):
+    # ten singleton factors, as in a Michalewicz-10 additive run: one
+    # cross-covariance, and no call of the one-factor path
+    rng = np.random.default_rng(32)
+    kernel = AdditiveKernel(tuple(FactorKernel((j,), 1.0, (0.2,)) for j in range(10)))
+    post = fit(kernel, ObservationSet(rng.uniform(size=(12, 10)), rng.normal(size=12), 0.1))
+    packed, single = [], []
+    real = fgbo.gp.cross_factors
+    monkeypatch.setattr(fgbo.gp, "cross_factors", lambda *a: packed.append(1) or real(*a))
+    monkeypatch.setattr(fgbo.gp, "cross_factor", lambda *a: single.append(1))
+    assert [pack for pack, _, _ in post.grid_mean_var(np.linspace(0.0, 1.0, 16))] == [
+        list(range(10))
+    ]
+    assert (len(packed), len(single)) == (1, 0)
 
 
 @pytest.mark.parametrize("lengths", [(0,), (0, 5), (5, 0, 3)])
