@@ -183,16 +183,20 @@ def tabulate(
     phi, and the weights, are one pass per pack; every table is bitwise the
     one the factor would get alone.  The tables hold tau^|I| floats per
     factor.
-    weights, exactly one per factor, scale the tables (averaging
-    acquisitions over sampled decompositions).  A kernel with one factor
-    over all d inputs gives the centralized GP-UCB table over the joint grid.
+    weights, exactly one per factor and each positive and finite, scale the
+    tables (averaging acquisitions over sampled decompositions).  A kernel
+    with one factor over all d inputs gives the centralized GP-UCB table
+    over the joint grid.
     """
     if not 0 < beta_value < math.inf:
         raise ContractViolationError("beta must be positive and finite")
     factors = posterior.kernel.factors
-    if weights is not None and len(weights) != len(factors):
+    if weights is not None and (
+        len(weights) != len(factors) or not all(0 < w < math.inf for w in weights)
+    ):
         raise ContractViolationError(
-            f"need one weight per factor ({len(factors)}), got {len(weights)}"
+            f"need one weight per factor ({len(factors)}), each positive and finite, "
+            f"got {weights!r}"
         )
     root_beta = math.sqrt(beta_value)
     tau = grid.per_dim_points

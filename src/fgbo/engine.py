@@ -13,8 +13,9 @@ algorithm; they differ in its factors and in how the query is selected:
 
 An iteration's lookups are its table entries plus the solver's lookups.
 A run with a static structure makes one kernels.GramBlocks cache for its
-fits; its lengthscale is a config constant, so every fit reads the same
-blocks and the cache holds one block per factor of the run.  Only
+fits; its lengthscale is a config constant and induced_kernel gives every
+factor the same signal variance, so every fit reads the same unscaled sum
+and the cache holds one t x t sum for the run.  Only
 decomposition's memoised bitmask tables outlive a run; they are kept for
 speed, and grow only with the distinct subset masks the chains have met.
 

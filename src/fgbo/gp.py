@@ -12,8 +12,9 @@ relies on; no analogous identity holds for variances.  An ObservationSet
 holds at least one observation, so every posterior here is a fitted one.
 
 A fit builds K from a kernels.GramBlocks cache when the caller passes one
-(the engine owns one per run with a static structure), so over a run it
-costs O(n_f |I| t) new exponentials, n_f t^2 multiply-adds and the O(t^3)
+(the engine owns one per run with a static structure, whose factors share
+one signal variance), so over a run it costs O(n_f |I| t) new
+exponentials, O(n_f t) adds, one scaled t x t copy and the O(t^3)
 Cholesky and inverse.
 It factorizes K + sn2 I = L L' once and caches the weights
 (K + sn2 I)^-1 y and the inverse factor L^-1, so m inputs cost an (m x t)
@@ -57,7 +58,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtri
 
-from .errors import ContractViolationError, NumericalFailureError
+from .errors import ContractViolationError, NumericalFailureError, is_integer
 from .kernels import AdditiveKernel, GramBlocks, cross_additive, cross_factor, cross_factors, gram
 
 # negative posterior variances beyond this are treated as bugs, not roundoff
@@ -258,9 +259,10 @@ class FactorPosterior:
         Each row block's cross-covariance and posterior is computed and
         checked in turn (see the module docstring).
         """
-        if not 0 <= factor_index < self.kernel.num_factors:
+        if not (is_integer(factor_index) and 0 <= factor_index < self.kernel.num_factors):
             raise ContractViolationError(
-                f"factor index {factor_index} out of range [0, {self.kernel.num_factors})"
+                f"factor index must be an integer in [0, {self.kernel.num_factors}), "
+                f"got {factor_index!r}"
             )
         f = self.kernel.factors[factor_index]
         U, m = _batch_inputs(U)

@@ -26,14 +26,20 @@ cross_factors runs this product for k factors of one arity at the same
 axes at once, over a leading factor axis; cross_factor's axes form is its
 k = 1 case.
 
-Gram matrices.  gram builds K from GramBlocks, a cache of unscaled
-per-factor blocks exp(-0.5 |z|^2) that grows by the new observations' rows
-only.  Over a run that adds one observation per fit, a fit then costs
-O(n_f |I| t) new exponentials plus n_f t^2 multiply-adds instead of
+Gram matrices.  gram groups the factors by signal variance, in order of
+their first factor, and builds K = sum_g s2_g * S_g from the unscaled sums
+S_g = sum_{f in g} exp(-0.5 |z_f|^2), each summed in factor order.
+Factors with distinct signal variances give sum_f s2_f * B_f; factors that
+share one give s2 * (B_0 + B_1 + ...), a few ulps from the former.
+induced_kernel splits one signal variance equally across its factors, so
+every engine kernel is one group.  GramBlocks caches the sums and grows
+them by the new observations' rows only: over a run that adds one
+observation per fit, a fit then costs O(n_f |I| t) new exponentials,
+O(n_f t) adds and one scaled t x t copy per group, instead of
 O(n_f |I| t^2) exponentials.  A cache serves one caller's kernel structure
 and only grows: the engine makes one per run with a static structure, so
-it holds one block per factor of that run.  Without a cache, gram computes
-each block fresh with the same formula.  Apart from GramBlocks, everything
+it holds one t x t sum.  Without a cache, gram sums each group fresh with
+the same float operations.  Apart from GramBlocks, everything
 here is a pure function of immutable values.
 """
 
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, is_integer
+from .errors import ContractViolationError, check_counts, is_integer
 
 
 @dataclass(frozen=True)
@@ -180,68 +186,95 @@ def _se(U: np.ndarray, V: np.ndarray, ls: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.einsum("mnk,mnk->mn", diff, diff))
 
 
-class GramBlocks:
-    """Unscaled per-factor Gram blocks B = exp(-0.5 |z|^2), grown row by row.
+def _se_sum(factors, X: np.ndarray, new: int = 0) -> np.ndarray:
+    """Rows new: of sum_f exp(-0.5 |z_f|^2) over X (n, d), summed in factor
+    order: (n - new, n)."""
+    S = None
+    for f in factors:
+        U = f.restrict(X)
+        B = _se(U[new:], U, np.asarray(f.lengthscales))
+        if S is None:
+            S = B
+        else:
+            S += B
+    return S
 
-    One block per (subset, lengthscales), allocated once at capacity x
-    capacity.  A call over n sub-input rows computes only the rows the block
-    has not seen, writes them into B[m:n, :n], mirrors them into B[:m, m:n]
-    and returns the view B[:n, :n].  The block keeps the sub-inputs it was
-    built from: when their first rows differ from the call's, the block is
-    rebuilt, and beyond capacity the block is computed fresh and not kept,
-    so a stale block never reaches a Gram matrix.  The signal variance stays
-    outside, because the caller's may change between calls.
+
+class GramBlocks:
+    """Unscaled Gram sums S = sum_f exp(-0.5 |z_f|^2), one per group of
+    factors that share a signal variance, grown row by row.
+
+    One sum per (input width, the group's (subset, lengthscales) in factor
+    order), allocated once at capacity x capacity.  A call over n input rows
+    computes only the rows the sum has not seen: it adds each factor's new
+    rows in factor order into S[m:n, :n], mirrors them into S[:m, m:n] and
+    returns the view S[:n, :n].  The sum keeps the inputs it was built
+    from: when their first rows differ from the call's, the sum is rebuilt,
+    and beyond capacity the sum is computed fresh and not kept, so a stale
+    sum never reaches a Gram matrix.  The signal variance stays outside,
+    because the caller's may change between calls.
 
     A cache serves one caller's kernel structure and grows only by new rows;
-    it frees no block, so a caller whose factors change should not keep one
+    it frees no sum, so a caller whose factors change should not keep one
     (the engine makes one per run with a static structure).
     """
 
     def __init__(self, capacity: int):
-        self.capacity = int(capacity)
-        self._blocks: dict = {}  # key -> [B, sub-inputs, rows built]
+        check_counts(ContractViolationError, 0, capacity=capacity)
+        self.capacity = capacity
+        self._sums: dict = {}  # key -> [S, inputs, rows built]
 
-    def block(self, factor: FactorKernel, U: np.ndarray) -> np.ndarray:
-        """The factor's unscaled Gram block over its sub-inputs U (n, arity)."""
-        n = U.shape[0]
-        ls = np.asarray(factor.lengthscales)
+    def group_sum(self, factors, X: np.ndarray) -> np.ndarray:
+        """The group's unscaled Gram sum over the inputs X (n, d)."""
+        n, d = X.shape
         if n > self.capacity:
-            return _se(U, U, ls)
-        key = (factor.subset, factor.lengthscales)
-        entry = self._blocks.get(key)
+            return _se_sum(factors, X)
+        key = (d, tuple((f.subset, f.lengthscales) for f in factors))
+        entry = self._sums.get(key)
         if entry is None:
             cap = self.capacity
-            entry = [np.empty((cap, cap)), np.empty((cap, factor.arity)), 0]
-            self._blocks[key] = entry
-        B, seen, built = entry
+            entry = [np.empty((cap, cap)), np.empty((cap, d)), 0]
+            self._sums[key] = entry
+        S, seen, built = entry
         m = min(built, n)
-        if not np.array_equal(seen[:m], U[:m]):
+        if not np.array_equal(seen[:m], X[:m]):
             m = built = 0
         if m < n:
-            B[m:n, :n] = _se(U[m:n], U[:n], ls)
-            B[:m, m:n] = B[m:n, :m].T
-            seen[m:n] = U[m:n]
+            S[m:n, :n] = _se_sum(factors, X[:n], m)
+            S[:m, m:n] = S[m:n, :m].T
+            seen[m:n] = X[m:n]
             entry[2] = max(built, n)
-        return B[:n, :n]
+        return S[:n, :n]
 
 
 def gram(kernel: AdditiveKernel, X: np.ndarray, blocks: GramBlocks | None = None) -> np.ndarray:
     """Gram matrix of the additive kernel over inputs X (n, d).
 
-    Built as sum_f s2_f * B_f in factor order from the unscaled blocks of
-    `blocks`, which keeps one block per factor it has served; without one, a
-    throwaway cache of capacity 0 computes each block fresh and keeps none.
-    These are the float operations of summing cross_factor(f, U_f, U_f), so
-    K equals that sum bit for bit and is exactly symmetric
-    (fl(a/l - b/l) = -fl(b/l - a/l)).
+    Built as sum_g s2_g * S_g over the groups of factors that share a signal
+    variance, in order of their first factor (see the module docstring),
+    from the sums `blocks` keeps, one per group it has served; without it,
+    each sum is computed fresh with the same float operations.  Every S_g is
+    exactly symmetric (fl(a/l - b/l) = -fl(b/l - a/l)), and so is K.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    if blocks is None:
-        blocks = GramBlocks(0)
-    K = np.zeros((n, n))
+    if X.ndim != 2:
+        raise ContractViolationError(f"X must be a (t, d) array, got {X.ndim} dimensions")
+    if not np.isfinite(X).all():
+        raise ContractViolationError("observations must be finite")
+    groups: dict = {}
     for f in kernel.factors:
-        K += f.signal_variance * blocks.block(f, f.restrict(X))
+        groups.setdefault(f.signal_variance, []).append(f)
+    K = None
+    for s2, factors in groups.items():
+        if blocks is None:
+            S = _se_sum(factors, X)
+            S *= s2
+        else:
+            S = s2 * blocks.group_sum(factors, X)
+        if K is None:
+            K = S
+        else:
+            K += S
     return K
 
 

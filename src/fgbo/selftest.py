@@ -3,7 +3,7 @@ shares with the test suite, each defined only here: the Michalewicz-10
 per-dimension search, the brute-force joint maximum of a factor graph, the
 defining-order factor-to-variable message, the dense-inverse GP posterior,
 the one-block factor posterior, the one-factor-at-a-time acquisition
-tables, the 60-digit beta tables, and the seeded
+tables, the uncached Gram matrix, the 60-digit beta tables, and the seeded
 walk over decompositions whose move lists the test suite pins.
 """
 
@@ -19,7 +19,7 @@ from .acquisition import BetaSchedule, GridSpec, beta, tabulate
 from .decomposition import enumerate_moves, move_deltas, random_covering_decomposition
 from .errors import ContractViolationError, NumericalFailureError
 from .gp import ObservationSet, dense_cholesky_with_jitter, fit
-from .kernels import AdditiveKernel, FactorKernel, cross_factor, gram
+from .kernels import AdditiveKernel, FactorKernel, GramBlocks, cross_factor, gram
 from .maxsum import FactorGraph, solve
 
 # Frozen from an independent arbitrary-precision (mpmath, 60 digits)
@@ -175,6 +175,29 @@ def packed_table_mismatches(arities, tau: int, t: int, seed: int, weighted: bool
     return differing
 
 
+def gram_block_mismatches(t: int, seed: int) -> int:
+    """Entries where the Gram matrix from a GramBlocks cache, grown one row
+    at a time to t rows, differs in any bit from the uncached gram, summed
+    over every row count.
+
+    The seeded kernel has five factors of arity 1 and 2 over d = 6, in two
+    interleaved signal-variance groups.
+    """
+    rng = np.random.default_rng(seed)
+    subsets = ((0,), (1, 2), (2,), (3, 4), (0, 5))
+    kernel = AdditiveKernel(
+        tuple(
+            FactorKernel(s, (0.6, 1.1)[i % 2], tuple(rng.uniform(0.1, 0.6, size=len(s))))
+            for i, s in enumerate(subsets)
+        )
+    )
+    X = rng.uniform(size=(t, 6))
+    blocks = GramBlocks(t)
+    return sum(
+        int((gram(kernel, X[:n], blocks) != gram(kernel, X[:n])).sum()) for n in range(1, t + 1)
+    )
+
+
 def move_walk():
     """Yield (d, max_size, state, enumerate_moves(state)) over seeded random
     covering states and a few random-walk steps from each: 150 states."""
@@ -310,6 +333,9 @@ def checks():
     )
     detail = f"{entries} table entries differ from one factor at a time"
     yield "packed_factors_bitwise", entries == 0, detail
+
+    entries = gram_block_mismatches(60, int(rng.integers(2**31)))
+    yield "gram_blocks_bitwise", entries == 0, f"{entries} Gram entries differ from uncached"
 
     bad = move_count_mismatches()
     yield "mcmc_move_counts", bad == 0, f"{bad} Hastings counts differ from enumerate_moves"

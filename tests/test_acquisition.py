@@ -280,6 +280,20 @@ def test_tabulate_needs_one_weight_per_factor(weights):
 
 
 @pytest.mark.parametrize(
+    "bad", [-1.0, 0.0, math.nan, math.inf], ids=["negative", "zero", "nan", "inf"]
+)
+def test_tabulate_refuses_weights_not_positive_and_finite(bad):
+    # a negative weight would turn factor 0's UCB into a penalty, a zero one
+    # would drop it, and a NaN or infinite one would poison its table
+    rng = np.random.default_rng(23)
+    _, post = _toy_posterior(rng)
+    grid = GridSpec(per_dim_points=3, num_dims=3)
+    for weights in ((bad, 1.0), np.array([1.0, bad])):
+        with pytest.raises(ContractViolationError, match="need one weight per factor"):
+            tabulate(post, grid, 2.0, weights=weights)
+
+
+@pytest.mark.parametrize(
     "beta_value", [math.nan, 0.0, -1.0, math.inf], ids=["nan", "zero", "negative", "inf"]
 )
 def test_tabulate_refuses_nan_and_nonpositive_beta(beta_value):

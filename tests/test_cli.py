@@ -497,6 +497,7 @@ def test_selftest_passes(capsys):
         "maxsum_tree_exactness",
         "posterior_blocks_bitwise",
         "packed_factors_bitwise",
+        "gram_blocks_bitwise",
         "mcmc_move_counts",
     ):
         assert f"PASS  {name}" in out

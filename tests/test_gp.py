@@ -219,6 +219,24 @@ def test_batch_arity_is_checked():
             post.factor_mean_var_batch(0, inputs)
 
 
+@pytest.mark.parametrize(
+    "index",
+    [1.5, True, -1, 2, np.float64(1.0)],
+    ids=["float", "bool", "negative", "past_end", "np_float"],
+)
+def test_factor_index_must_be_an_integer_in_range(index):
+    rng = np.random.default_rng(4)
+    kernel = AdditiveKernel(factors=tuple(FactorKernel((j,), 1.0, (0.3,)) for j in range(2)))
+    post = fit(kernel, ObservationSet(rng.uniform(size=(5, 2)), rng.normal(size=5), 0.1))
+    U = rng.uniform(size=(3, 1))
+    with pytest.raises(ContractViolationError, match=r"integer in \[0, 2\)"):
+        post.factor_mean_var_batch(index, U)
+    # a numpy integer is an index
+    np.testing.assert_array_equal(
+        post.factor_mean_var_batch(np.int64(1), U)[0], post.factor_mean_var_batch(1, U)[0]
+    )
+
+
 def test_batch_axes_must_be_one_dimensional():
     rng = np.random.default_rng(5)
     kernel = AdditiveKernel(

@@ -176,11 +176,31 @@ def test_cross_factor_axes_must_be_one_dimensional():
 
 
 def _fresh_gram(kernel, X):
-    """The reference: sum_f cross_factor(f, U_f, U_f) in factor order."""
+    """The per-factor reference: sum_f cross_factor(f, U_f, U_f) in factor
+    order, which gram equals when no two factors share a signal variance."""
     K = np.zeros((len(X), len(X)))
     for f in kernel.factors:
         U = f.restrict(X)
         K += cross_factor(f, U, U)
+    return K
+
+
+def _grouped_gram(kernel, X):
+    """The reference: sum_g s2_g * S_g over the groups of factors that share
+    a signal variance, in order of their first factor, where S_g sums the
+    group's unscaled (signal variance 1.0) cross_factor blocks in factor
+    order."""
+    sums = {}
+    for f in kernel.factors:
+        U = f.restrict(X)
+        B = cross_factor(FactorKernel(f.subset, 1.0, f.lengthscales), U, U)
+        if f.signal_variance in sums:
+            sums[f.signal_variance] += B
+        else:
+            sums[f.signal_variance] = B
+    K = np.zeros((len(X), len(X)))
+    for s2, S in sums.items():
+        K += s2 * S
     return K
 
 
@@ -211,6 +231,16 @@ CACHE_KERNELS = {
             FactorKernel(subset=(0, 1, 2, 3), signal_variance=2.1, lengthscales=(0.2, 0.3, 0.4, 0.25)),
         )
     ),
+    # two interleaved signal-variance groups of mixed arity
+    "two_groups": AdditiveKernel(
+        factors=(
+            FactorKernel(subset=(0,), signal_variance=0.4, lengthscales=(0.3,)),
+            FactorKernel(subset=(1, 2), signal_variance=0.7, lengthscales=(0.2, 0.5)),
+            FactorKernel(subset=(2,), signal_variance=0.4, lengthscales=(0.15,)),
+            FactorKernel(subset=(3, 4), signal_variance=0.7, lengthscales=(0.4, 0.3)),
+            FactorKernel(subset=(0, 5), signal_variance=0.4, lengthscales=(0.6, 0.25)),
+        )
+    ),
 }
 
 
@@ -220,18 +250,36 @@ def test_gram_blocks_grown_row_by_row_equal_fresh_gram(name):
     d = 1 + max(f.subset[-1] for f in kernel.factors)
     X = np.random.default_rng(17).uniform(size=(310, d))
     blocks = GramBlocks(310)
-    # two signal variances share one cache: the blocks are unscaled
+    # two signal variances share one cache: the sums are unscaled
     for t in range(1, 311):
         for s2 in (1.0, 3.7):
             scaled = _scaled(kernel, s2)
             K = gram(scaled, X[:t], blocks)
-            np.testing.assert_array_equal(K, _fresh_gram(scaled, X[:t]))
+            np.testing.assert_array_equal(K, _grouped_gram(scaled, X[:t]))
             np.testing.assert_array_equal(K, K.T)
+    np.testing.assert_array_equal(gram(kernel, X), _grouped_gram(kernel, X))
+
+
+@pytest.mark.parametrize("name", ["ten_1d", "three_overlapping_3d", "one_4d"])
+def test_distinct_signal_variances_give_the_per_factor_sum(name):
+    # every factor its own group: K is sum_f s2_f B_f, bit for bit
+    kernel = CACHE_KERNELS[name]
+    kernel = AdditiveKernel(
+        factors=tuple(
+            FactorKernel(f.subset, f.signal_variance * (1.0 + 0.1 * i), f.lengthscales)
+            for i, f in enumerate(kernel.factors)
+        )
+    )
+    d = 1 + max(f.subset[-1] for f in kernel.factors)
+    X = np.random.default_rng(18).uniform(size=(60, d))
+    blocks = GramBlocks(60)
+    for t in range(1, 61):
+        np.testing.assert_array_equal(gram(kernel, X[:t], blocks), _fresh_gram(kernel, X[:t]))
     np.testing.assert_array_equal(gram(kernel, X), _fresh_gram(kernel, X))
 
 
 def test_gram_blocks_rebuild_on_changed_prefix():
-    kernel = CACHE_KERNELS["three_overlapping_3d"]
+    kernel = CACHE_KERNELS["two_groups"]
     rng = np.random.default_rng(5)
     X = rng.uniform(size=(30, 6))
     blocks = GramBlocks(40)
@@ -239,10 +287,10 @@ def test_gram_blocks_rebuild_on_changed_prefix():
     Y = X.copy()
     Y[7, 2] += 0.125  # a changed row inside the cached prefix
     for t in (20, 25, 12):
-        np.testing.assert_array_equal(gram(kernel, Y[:t], blocks), _fresh_gram(kernel, Y[:t]))
+        np.testing.assert_array_equal(gram(kernel, Y[:t], blocks), _grouped_gram(kernel, Y[:t]))
     # fewer rows than were built, then more again, after the prefix changed back
     for t in (10, 30):
-        np.testing.assert_array_equal(gram(kernel, X[:t], blocks), _fresh_gram(kernel, X[:t]))
+        np.testing.assert_array_equal(gram(kernel, X[:t], blocks), _grouped_gram(kernel, X[:t]))
 
 
 def test_gram_blocks_beyond_capacity_give_the_fresh_gram():
@@ -250,18 +298,51 @@ def test_gram_blocks_beyond_capacity_give_the_fresh_gram():
     X = np.random.default_rng(6).uniform(size=(12, 10))
     blocks = GramBlocks(5)
     for t in (4, 12, 5):
-        np.testing.assert_array_equal(gram(kernel, X[:t], blocks), _fresh_gram(kernel, X[:t]))
+        np.testing.assert_array_equal(gram(kernel, X[:t], blocks), _grouped_gram(kernel, X[:t]))
+    assert [S.shape for S, _, _ in blocks._sums.values()] == [(5, 5)]
 
 
 def test_gram_blocks_serve_a_changing_structure():
-    # refits under a changing structure equal the fresh Gram, reuse the
-    # shared factors' blocks, and grow a factor that returns
+    # refits under a changing structure equal the grouped Gram, keep the
+    # first structure's sum, and grow it when that structure returns
     X = np.random.default_rng(7).uniform(size=(30, 10))
     ten = CACHE_KERNELS["ten_1d"]
     mixed = AdditiveKernel(factors=ten.factors[:4] + CACHE_KERNELS["three_overlapping_3d"].factors)
     blocks = GramBlocks(30)
     gram(ten, X[:20], blocks)
-    shared = [blocks._blocks[(f.subset, f.lengthscales)][0] for f in ten.factors[:4]]
-    np.testing.assert_array_equal(gram(mixed, X[:25], blocks), _fresh_gram(mixed, X[:25]))
-    assert all(blocks._blocks[(f.subset, f.lengthscales)][0] is B for f, B in zip(ten.factors, shared))
-    np.testing.assert_array_equal(gram(ten, X[:30], blocks), _fresh_gram(ten, X[:30]))
+    ((S, _, _),) = blocks._sums.values()
+    np.testing.assert_array_equal(gram(mixed, X[:25], blocks), _grouped_gram(mixed, X[:25]))
+    # one sum for the ten singletons, then one per group of mixed
+    assert len(blocks._sums) == 1 + 4
+    np.testing.assert_array_equal(gram(ten, X[:30], blocks), _grouped_gram(ten, X[:30]))
+    assert next(iter(blocks._sums.values()))[0] is S
+
+
+def test_ten_singletons_keep_one_sum():
+    # one signal variance over ten factors: one capacity x capacity sum, not ten
+    X = np.random.default_rng(8).uniform(size=(305, 10))
+    blocks = GramBlocks(305)
+    for t in (1, 2, 150, 305):
+        gram(CACHE_KERNELS["ten_1d"], X[:t], blocks)
+    ((S, _, built),) = blocks._sums.values()
+    assert S.shape == (305, 305) and built == 305
+
+
+@pytest.mark.parametrize("capacity", [-3, 2.5, True, None], ids=["negative", "float", "bool", "none"])
+def test_gram_blocks_refuse_a_capacity_not_a_count(capacity):
+    with pytest.raises(ContractViolationError, match="capacity"):
+        GramBlocks(capacity)
+
+
+@pytest.mark.parametrize("blocks", [None, GramBlocks(10)], ids=["uncached", "cached"])
+def test_gram_refuses_non_matrix_and_non_finite_inputs(blocks):
+    kernel = CACHE_KERNELS["one_4d"]
+    X = np.random.default_rng(9).uniform(size=(5, 4))
+    with pytest.raises(ContractViolationError, match="3 dimensions"):
+        gram(kernel, X[None], blocks)
+    for bad in (math.nan, math.inf):
+        Y = X.copy()
+        Y[2, 1] = bad
+        with pytest.raises(ContractViolationError, match="finite"):
+            gram(kernel, Y, blocks)
+
