@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ConfigurationError, ContractViolationError, check_counts
 from .gp import dense_cholesky_with_jitter
 from .kernels import AdditiveKernel, cross_factor
 
@@ -184,6 +184,7 @@ def prior_sample_objective(
     most MAX_SAMPLE_GRID points; the joint grid over all d dimensions is
     never built, so d is unbounded.
     """
+    check_counts(ContractViolationError, 1, grid_points=grid_points)
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     d = len(box)
     values = [np.linspace(lo, hi, grid_points) for lo, hi in box]

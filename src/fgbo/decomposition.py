@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, check_counts
+from .errors import ConfigurationError, ContractViolationError, check_counts, is_integer
 from .gp import ObservationSet, log_marginal_likelihood
 from .kernels import AdditiveKernel, FactorKernel
 
@@ -395,12 +395,17 @@ def sample_posterior(
 ) -> tuple[Decomposition, ...]:
     """Metropolis-Hastings over decompositions; deterministic given the rng.
 
-    rng may be an integer seed or a numpy Generator.  The chain starts at
+    rng is a numpy Generator or an integer seed >= 0.  The chain starts at
     the singleton decomposition; chain_length 0 returns num_samples copies
     of it.  A step scores one proposal and lists its moves; only the
     current state's score and moves are kept.
     """
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    if not isinstance(rng, np.random.Generator):
+        if not (is_integer(rng) and rng >= 0):
+            raise ContractViolationError(
+                f"rng must be a numpy Generator or an integer seed >= 0, got {rng!r}"
+            )
+        rng = np.random.default_rng(rng)
     if hypers is None:
         hypers = default_hypers(obs)
     d = obs.X.shape[1]

@@ -1,7 +1,13 @@
 """The Bayesian-optimization outer loop and its baselines.
 
-One run is: t0 seeded uniform-random evaluations, then n iterations of
-fit posterior -> grid(t+1) -> beta(t+1) -> tabulate -> select -> evaluate.
+One run is one loop over t = 1 .. t0 + n that selects a query and
+evaluates it: uniform-random for the t0 initial evaluations, then n
+iterations of fit posterior -> grid(t) -> beta(t) -> tabulate -> select.
+Each evaluation appends one IterationRecord, and every per-iteration output
+is a projection of that list: the trace, RunResult.lookups_per_iteration
+(the records after t0) and RunResult.perturbations (the t of each record
+whose query the repeat rule moved).
+
 tabulate returns the acquisition factor graph for every model-based
 algorithm; they differ in its factors and in how the query is selected:
 
@@ -90,18 +96,31 @@ class IterationRecord:
     r: float  # instantaneous regret (nan when optimum unknown)
     R: float  # cumulative regret
     best: float  # best-so-far simple regret
-    wall_ms: float
-    rounds: int
-    converged: int
+    # the defaults are an evaluation's with no model-based selection: an
+    # initial evaluation or a random_search query
+    wall_ms: float = 0.0  # selection time after t0, when measured
+    rounds: int = 0  # max-sum rounds
+    converged: int = 1
+    lookups: int = 0  # table entries plus the solver's lookups
+    perturbed: bool = False  # the repeat rule moved the query
 
 
 @dataclass
 class RunResult:
-    records: list
+    records: list  # one IterationRecord per evaluation, t = 1, 2, ...
     manifest: dict
     decomposition: Decomposition | None
-    lookups_per_iteration: list
-    perturbations: list  # t indices where repeat-query perturbation fired
+
+    @property
+    def lookups_per_iteration(self) -> list:
+        """The lookups of each iteration after the initial evaluations."""
+        t0 = self.manifest["config"]["initial_evaluations"]
+        return [rec.lookups for rec in self.records[t0:]]
+
+    @property
+    def perturbations(self) -> list:
+        """The t of each iteration where the repeat rule moved the query."""
+        return [rec.t for rec in self.records if rec.perturbed]
 
     @property
     def final_simple_regret(self) -> float:
@@ -272,75 +291,28 @@ def run_resolved(res: ResolvedRun) -> RunResult:
     noise_rng = np.random.default_rng(streams[2])
 
     static_dec, mcmc = res.decomposition, res.mcmc
+    t0 = config.initial_evaluations
     # under MCMC the fit's factors change at every refresh, and a cache
     # frees no block: caching raised the peak RSS of long runs and saved no
     # measurable time
-    blocks = None if mcmc else GramBlocks(config.initial_evaluations + config.iterations)
+    blocks = None if mcmc else GramBlocks(t0 + config.iterations)
 
     X_unit: list = []
     y_obs: list = []
     visited: set = set()
     records: list = []
-    lookups_per_iteration: list = []
-    perturbations: list = []
     cumulative = 0.0
-    best = math.inf
-
-    def observe(u: np.ndarray, rounds: int, converged: int, wall_ms: float):
-        nonlocal cumulative, best
-        u = np.clip(u, 0.0, 1.0)
-        x_nat = lows + u * (highs - lows)
-        f_nat = evaluate(obj, x_nat)
-        g_true = sign * f_nat
-        y = sign * noisy_evaluate(obj, x_nat, config.noise_variance, noise_rng)
-        if not (math.isfinite(f_nat) and math.isfinite(y)):
-            raise NumericalFailureError(
-                f"evaluation {len(y_obs) + 1}: objective value is not finite "
-                f"(f={f_nat!r}, y={y!r})"
-            )
-        X_unit.append(u)
-        y_obs.append(y)
-        visited.add(tuple(u))
-        t = len(y_obs)
-        if g_star is None:
-            r = float("nan")
-            cum = float("nan")
-            bst = float("nan")
-        else:
-            r = g_star - g_true
-            cumulative += r
-            cum = cumulative
-            best = min(best, r)
-            bst = best
-        records.append(
-            IterationRecord(
-                t=t,
-                x=x_nat,
-                y=y,
-                f=f_nat,
-                r=r,
-                R=cum,
-                best=bst,
-                wall_ms=wall_ms,
-                rounds=rounds,
-                converged=converged,
-            )
-        )
-
-    for _ in range(config.initial_evaluations):
-        observe(query_rng.uniform(size=d), rounds=0, converged=1, wall_ms=0.0)
-
+    # with no known optimum every regret is NaN, and so is every best
+    best = math.inf if g_star is not None else math.nan
     subsets_now = static_dec.subsets if static_dec is not None else None
     weights_now = None
 
-    for i in range(1, config.iterations + 1):
-        clock = time.monotonic() if config.measure_wall_time else None
-        t_sel = len(y_obs) + 1
+    for t in range(1, t0 + config.iterations + 1):
+        clock = time.monotonic() if config.measure_wall_time and t > t0 else None
+        solved = {}  # the IterationRecord fields the selection computed
         try:
-            if config.algorithm == "random_search":
+            if t <= t0 or config.algorithm == "random_search":
                 u = query_rng.uniform(size=d)
-                lookups = 0
-                rounds, converged = 0, 1
             else:
                 y_arr = np.asarray(y_obs)
                 center = float(y_arr.mean()) if config.gp["center_observations"] else 0.0
@@ -349,49 +321,59 @@ def run_resolved(res: ResolvedRun) -> RunResult:
                 observations = ObservationSet(
                     np.asarray(X_unit), y_model, config.noise_variance
                 )
-                if mcmc is not None and (i - 1) % config.decomposition["interval"] == 0:
+                if mcmc is not None and (t - t0 - 1) % config.decomposition["interval"] == 0:
                     samples = sample_posterior(observations, mcmc, decomp_rng, hypers=hypers)
                     subsets_now, weights_now = merge_for_acquisition(samples)
                 kernel = induced_kernel(subsets_now, hypers)
                 schedule = BetaSchedule(**config.beta, num_factors=len(subsets_now), dims=d)
-                grid = grid_for_iteration(schedule, t_sel, config.grid_caps)
-                beta_value = beta(schedule, t_sel, grid.joint_size)
+                grid = grid_for_iteration(schedule, t, config.grid_caps)
+                beta_value = beta(schedule, t, grid.joint_size)
                 posterior = fit(kernel, observations, blocks)
                 acq = tabulate(posterior, grid, beta_value, weights_now)
-                lookups = sum(tab.size for tab in acq.tables)
+                solved["lookups"] = sum(tab.size for tab in acq.tables)
                 if config.algorithm == "centralized_gp_ucb":
                     # one factor over all d inputs: scan its table
                     table = acq.tables[0]
                     idx = np.unravel_index(int(np.argmax(table)), table.shape)
-                    rounds, converged = 0, 1
                 else:
                     sol = solve(acq, **config.maxsum)
-                    idx = sol.indices
-                    lookups += sol.diagnostics.total_lookups
-                    rounds = sol.diagnostics.rounds_used
-                    converged = int(sol.diagnostics.converged)
+                    idx, diag = sol.indices, sol.diagnostics
+                    solved["lookups"] += diag.total_lookups
+                    solved["rounds"] = diag.rounds_used
+                    solved["converged"] = int(diag.converged)
                 idx = tuple(int(v) for v in idx)
                 if tuple(grid.point_at(idx)) in visited:
-                    idx = _nearest_unvisited(grid, idx, visited)
-                    perturbations.append(t_sel)
+                    moved = _nearest_unvisited(grid, idx, visited)
+                    solved["perturbed"] = moved != idx
+                    idx = moved
                 u = grid.point_at(idx)
         except NumericalFailureError as exc:
             raise NumericalFailureError(
-                f"iteration {t_sel}: {exc}", jitter=exc.jitter
+                f"iteration {t}: {exc}", jitter=exc.jitter
             ) from exc
-        wall = (
-            (time.monotonic() - clock) * 1e3 if clock is not None else 0.0
-        )
-        observe(u, rounds=rounds, converged=converged, wall_ms=wall)
-        lookups_per_iteration.append(lookups)
+        if clock is not None:
+            solved["wall_ms"] = (time.monotonic() - clock) * 1e3
 
-    return RunResult(
-        records=records,
-        manifest=res.manifest,
-        decomposition=static_dec,
-        lookups_per_iteration=lookups_per_iteration,
-        perturbations=perturbations,
-    )
+        u = np.clip(u, 0.0, 1.0)
+        x_nat = lows + u * (highs - lows)
+        f_nat = evaluate(obj, x_nat)
+        y = sign * noisy_evaluate(obj, x_nat, config.noise_variance, noise_rng)
+        if not (math.isfinite(f_nat) and math.isfinite(y)):
+            raise NumericalFailureError(
+                f"evaluation {t}: objective value is not finite "
+                f"(f={f_nat!r}, y={y!r})"
+            )
+        X_unit.append(u)
+        y_obs.append(y)
+        visited.add(tuple(u))
+        r = math.nan if g_star is None else g_star - sign * f_nat
+        cumulative += r
+        best = min(best, r)
+        records.append(
+            IterationRecord(t=t, x=x_nat, y=y, f=f_nat, r=r, R=cumulative, best=best, **solved)
+        )
+
+    return RunResult(records=records, manifest=res.manifest, decomposition=static_dec)
 
 
 def run(config: RunConfig) -> RunResult:

@@ -188,7 +188,7 @@ def factor_messages(table: np.ndarray, incoming, positions) -> list:
 
 @dataclass
 class Diagnostics:
-    """Everything observable about one solve, for tests and trace dumps."""
+    """Everything observable about one solve, for the engine and tests."""
 
     rounds_used: int = 0
     converged: bool = False
@@ -283,10 +283,3 @@ def solve(
         v2f, delta_v2f = _damped(v2f, raw_v2f, damping)
         delta = max(delta_f2v, delta_v2f)
 
-
-def dump_trace(diagnostics: Diagnostics, path) -> None:
-    """Write the per-round trace as CSV: round, max_delta, sigma_phi."""
-    with open(path, "w") as fh:
-        fh.write("round,max_delta,sigma_phi\n")
-        for rnd, delta, val in diagnostics.trace:
-            fh.write("%d,%.17g,%.17g\n" % (rnd, delta, val))

@@ -197,6 +197,14 @@ def test_prior_sample_validation():
         )  # subset (1, 2) outside a 2-d box
 
 
+@pytest.mark.parametrize("grid_points", [0, -2, 2.5, True, "5"])
+def test_prior_sample_refuses_a_grid_that_is_not_a_positive_integer(grid_points):
+    with pytest.raises(ContractViolationError, match="grid_points must be"):
+        prior_sample_objective(
+            _two_factor_kernel(), ((0.0, 1.0),) * 3, grid_points, np.random.default_rng(0)
+        )
+
+
 def test_make_objective():
     assert make_objective("shekel4").kind == "shekel4"
     assert make_objective("hartmann6").dims == 6

@@ -363,6 +363,18 @@ def test_sample_posterior_deterministic_given_seed():
     assert [d.subsets for d in e1] == [d.subsets for d in e2]
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "a", True, None])
+def test_sample_posterior_refuses_an_rng_that_is_not_a_generator_or_seed(seed):
+    rng = np.random.default_rng(8)
+    obs = ObservationSet(rng.uniform(size=(4, 2)), rng.normal(size=4), 0.1)
+    cfg = McmcConfig(max_factor_size=2, chain_length=2, num_samples=1)
+    with pytest.raises(ContractViolationError, match="rng must be a numpy Generator"):
+        sample_posterior(obs, cfg, rng=seed)
+    # a numpy integer is a seed like the int it holds
+    again = sample_posterior(obs, cfg, rng=np.int64(3))
+    assert [d.subsets for d in again] == [d.subsets for d in sample_posterior(obs, cfg, rng=3)]
+
+
 def test_chain_length_zero_returns_initial_copies():
     rng = np.random.default_rng(9)
     obs = ObservationSet(rng.uniform(size=(5, 2)), rng.normal(size=5), 0.1)

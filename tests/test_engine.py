@@ -2,16 +2,18 @@
 
 import csv
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from fgbo import engine
 from fgbo.acquisition import GridSpec
 from fgbo.bench import hartmann6, make_objective, shekel4
 from fgbo.engine import (
     IterationRecord,
     RunConfig,
+    RunResult,
     _nearest_unvisited,
     resolve,
     run,
@@ -164,7 +166,7 @@ def test_unknown_optimum_gives_nan_regret_and_override_restores_it():
 
 def test_repeat_queries_are_perturbed():
     # 2x2 grid, 8 model iterations: the first four grid queries must be
-    # distinct (perturbation), after which repeats are unavoidable
+    # distinct, after which repeats are unavoidable
     config = RunConfig(
         objective={
             "kind": "prior_sample",
@@ -184,8 +186,92 @@ def test_repeat_queries_are_perturbed():
     grid_queries = [tuple(rec.x) for rec in result.records[2:]]
     assert len(set(grid_queries[:4])) == 4
     assert len(set(grid_queries)) == 4  # grid exhausted, fallback repeats
-    assert result.perturbations
-    assert all(3 <= t <= 10 for t in result.perturbations)
+    # max-sum picked the four points in turn, and the repeats at t = 7..10
+    # are allowed unmoved, so the rule moved no query
+    assert result.perturbations == []
+
+
+def test_perturbations_list_only_the_queries_the_rule_moved():
+    # a 2-point grid is exhausted after t = 3: the repeats at t = 4, 5 and 6
+    # are allowed unmoved, and only t = 3's selection was moved
+    config = RunConfig(
+        objective={"kind": "prior_sample", "dims": 1, "subsets": [[0]], "sample_seed": 0},
+        algorithm="add_independent",
+        iterations=5,
+        seed=3,
+        initial_evaluations=1,
+        grid_caps=(2, 2),
+    )
+    result = run(config)
+    assert [rec.x[0] for rec in result.records[1:]] == [1.0, 0.0, 1.0, 1.0, 1.0]
+    assert result.perturbations == [3]
+
+
+def test_records_carry_every_per_iteration_output():
+    config = RunConfig(
+        objective="shekel4",
+        algorithm="dec_hbo",
+        iterations=12,
+        seed=13,
+        initial_evaluations=3,
+        decomposition={"mode": "static", "subsets": [[0, 1], [2, 3]]},
+        grid_caps=(2, 2),
+    )
+    result = run(config)
+    assert [rec.t for rec in result.records] == list(range(1, 16))
+    for rec in result.records[:3]:  # the initial evaluations solve nothing
+        assert (rec.lookups, rec.perturbed, rec.rounds, rec.converged, rec.wall_ms) == (
+            0, False, 0, 1, 0.0,
+        )
+    assert all(rec.lookups > 0 and rec.rounds > 0 for rec in result.records[3:])
+    assert result.lookups_per_iteration == [rec.lookups for rec in result.records[3:]]
+    assert result.perturbations == [rec.t for rec in result.records if rec.perturbed]
+    assert result.perturbations  # 16 grid points, 15 evaluations: the rule fires
+    assert [f.name for f in fields(RunResult)] == ["records", "manifest", "decomposition"]
+
+
+def test_engine_calls_its_stages_through_module_globals(monkeypatch):
+    # perfbench wraps these names on the engine module to trace a run and
+    # stamp its iterations; a stage bound any other way would go unseen
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    names = ("evaluate", "noisy_evaluate", "fit", "tabulate", "solve", "sample_posterior")
+    for name in names:
+        monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
+    config = RunConfig(
+        objective="shekel4",
+        algorithm="dec_hbo",
+        iterations=4,
+        seed=1,
+        initial_evaluations=2,
+        decomposition={
+            "mode": "mcmc",
+            "max_factor_size": 2,
+            "chain_length": 4,
+            "burn_in": 2,
+            "thinning": 1,
+            "num_samples": 2,
+            "interval": 2,
+        },
+        grid_caps=(2, 3),
+    )
+    run(config)
+    # refreshes at t = 3 and 5, the first of each interval of 2 iterations
+    assert counts == {
+        "evaluate": 6,
+        "noisy_evaluate": 6,
+        "fit": 4,
+        "tabulate": 4,
+        "solve": 4,
+        "sample_posterior": 2,
+    }
 
 
 def test_nearest_unvisited_order():

@@ -12,7 +12,6 @@ from fgbo.kernels import AdditiveKernel, FactorKernel
 from fgbo.maxsum import (
     FactorGraph,
     decode,
-    dump_trace,
     factor_messages,
     solve,
 )
@@ -266,7 +265,7 @@ def test_solve_on_acquisition_matches_brute_force():
     assert g.value_of(result.indices) == result.diagnostics.best_value
 
 
-def test_solve_records_trace_and_dump(tmp_path):
+def test_solve_records_trace():
     rng = np.random.default_rng(91)
     kernel = AdditiveKernel(
         factors=(FactorKernel(subset=(0,), signal_variance=1.0, lengthscales=(0.3,)),)
@@ -276,11 +275,6 @@ def test_solve_records_trace_and_dump(tmp_path):
     result = solve(acq, rounds=10)
     trace = result.diagnostics.trace
     assert len(trace) == result.diagnostics.rounds_used
-    out = tmp_path / "trace.csv"
-    dump_trace(result.diagnostics, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "round,max_delta,sigma_phi"
-    assert len(lines) == 1 + len(trace)
 
 
 def _digest(graphs) -> tuple[str, int, int]:
