@@ -177,9 +177,11 @@ def tabulate(
     O(|I| tau t) exponentials per row block and tau^|I| t products (kernels),
     and its variances tau^|I| t^2 multiply-adds against the cached L^-1 (gp).
     The posterior comes pack by pack from gp's grid_mean_var: a large
-    factor alone in row blocks of at least gp.BLOCK_ROWS rows, and small
-    factors of one arity together in packs of at most that many rows, so
-    the temporaries are a few (block x t) arrays, not (tau^|I| x t) ones.
+    factor alone, as a Khatri-Rao contraction over observation pairs that
+    never builds its cross-covariance, or, when t is too large for that to
+    pay, in row blocks of at least gp.BLOCK_ROWS rows; small factors of one
+    arity together in packs of at most that many rows.  So the temporaries
+    are small chunks or a few (block x t) arrays, not (tau^|I| x t) ones.
     phi, and the weights, are one pass per pack; every table is bitwise the
     one the factor would get alone.  The tables hold tau^|I| floats per
     factor.

@@ -103,6 +103,10 @@ class IterationRecord:
     converged: int = 1
     lookups: int = 0  # table entries plus the solver's lookups
     perturbed: bool = False  # the repeat rule moved the query
+    beta: float = 0.0  # exploration coefficient of the tables
+    tau: int = 0  # grid points per dimension
+    num_factors: int = 0  # factors of the acquisition graph
+    jitter: float = 0.0  # added to the Gram diagonal by the fit
 
 
 @dataclass
@@ -330,7 +334,13 @@ def run_resolved(res: ResolvedRun) -> RunResult:
                 beta_value = beta(schedule, t, grid.joint_size)
                 posterior = fit(kernel, observations, blocks)
                 acq = tabulate(posterior, grid, beta_value, weights_now)
-                solved["lookups"] = sum(tab.size for tab in acq.tables)
+                solved.update(
+                    beta=beta_value,
+                    tau=grid.per_dim_points,
+                    num_factors=len(subsets_now),
+                    jitter=posterior.jitter,
+                    lookups=sum(tab.size for tab in acq.tables),
+                )
                 if config.algorithm == "centralized_gp_ucb":
                     # one factor over all d inputs: scan its table
                     table = acq.tables[0]

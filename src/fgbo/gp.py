@@ -26,9 +26,34 @@ kernels; a single input is a one-row batch.  No run asks for the posterior
 of f itself: on a grid, the centralized acquisition is the one-factor case
 of the factor path, and fgbo.selftest.dense_posterior is f's oracle.
 objective_mean_var_batch stays only while perfbench's tracer patches it.
+Every variance, on every path, goes through one check: a non-finite one
+raises, [-VARIANCE_CLAMP, 0) clamps to 0, and anything lower raises.
 
-A factor's batch is computed in row blocks: consecutive runs of points, or
-slices of the first axis, of at least BLOCK_ROWS rows (see _row_blocks).
+A large sub-grid given as axes is a Khatri-Rao contraction and never
+builds Kxg.  The SE factor kernel separates per axis, so with the first
+a = ceil(|I|/2) axes on the left and the rest on the right,
+k_I(x_L x_R)[i] = s2 K_L[i, x_L] K_R[i, x_R], where K_L (t x m_L) and K_R
+(t x m_R) are the per-axis factors' C-order Khatri-Rao products
+(kernels.split_cross_factor).  Then
+
+    mean = s2 K_L' diag(w) K_R                  (one GEMM)
+    var  = s2 - s2^2 G_L' diag(a) G_R
+
+where row (i, k >= i) of the pair table G_L is K_L[i] * K_L[k], of G_R
+likewise, and a holds the entries of A = (K + sn2 I)^-1 = L^-T L^-1 at
+those pairs, off-diagonal ones doubled (computed once per posterior).  The
+variance is a symmetric quadratic form, so the t(t+1)/2 pairs hold all of
+it; it is accumulated over chunks of at most PAIR_CHUNK_ENTRIES entries
+per pair table, so its temporaries stay small whatever t is.  The pair
+tables hold t(t+1)/2 (m_L + m_R) entries where Kxg holds t m, so a factor
+takes the contraction only when that is no more (_contracts): on axes, at
+arity >= 2, with at least BLOCK_ROWS rows, and (m_L + m_R)(t + 1) <= 2 m.
+Its floats differ from the row blocks' by roundoff (fgbo selftest bounds
+the difference).
+
+Everything else, a factor's points, arity 1 and grids past the size rule,
+is computed in row blocks: consecutive runs of points, or slices of the
+first axis, of at least BLOCK_ROWS rows (see _row_blocks).
 The temporaries are then a few (block x t) arrays instead of (m x t) ones;
 on a large sub-grid their cache and page traffic, not the flops, set the
 cost.  Every row gets the float operations of the one-block product, and
@@ -51,6 +76,7 @@ checks this too).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import math
 
@@ -59,13 +85,26 @@ from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtri
 
 from .errors import ContractViolationError, NumericalFailureError, is_integer
-from .kernels import AdditiveKernel, GramBlocks, cross_additive, cross_factor, cross_factors, gram
+from .kernels import (
+    AdditiveKernel,
+    GramBlocks,
+    cross_additive,
+    cross_factor,
+    cross_factors,
+    gram,
+    split_cross_factor,
+)
 
 # negative posterior variances beyond this are treated as bugs, not roundoff
 VARIANCE_CLAMP = 1e-9
 
 # least rows per block of a factor's batch (see the module docstring)
 BLOCK_ROWS = 4096
+
+# most entries per chunk of a pair table (0.25 MB): on a centralized
+# Shekel-4 run, 0.5 MB chunks raised the peak RSS by 0.9 MB and 2 MB chunks
+# by 3.9 MB, at the same speed
+PAIR_CHUNK_ENTRIES = 1 << 15
 
 JITTER_SCALE = 1e-10
 MAX_JITTER_ESCALATIONS = 6
@@ -180,10 +219,56 @@ def _row_blocks(U):
         yield a * inner, b * inner, block
 
 
+def _contracts(lengths, t: int) -> bool:
+    """Whether a factor's grid of these axis lengths, at t observations,
+    takes the contraction (see the module docstring): at least two axes, at
+    least BLOCK_ROWS rows, and pair tables no larger than the cross-covariance
+    they replace, t(t + 1)/2 (m_L + m_R) <= t m."""
+    m = math.prod(lengths)
+    if len(lengths) < 2 or m < BLOCK_ROWS:
+        return False
+    m_left = math.prod(lengths[: (len(lengths) + 1) // 2])
+    return (m_left + m // m_left) * (t + 1) <= 2 * m
+
+
+def _pair_chunks(t: int, rows: int):
+    """The pairs (i, k), 0 <= i <= k < t, in row-major order, as chunks of
+    at most `rows` pairs; a chunk is a list of runs (i, k0, k1), the pairs
+    (i, k0) .. (i, k1 - 1)."""
+    chunk, size = [], 0
+    for i in range(t):
+        k = i
+        while k < t:
+            k1 = min(t, k + rows - size)
+            chunk.append((i, k, k1))
+            size += k1 - k
+            k = k1
+            if size == rows:
+                yield chunk
+                chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
+def _checked_variance(var: np.ndarray, what: str) -> np.ndarray:
+    """var clamped to 0 from [-VARIANCE_CLAMP, 0); a non-finite variance or
+    one below -VARIANCE_CLAMP raises NumericalFailureError."""
+    if not np.isfinite(var).all():
+        raise NumericalFailureError(f"{what} posterior variance is not finite")
+    low = var.min(initial=0.0)
+    if low < -VARIANCE_CLAMP:
+        raise NumericalFailureError(
+            f"{what} posterior variance {low:.3e} below -{VARIANCE_CLAMP:.0e}"
+        )
+    return np.maximum(var, 0.0)
+
+
 class FactorPosterior:
     """Cached solve state for all per-factor posteriors of one kernel + data.
 
-    Immutable after construction; safe for concurrent readers.
+    Immutable after construction, but for the pair weights the first
+    contraction caches; concurrent readers that race there compute the same
+    array, so they stay safe.
     """
 
     def __init__(
@@ -219,23 +304,53 @@ class FactorPosterior:
             # (L^-1 Kxg')'
             np.matmul(Kxg[a : a + rows], self._Linv.T, out=W[a : a + rows])
         var = prior - np.einsum("mt,mt->m", W, W)
-        if not np.isfinite(var).all():
-            raise NumericalFailureError(f"{what} posterior variance is not finite")
-        low = var.min(initial=0.0)
-        if low < -VARIANCE_CLAMP:
-            raise NumericalFailureError(
-                f"{what} posterior variance {low:.3e} below -{VARIANCE_CLAMP:.0e}"
-            )
-        return mean, np.maximum(var, 0.0)
+        return mean, _checked_variance(var, what)
+
+    @cached_property
+    def _pair_weights(self) -> np.ndarray:
+        """The entries of A = (K + sn2 I)^-1 = L^-T L^-1 at the pairs (i, k),
+        i <= k, in row-major order, off-diagonal ones doubled:
+        k' A k = sum_pairs a_ik k_i k_k."""
+        A = self._Linv.T @ self._Linv
+        A *= 2.0
+        A.flat[:: len(A) + 1] *= 0.5
+        return A[np.triu_indices(len(A))]
+
+    def _contraction_mean_var(self, f, axes: tuple, V: np.ndarray):
+        """Posterior (mean, variance) of factor f on the grid of axes, as
+        Khatri-Rao contractions over the observations (see the module
+        docstring), never building the cross-covariance."""
+        KL, KR = split_cross_factor(f, axes, V, (len(axes) + 1) // 2)
+        s2 = f.signal_variance
+        mean = s2 * (KL.T @ (self.weights[:, None] * KR))
+        a = self._pair_weights
+        rows = max(1, PAIR_CHUNK_ENTRIES // max(KL.shape[1], KR.shape[1]))
+        GL = np.empty((min(rows, len(a)), KL.shape[1]))
+        GR = np.empty((len(GL), KR.shape[1]))
+        Q, part = np.zeros(mean.shape), np.empty(mean.shape)
+        p = 0
+        for chunk in _pair_chunks(len(V), rows):
+            n = 0
+            for i, k0, k1 in chunk:
+                np.multiply(KL[k0:k1], KL[i], out=GL[n : n + k1 - k0])
+                np.multiply(KR[k0:k1], KR[i], out=GR[n : n + k1 - k0])
+                n += k1 - k0
+            GR[:n] *= a[p : p + n, None]
+            np.matmul(GL[:n].T, GR[:n], out=part)
+            Q += part
+            p += n
+        var = s2 - (s2 * s2) * Q.ravel()
+        return mean.ravel(), _checked_variance(var, "factor")
 
     def _factors_mean_var(self, indices, U, m: int):
         """Stacked posterior (mean, variance) of the factors `indices`, all of
         one arity, at the same checked sub-inputs U of m rows each: factor
         indices[j] at row r of U is row j m + r.
 
-        One factor runs in row blocks (see _row_blocks).  Several factors
-        form one block, the pack: U must then be axes, and the pack at most
-        BLOCK_ROWS rows.
+        One factor takes the contraction when _contracts says so, and runs
+        in row blocks (see _row_blocks) otherwise.  Several factors form one
+        block, the pack: U must then be axes, and the pack at most BLOCK_ROWS
+        rows.
         """
         factors = [self.kernel.factors[i] for i in indices]
         X = self.observations.X
@@ -246,6 +361,8 @@ class FactorPosterior:
             return self._mean_var(Kxg, prior, "factor", m)
         (f,) = factors
         V = f.restrict(X)
+        if isinstance(U, tuple) and _contracts([len(axis) for axis in U], len(X)):
+            return self._contraction_mean_var(f, U, V)
         mean, var = np.empty(m), np.empty(m)
         for a, b, block in _row_blocks(U):
             Kxg = cross_factor(f, block, V)
@@ -256,8 +373,9 @@ class FactorPosterior:
         """Posterior mean and variance of one factor at sub-inputs U.
 
         U is (m, |I|) points or a tuple of |I| axes (m = product of lengths).
-        Each row block's cross-covariance and posterior is computed and
-        checked in turn (see the module docstring).
+        A large grid of axes is contracted; otherwise each row block's
+        cross-covariance and posterior is computed and checked in turn (see
+        the module docstring).
         """
         if not (is_integer(factor_index) and 0 <= factor_index < self.kernel.num_factors):
             raise ContractViolationError(
@@ -281,9 +399,9 @@ class FactorPosterior:
         docstring): factors whose sub-grids hold fewer than BLOCK_ROWS rows
         share packs of at most BLOCK_ROWS rows, each one posterior pass, and
         mean and var stack the pack's factors (factor indices[j] at sub-grid
-        row r is row j m + r).  A larger factor is a pack of its own, in row
-        blocks.  A one-factor pack goes through factor_mean_var_batch, the
-        name perfbench's tracer times.
+        row r is row j m + r).  A larger factor is a pack of its own,
+        contracted or in row blocks.  A one-factor pack goes through
+        factor_mean_var_batch, the name perfbench's tracer times.
         """
         (axis,), m = _batch_inputs((axis,))
         by_arity: dict = {}

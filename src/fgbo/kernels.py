@@ -24,7 +24,11 @@ point form to rounding; a single-axis block is bitwise equal to it.  A
 centralized joint grid is the one-factor case: one factor over all d inputs.
 cross_factors runs this product for k factors of one arity at the same
 axes at once, over a leading factor axis; cross_factor's axes form is its
-k = 1 case.
+k = 1 case.  split_cross_factor stops short of the full product: it
+returns the unscaled products of the first axes and of the rest, (t x
+tau^a) and (t x tau^b), from the same per-axis E_j, and gp contracts a
+large grid's posterior against them without forming the (tau^|I| x t)
+matrix.
 
 Gram matrices.  gram groups the factors by signal variance, in order of
 their first factor, and builds K = sum_g s2_g * S_g from the unscaled sums
@@ -166,18 +170,48 @@ def cross_factors(kernels, axes: tuple, V: np.ndarray) -> np.ndarray:
     Vl = (V / ls[:, None, :]).transpose(2, 0, 1)[:, :, None, :]
     K = None
     for axis, l, vl in zip(axes, ls.T[:, :, None, None], Vl):
-        # E = exp(-0.5 z^2) for z = axis/l - v/l, in place: a pack's (k, m, n)
-        # temporaries are as large as its block
-        E = axis[:, None] / l - vl
-        E *= E
-        E *= -0.5
-        np.exp(E, out=E)
+        # in place: a pack's (k, m, n) temporaries are as large as its block
+        E = _se_in_place(axis[:, None] / l - vl)
         if K is None:
             E *= params[:, 0, None, None]
             K = E
         else:
             K = (K[:, :, None, :] * E[:, None]).reshape(k, -1, n)
     return K
+
+
+def split_cross_factor(kernel: FactorKernel, axes: tuple, V: np.ndarray, left: int):
+    """Unscaled Khatri-Rao factors (K_L, K_R) of one factor at axes, split
+    after the first `left` axes.
+
+    axes is a tuple of arity 1-D float arrays and V (n, arity) the factor's
+    sub-inputs.  E_j (n, len(axes[j])) = exp(-0.5 z^2), z = axis_j/l_j -
+    v_j/l_j, gets cross_factors' float operations, and K_L (n, m_L) and K_R
+    (n, m_R) are the C-order row-wise products of E_1 .. E_left and of the
+    rest, so that cross_factor(kernel, axes, V)[r_L m_R + r_R, i] equals
+    s2 K_L[i, r_L] K_R[i, r_R] to rounding.
+    """
+    Vl = V / np.asarray(kernel.lengthscales)
+    E = [
+        _se_in_place(axis / l - vl[:, None])
+        for axis, l, vl in zip(axes, kernel.lengthscales, Vl.T)
+    ]
+    return _khatri_rao(E[:left]), _khatri_rao(E[left:])
+
+
+def _khatri_rao(E: list) -> np.ndarray:
+    """Row-wise C-order product of (n, m_j) arrays: (n, prod m_j)."""
+    K = E[0]
+    for F in E[1:]:
+        K = (K[:, :, None] * F[:, None, :]).reshape(len(K), -1)
+    return K
+
+
+def _se_in_place(Z: np.ndarray) -> np.ndarray:
+    """exp(-0.5 Z^2), overwriting Z."""
+    Z *= Z
+    Z *= -0.5
+    return np.exp(Z, out=Z)
 
 
 def _se(U: np.ndarray, V: np.ndarray, ls: np.ndarray) -> np.ndarray:

@@ -2,9 +2,10 @@
 shares with the test suite, each defined only here: the Michalewicz-10
 per-dimension search, the brute-force joint maximum of a factor graph, the
 defining-order factor-to-variable message, the dense-inverse GP posterior,
-the one-block factor posterior, the one-factor-at-a-time acquisition
-tables, the uncached Gram matrix, the 60-digit beta tables, and the seeded
-walk over decompositions whose move lists the test suite pins.
+the one-block factor posterior (against row blocks and the grid
+contraction), the one-factor-at-a-time acquisition tables, the uncached
+Gram matrix, the 60-digit beta tables, and the seeded walk over
+decompositions whose move lists the test suite pins.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import bench
 from .acquisition import BetaSchedule, GridSpec, beta, tabulate
 from .decomposition import enumerate_moves, move_deltas, random_covering_decomposition
 from .errors import ContractViolationError, NumericalFailureError
-from .gp import ObservationSet, dense_cholesky_with_jitter, fit
+from .gp import BLOCK_ROWS, ObservationSet, dense_cholesky_with_jitter, fit
 from .kernels import AdditiveKernel, FactorKernel, GramBlocks, cross_factor, gram
 from .maxsum import FactorGraph, solve
 
@@ -123,25 +124,57 @@ def dense_posterior(kernel: AdditiveKernel, obs: ObservationSet, x, factor_index
     return kx @ Kinv @ obs.y, prior - kx @ Kinv @ kx
 
 
-def posterior_block_mismatches(lengths, t: int, seed: int, points: bool = False) -> int:
-    """Rows where the blocked posterior of a seeded factor differs in any bit
-    from the one-block product over all rows.
-
-    The factor has one coordinate per entry of `lengths` and is fitted to t
-    random observations; its batch is the grid of random axes of those
-    lengths, as axes or, with points, as their C-order points.
-    """
+def _seeded_grid_factor(lengths, t: int, seed: int):
+    """(posterior, factor, axes): a seeded factor with one coordinate per
+    entry of `lengths`, fitted alone to t random observations, and sorted
+    random axes of those lengths."""
     rng = np.random.default_rng(seed)
     k = len(lengths)
     f = FactorKernel(tuple(range(k)), 1.3, tuple(rng.uniform(0.2, 0.6, size=k)))
     post = fit(AdditiveKernel((f,)), ObservationSet(rng.uniform(size=(t, k)), rng.normal(size=t), 0.01))
-    U = tuple(np.sort(rng.uniform(size=n)) for n in lengths)
+    return post, f, tuple(np.sort(rng.uniform(size=n)) for n in lengths)
+
+
+def posterior_block_mismatches(lengths, t: int, seed: int, points: bool = False) -> int:
+    """Rows where the blocked posterior of a seeded factor differs in any bit
+    from the one-block product over all rows.
+
+    The factor and its axes are _seeded_grid_factor's; its batch is the grid
+    of those axes, as axes or, with points, as their C-order points.  Axes
+    must be ones the size rule leaves on row blocks (gp._contracts).
+    """
+    post, f, U = _seeded_grid_factor(lengths, t, seed)
+    V = f.restrict(post.observations.X)
     if points:
         U = np.stack([a.ravel() for a in np.meshgrid(*U, indexing="ij")], axis=-1)
+        # the point form is computed entry by entry, so building it in slices
+        # bounds this oracle's memory and not its floats
+        Kxg = np.concatenate(
+            [cross_factor(f, U[a : a + BLOCK_ROWS], V) for a in range(0, len(U), BLOCK_ROWS)]
+        )
+    else:
+        Kxg = cross_factor(f, U, V)
     blocked = post.factor_mean_var_batch(0, U)
-    Kxg = cross_factor(f, U, f.restrict(post.observations.X))
     whole = post._mean_var(Kxg, f.signal_variance, "factor")
     return int(((blocked[0] != whole[0]) | (blocked[1] != whole[1])).sum())
+
+
+def grid_contraction_error(lengths, t: int, seed: int) -> tuple[float, float]:
+    """(worst |difference|, least variance) of the contraction tables of a
+    seeded factor against the one-block product over all rows.
+
+    The factor and its axes are _seeded_grid_factor's, and the contraction
+    runs whatever the size rule says.  The difference is the larger of the
+    means' and the variances', relative to the signal variance.  A clamped
+    variance is exactly 0, so a positive least variance, over both, shows
+    that no clamp was reached.
+    """
+    post, f, U = _seeded_grid_factor(lengths, t, seed)
+    V = f.restrict(post.observations.X)
+    mean, var = post._contraction_mean_var(f, U, V)
+    whole = post._mean_var(cross_factor(f, U, V), f.signal_variance, "factor")
+    worst = max(np.abs(mean - whole[0]).max(), np.abs(var - whole[1]).max())
+    return float(worst / f.signal_variance), float(min(var.min(), whole[1].min()))
 
 
 def packed_table_mismatches(arities, tau: int, t: int, seed: int, weighted: bool = False) -> int:
@@ -313,14 +346,31 @@ def checks():
         exact += solve(g, rounds=4 * n_vars).diagnostics.best_value == brute_force_max(g)[0]
     yield "maxsum_tree_exactness", exact == trials, f"{exact}/{trials} exact"
 
-    # 33 x 32 x 32 rows make seven blocks of 4096 rows and a last one of
-    # 5120; t = 17 is among the t that OpenBLAS's small-matrix GEMM kernel
-    # rounds differently.  A threaded GEMV computes the last rows of an
-    # uneven thread share with another kernel, which would move the one-block
-    # means themselves; 33792 rows split into shares of a multiple of 4 rows
-    # over 2, 3, 4 or 8 threads
-    rows = posterior_block_mismatches((33, 32, 32), 17, seed=int(rng.integers(2**31)))
+    # 33 x 32 x 32 points make seven blocks of 4096 rows and a last one of
+    # 5120 (as axes, the size rule would contract them); t = 17 is among the
+    # t that OpenBLAS's small-matrix GEMM kernel rounds differently.  A
+    # threaded GEMV computes the last rows of an uneven thread share with
+    # another kernel, which would move the one-block means themselves; 33792
+    # rows split into shares of a multiple of 4 rows over 2, 3, 4 or 8 threads
+    rows = posterior_block_mismatches((33, 32, 32), 17, int(rng.integers(2**31)), points=True)
     yield "posterior_blocks_bitwise", rows == 0, f"{rows}/33792 rows differ from one block"
+
+    # arities 2-4, each at a t the size rule contracts and at one it leaves
+    # on row blocks; the bound is relative to the signal variance, and the
+    # largest difference seen on these shapes, over eight seeds each, was
+    # 2e-12, at t = 80.  Fixed seeds leave the later checks' draws alone
+    cases = (((64, 64), 20), ((64, 64), 80), ((16, 16, 16), 17), ((16, 16, 16), 45))
+    cases += (((4, 8, 16, 16), 17), ((4, 8, 16, 16), 60))
+    try:
+        errors = [grid_contraction_error(n, t, seed) for seed, (n, t) in enumerate(cases)]
+    except NumericalFailureError:  # a variance the contraction itself refused
+        errors = [(math.inf, -math.inf)]
+    worst, low = max(e for e, _ in errors), min(v for _, v in errors)
+    yield (
+        "grid_contraction_close",
+        worst <= 1e-10 and low > 0.0,
+        f"worst |diff|/s2={worst:.1e} (<=1e-10) vs one block, least variance {low:.1e} (>0)",
+    )
 
     # ten 15-row singletons pack into one 150-row block; OpenBLAS takes
     # their (15 x t)(t x t) products with its small-matrix GEMM kernel at

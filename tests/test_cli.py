@@ -496,6 +496,7 @@ def test_selftest_passes(capsys):
         "gp_mean_additivity",
         "maxsum_tree_exactness",
         "posterior_blocks_bitwise",
+        "grid_contraction_close",
         "packed_factors_bitwise",
         "gram_blocks_bitwise",
         "mcmc_move_counts",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fgbo import engine
-from fgbo.acquisition import GridSpec
+from fgbo.acquisition import BetaSchedule, GridSpec, beta, grid_for_iteration
 from fgbo.bench import hartmann6, make_objective, shekel4
 from fgbo.engine import (
     IterationRecord,
@@ -228,6 +228,44 @@ def test_records_carry_every_per_iteration_output():
     assert result.perturbations == [rec.t for rec in result.records if rec.perturbed]
     assert result.perturbations  # 16 grid points, 15 evaluations: the rule fires
     assert [f.name for f in fields(RunResult)] == ["records", "manifest", "decomposition"]
+
+
+def test_records_carry_the_schedule_and_the_fit(monkeypatch):
+    config = RunConfig(
+        objective="shekel4",
+        algorithm="dec_hbo",
+        iterations=6,
+        seed=2,
+        initial_evaluations=3,
+        decomposition={"mode": "static", "subsets": [[0, 1], [1, 2], [3]]},
+        beta={"mode": "discrete_domain", "delta": 0.1},
+        grid_caps=(2, 6),
+    )
+    jitters = []
+    real = engine.fit
+
+    def recording(*args):
+        posterior = real(*args)
+        jitters.append(posterior.jitter)
+        return posterior
+
+    monkeypatch.setattr(engine, "fit", recording)
+    records = run(config).records
+    schedule = BetaSchedule(**config.beta, num_factors=3, dims=4)
+    for rec in records[:3]:
+        assert (rec.beta, rec.tau, rec.num_factors, rec.jitter) == (0.0, 0, 0, 0.0)
+    for rec in records[3:]:
+        grid = grid_for_iteration(schedule, rec.t, config.grid_caps)
+        assert rec.tau == grid.per_dim_points
+        assert rec.beta == beta(schedule, rec.t, grid.joint_size)
+        assert rec.num_factors == 3
+    assert len({rec.beta for rec in records[3:]}) == 6  # beta grows with t
+    assert [rec.jitter for rec in records[3:]] == jitters
+    baseline = run(replace(config, algorithm="random_search", decomposition=None))
+    assert all(
+        (rec.beta, rec.tau, rec.num_factors, rec.jitter) == (0.0, 0, 0, 0.0)
+        for rec in baseline.records
+    )
 
 
 def test_engine_calls_its_stages_through_module_globals(monkeypatch):

@@ -21,7 +21,13 @@ from fgbo.gp import (
     log_marginal_likelihood,
 )
 from fgbo.kernels import AdditiveKernel, FactorKernel, GramBlocks, gram
-from fgbo.selftest import dense_posterior, packed_table_mismatches, posterior_block_mismatches
+from fgbo.acquisition import GridSpec, tabulate
+from fgbo.selftest import (
+    dense_posterior,
+    grid_contraction_error,
+    packed_table_mismatches,
+    posterior_block_mismatches,
+)
 
 
 def random_kernel(rng, d, max_factors=3, max_arity=3):
@@ -331,9 +337,10 @@ def test_non_finite_variance_raises_numerical_failure(monkeypatch):
 # (axis lengths, t, seed, as points): arities 1-4 at tau 7, 16 and 33
 # (33^3 rows split unevenly, 33^4 is left out for its size), an axis and a
 # point set of two blocks, and a grid whose other axes hold more than
-# BLOCK_ROWS rows
+# BLOCK_ROWS rows.  Row blocks run on points and on the axes the size rule
+# leaves to them, so a grid the rule would contract runs as points
 BLOCK_CASES = [
-    [(tau,) * k, t, 100 * k + tau + t, False]
+    [(tau,) * k, t, 100 * k + tau + t, fgbo.gp._contracts((tau,) * k, t)]
     for k in (1, 2, 3, 4)
     for tau in (7, 16, 33)
     for t in (1, 2, 17, 45, 60)
@@ -342,8 +349,12 @@ BLOCK_CASES = [
     [(9001,), 17, 1, False],
     [(9001,), 45, 2, True],
     [(33, 33, 33), 45, 3, True],
-    [(3, 16, 16, 17), 17, 4, False],
-    [(8, 17, 17, 17), 45, 5, False],
+    [(3, 16, 16, 17), 17, 4, True],
+    [(8, 17, 17, 17), 45, 5, True],
+    # axes past the size rule
+    [(33, 33, 33), 64, 6, False],
+    [(65, 64), 64, 7, False],
+    [(3, 16, 16, 17), 82, 8, False],
 ]
 
 
@@ -367,6 +378,7 @@ def test_row_blocks_cover_the_batch_in_aligned_blocks(lengths):
 
 
 def test_blocked_posterior_is_bitwise_the_one_block_product():
+    assert all(points or not fgbo.gp._contracts(n, t) for n, t, _, points in BLOCK_CASES)
     # Run on one BLAS thread, as perfbench runs: a threaded GEMV computes the
     # last row of an uneven thread share with another kernel, so the
     # one-block means themselves move with the thread count (33^3 rows over
@@ -471,40 +483,133 @@ def test_empty_axis_gives_empty_posteriors(lengths):
     "scale, message", [(1e200, "not finite"), (10.0, "below")]
 )
 def test_every_row_block_is_checked(monkeypatch, scale, message):
-    # the last of four blocks is corrupted after three good ones
+    # the last of four blocks is corrupted after three good ones, in a batch
+    # of points and in axes that the size rule leaves on row blocks
     rng = np.random.default_rng(12)
     kernel = AdditiveKernel((FactorKernel((0, 1), 1.0, (0.3, 0.3)),))
-    post = fit(kernel, ObservationSet(rng.uniform(size=(6, 2)), rng.normal(size=6), 0.1))
     axes = (np.linspace(0.0, 1.0, 16), np.linspace(0.0, 1.0, fgbo.gp.BLOCK_ROWS // 4))
+    points = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    assert not fgbo.gp._contracts((16, fgbo.gp.BLOCK_ROWS // 4), 32)
     real = fgbo.gp.cross_factor
     calls = []
 
     def last_block_scaled(f, U, V):
-        calls.append(len(U[0]))
         K = real(f, U, V)
+        calls.append(len(K))
         return K * scale if len(calls) == 4 else K
 
     monkeypatch.setattr(fgbo.gp, "cross_factor", last_block_scaled)
+    for U, t in ((points, 6), (axes, 32)):
+        post = fit(kernel, ObservationSet(rng.uniform(size=(t, 2)), rng.normal(size=t), 0.1))
+        calls.clear()
+        with pytest.raises(NumericalFailureError, match=message):
+            post.factor_mean_var_batch(0, U)
+        assert calls == [fgbo.gp.BLOCK_ROWS] * 4
+
+
+@pytest.mark.parametrize(
+    "lengths, t, contracts",
+    [
+        ((16,) * 4, 255, True),  # (256 + 256) * 256 = 2 * 16^4
+        ((16,) * 4, 256, False),
+        ((32,) * 3, 61, True),  # the left group is 32 x 32, the right 32
+        ((32,) * 3, 62, False),
+        ((64, 64), 63, True),
+        ((4096,), 1, False),  # one axis
+        ((16, 255), 1, False),  # fewer than BLOCK_ROWS rows
+        ((16, 0, 512), 1, False),
+    ],
+)
+def test_size_rule_contracts_only_when_pair_tables_are_no_larger(lengths, t, contracts):
+    assert fgbo.gp._contracts(lengths, t) is contracts
+
+
+def test_contraction_matches_dense_inverse_oracle(monkeypatch):
+    # a 3-ary factor of a two-factor kernel on a 16^3 grid, never building
+    # its cross-covariance
+    rng = np.random.default_rng(41)
+    kernel = AdditiveKernel(
+        (FactorKernel((0, 2, 3), 0.8, (0.3, 0.5, 0.4)), FactorKernel((1,), 0.6, (0.2,)))
+    )
+    obs = ObservationSet(rng.uniform(size=(20, 4)), rng.normal(size=20), 0.05)
+    post = fit(kernel, obs)
+    axes = tuple(np.linspace(0.0, 1.0, 16) for _ in range(3))
+    assert fgbo.gp._contracts((16,) * 3, 20)
+    monkeypatch.setattr(fgbo.gp, "cross_factor", None)
+    mean, var = post.factor_mean_var_batch(0, axes)
+    for r in rng.choice(16**3, size=12, replace=False):
+        x = np.zeros(4)
+        x[[0, 2, 3]] = [axis[i] for axis, i in zip(axes, np.unravel_index(r, (16,) * 3))]
+        want_mean, want_var = dense_posterior(kernel, obs, x, 0)
+        assert mean[r] == pytest.approx(want_mean, rel=1e-8, abs=1e-10)
+        assert var[r] == pytest.approx(want_var, rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "lengths, t", [((5, 30, 40), 30), ((70, 64), 40), ((3, 16, 16, 17), 60), ((9, 5, 7, 13, 11), 25)]
+)
+def test_contraction_on_unequal_axes_is_the_one_block_product(lengths, t):
+    assert fgbo.gp._contracts(lengths, t)
+    error, low = grid_contraction_error(lengths, t, seed=sum(lengths) + t)
+    assert error <= 1e-10 and low > 0.0
+
+
+def test_tabulate_with_weights_through_the_contraction(monkeypatch):
+    # the 3-ary factor at tau 16 is contracted, the singleton and the pair
+    # share a pack: every table equals one factor at a time, and the
+    # contracted table is close to the one from row blocks
+    assert packed_table_mismatches((3, 1, 2), 16, 17, seed=5, weighted=True) == 0
+    rng = np.random.default_rng(6)
+    kernel = AdditiveKernel(
+        (FactorKernel((0, 1, 2), 1.2, (0.3, 0.4, 0.5)), FactorKernel((3,), 0.7, (0.2,)))
+    )
+    post = fit(kernel, ObservationSet(rng.uniform(size=(17, 4)), rng.normal(size=17), 0.01))
+    grid = GridSpec(per_dim_points=16, num_dims=4)
+    contracted = tabulate(post, grid, 2.5, [0.4, 1.7]).tables
+    monkeypatch.setattr(fgbo.gp, "_contracts", lambda lengths, t: False)
+    blocked = tabulate(post, grid, 2.5, [0.4, 1.7]).tables
+    np.testing.assert_allclose(contracted[0], blocked[0], rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(contracted[1], blocked[1])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("scale, message", [(1e200, "not finite"), (10.0, "below")])
+def test_contraction_checks_its_variances(monkeypatch, scale, message):
+    rng = np.random.default_rng(13)
+    kernel = AdditiveKernel((FactorKernel((0, 1), 1.0, (0.3, 0.3)),))
+    post = fit(kernel, ObservationSet(rng.uniform(size=(6, 2)), rng.normal(size=6), 0.1))
+    axes = (np.linspace(0.0, 1.0, 64), np.linspace(0.0, 1.0, 64))
+    assert fgbo.gp._contracts((64, 64), 6)
+    real = fgbo.gp.split_cross_factor
+
+    def scaled(*args):
+        KL, KR = real(*args)
+        return KL * scale, KR
+
+    monkeypatch.setattr(fgbo.gp, "split_cross_factor", scaled)
     with pytest.raises(NumericalFailureError, match=message):
         post.factor_mean_var_batch(0, axes)
-    assert calls == [4, 4, 4, 4]
 
 
 def test_tabulation_peak_allocation():
-    # a 4-ary factor at tau 16: the row blocks, not the (m x t) arrays, set
-    # the peak
-    tau, t = 16, 45
-    rng = np.random.default_rng(10)
-    kernel = AdditiveKernel((FactorKernel((0, 1, 2, 3), 1.0, (0.3,) * 4),))
-    post = fit(kernel, ObservationSet(rng.uniform(size=(t, 4)), rng.normal(size=t), 0.01))
-    axes = (np.linspace(0.0, 1.0, tau),) * 4
-    tracemalloc.start()
-    try:
-        post.factor_mean_var_batch(0, axes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / (tau**4 * t * 8) < 0.5
+    # 65536-row grids: a 4-ary factor at tau 16, contracted, and a 3-ary one
+    # past the size rule, in row blocks.  The contraction's chunks and the
+    # row blocks, not the (m x t) arrays, set the peak
+    for lengths, t, contracts in (((16,) * 4, 45, True), ((64, 32, 32), 64, False)):
+        assert fgbo.gp._contracts(lengths, t) is contracts
+        k = len(lengths)
+        rng = np.random.default_rng(10)
+        kernel = AdditiveKernel((FactorKernel(tuple(range(k)), 1.0, (0.3,) * k),))
+        post = fit(kernel, ObservationSet(rng.uniform(size=(t, k)), rng.normal(size=t), 0.01))
+        axes = tuple(np.linspace(0.0, 1.0, n) for n in lengths)
+        tracemalloc.start()
+        try:
+            post.factor_mean_var_batch(0, axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (math.prod(lengths) * t * 8) < 0.5
 
 
 def test_warm_fit_peak_allocation():
