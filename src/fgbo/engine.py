@@ -101,12 +101,26 @@ class IterationRecord:
     wall_ms: float = 0.0  # selection time after t0, when measured
     rounds: int = 0  # max-sum rounds
     converged: int = 1
-    lookups: int = 0  # table entries plus the solver's lookups
-    perturbed: bool = False  # the repeat rule moved the query
+    final_delta: float = math.nan  # max-sum's last max message change
+    best_value: float = math.nan  # max-sum's best decoded summed table value
+    table_entries: int = 0  # entries of the acquisition tables
+    message_lookups: int = 0  # max-sum's lookups, by the cost model
+    decode_lookups: int = 0
+    move_distance: int = 0  # L1 index distance the repeat rule moved the query
     beta: float = 0.0  # exploration coefficient of the tables
     tau: int = 0  # grid points per dimension
     num_factors: int = 0  # factors of the acquisition graph
     jitter: float = 0.0  # added to the Gram diagonal by the fit
+
+    @property
+    def lookups(self) -> int:
+        """Table entries plus the solver's lookups."""
+        return self.table_entries + self.message_lookups + self.decode_lookups
+
+    @property
+    def perturbed(self) -> bool:
+        """Whether the repeat rule moved the query."""
+        return self.move_distance > 0
 
 
 @dataclass
@@ -339,7 +353,7 @@ def run_resolved(res: ResolvedRun) -> RunResult:
                     tau=grid.per_dim_points,
                     num_factors=len(subsets_now),
                     jitter=posterior.jitter,
-                    lookups=sum(tab.size for tab in acq.tables),
+                    table_entries=sum(tab.size for tab in acq.tables),
                 )
                 if config.algorithm == "centralized_gp_ucb":
                     # one factor over all d inputs: scan its table
@@ -348,13 +362,18 @@ def run_resolved(res: ResolvedRun) -> RunResult:
                 else:
                     sol = solve(acq, **config.maxsum)
                     idx, diag = sol.indices, sol.diagnostics
-                    solved["lookups"] += diag.total_lookups
-                    solved["rounds"] = diag.rounds_used
-                    solved["converged"] = int(diag.converged)
+                    solved.update(
+                        rounds=diag.rounds_used,
+                        converged=int(diag.converged),
+                        final_delta=diag.trace[-1][1],  # (round, delta, value)
+                        best_value=float(diag.best_value),
+                        message_lookups=diag.message_lookups,
+                        decode_lookups=diag.decode_lookups,
+                    )
                 idx = tuple(int(v) for v in idx)
                 if tuple(grid.point_at(idx)) in visited:
                     moved = _nearest_unvisited(grid, idx, visited)
-                    solved["perturbed"] = moved != idx
+                    solved["move_distance"] = sum(abs(a - b) for a, b in zip(moved, idx))
                     idx = moved
                 u = grid.point_at(idx)
         except NumericalFailureError as exc:

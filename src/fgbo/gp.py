@@ -29,8 +29,9 @@ objective_mean_var_batch stays only while perfbench's tracer patches it.
 Every variance, on every path, goes through one check: a non-finite one
 raises, [-VARIANCE_CLAMP, 0) clamps to 0, and anything lower raises.
 
-A large sub-grid given as axes is a Khatri-Rao contraction and never
-builds Kxg.  The SE factor kernel separates per axis, so with the first
+A sub-grid given as axes, of arity >= 2 and with at least BLOCK_ROWS rows
+(_contracts), is a Khatri-Rao contraction and never builds Kxg, whatever t
+is.  The SE factor kernel separates per axis, so with the first
 a = ceil(|I|/2) axes on the left and the rest on the right,
 k_I(x_L x_R)[i] = s2 K_L[i, x_L] K_R[i, x_R], where K_L (t x m_L) and K_R
 (t x m_R) are the per-axis factors' C-order Khatri-Rao products
@@ -43,19 +44,17 @@ where row (i, k >= i) of the pair table G_L is K_L[i] * K_L[k], of G_R
 likewise, and a holds the entries of A = (K + sn2 I)^-1 = L^-T L^-1 at
 those pairs, off-diagonal ones doubled (computed once per posterior).  The
 variance is a symmetric quadratic form, so the t(t+1)/2 pairs hold all of
-it; it is accumulated over chunks of at most PAIR_CHUNK_ENTRIES entries
-per pair table, so its temporaries stay small whatever t is.  The pair
-tables hold t(t+1)/2 (m_L + m_R) entries where Kxg holds t m, so a factor
-takes the contraction only when that is no more (_contracts): on axes, at
-arity >= 2, with at least BLOCK_ROWS rows, and (m_L + m_R)(t + 1) <= 2 m.
-Its floats differ from the row blocks' by roundoff (fgbo selftest bounds
-the difference).
+it; it is accumulated over chunks of PAIR_CHUNK_ENTRIES entries per pair
+table, so its temporaries stay small whatever t is, but of at least
+MIN_CHUNK_PAIRS pairs: a side wider than 1024 (a 64^3 grid's is 4096)
+would otherwise leave a chunk a few pairs, and GEMMs that thin are slower
+than the (m x t) products they replace.  Its floats differ from those
+products' by roundoff (fgbo selftest bounds the difference).
 
-Everything else, a factor's points, arity 1 and grids past the size rule,
-is computed in row blocks: consecutive runs of points, or slices of the
-first axis, of at least BLOCK_ROWS rows (see _row_blocks).
+Everything else, points, one axis or a grid of fewer than BLOCK_ROWS rows,
+is computed in row blocks of BLOCK_ROWS rows (see _row_blocks).
 The temporaries are then a few (block x t) arrays instead of (m x t) ones;
-on a large sub-grid their cache and page traffic, not the flops, set the
+on a long batch their cache and page traffic, not the flops, set the
 cost.  Every row gets the float operations of the one-block product, and
 with OpenBLAS on one thread the results are bitwise the same (fgbo selftest
 checks this).  Blocks this long keep each GEMM off OpenBLAS's small-matrix
@@ -101,10 +100,16 @@ VARIANCE_CLAMP = 1e-9
 # least rows per block of a factor's batch (see the module docstring)
 BLOCK_ROWS = 4096
 
-# most entries per chunk of a pair table (0.25 MB): on a centralized
-# Shekel-4 run, 0.5 MB chunks raised the peak RSS by 0.9 MB and 2 MB chunks
-# by 3.9 MB, at the same speed
+# entries per chunk of a pair table (0.25 MB): on a centralized Shekel-4
+# run, 0.5 MB chunks raised the peak RSS by 0.9 MB and 2 MB chunks by
+# 3.9 MB, at the same speed
 PAIR_CHUNK_ENTRIES = 1 << 15
+
+# least pairs per chunk: 0.25 MB holds 8 pairs of a 64^3 grid's 4096-wide
+# side, and the contraction then took 1.14-1.43x the CPU time of (m x t)
+# row blocks at t = 60 and 1.63-2.14x at t = 155; 32 pairs took 0.60-0.64x
+# and 0.83-0.97x (one BLAS thread, three runs)
+MIN_CHUNK_PAIRS = 32
 
 JITTER_SCALE = 1e-10
 MAX_JITTER_ESCALATIONS = 6
@@ -201,34 +206,27 @@ def _batch_inputs(U):
 def _row_blocks(U):
     """Split batch inputs into consecutive row blocks, as (start, stop, block).
 
-    Points split by rows and axes by their first axis.  Every block but the
-    last holds the same number of rows: at least BLOCK_ROWS, and a multiple
-    of 4, since a GEMV computes the last (rows mod 4) rows of its call with
-    another kernel.  The last block also takes the remainder, so a batch of
-    fewer than 2 BLOCK_ROWS rows is one block.
+    Points and a single axis split by rows.  Every block but the last holds
+    BLOCK_ROWS rows, a multiple of 4, since a GEMV computes the last
+    (rows mod 4) rows of its call with another kernel.  The last block also
+    takes the remainder, so a batch of fewer than 2 BLOCK_ROWS rows is one
+    block.  A grid of several axes comes here only with fewer than
+    BLOCK_ROWS rows (see _contracts) and is one block.
     """
-    first, rest = (U[0], U[1:]) if isinstance(U, tuple) else (U, None)
-    inner = math.prod(len(axis) for axis in rest) if rest else 1
-    # first-axis entries per block: a multiple of `unit`, whose rows are a
-    # multiple of 4
-    unit = 4 // math.gcd(inner, 4)
-    per = -(-BLOCK_ROWS // max(inner, 1) // unit) * unit
-    bounds = [per * k for k in range(max(1, len(first) // per))] + [len(first)]
+    if isinstance(U, tuple) and len(U) > 1:
+        yield 0, math.prod(len(axis) for axis in U), U
+        return
+    rows = U[0] if isinstance(U, tuple) else U
+    bounds = [BLOCK_ROWS * k for k in range(max(1, len(rows) // BLOCK_ROWS))] + [len(rows)]
     for a, b in zip(bounds, bounds[1:]):
-        block = first[a:b] if rest is None else (first[a:b],) + rest
-        yield a * inner, b * inner, block
+        yield a, b, (rows[a:b],) if isinstance(U, tuple) else rows[a:b]
 
 
-def _contracts(lengths, t: int) -> bool:
-    """Whether a factor's grid of these axis lengths, at t observations,
-    takes the contraction (see the module docstring): at least two axes, at
-    least BLOCK_ROWS rows, and pair tables no larger than the cross-covariance
-    they replace, t(t + 1)/2 (m_L + m_R) <= t m."""
-    m = math.prod(lengths)
-    if len(lengths) < 2 or m < BLOCK_ROWS:
-        return False
-    m_left = math.prod(lengths[: (len(lengths) + 1) // 2])
-    return (m_left + m // m_left) * (t + 1) <= 2 * m
+def _contracts(lengths) -> bool:
+    """Whether a factor's grid of these axis lengths takes the contraction
+    (see the module docstring): at least two axes and at least BLOCK_ROWS
+    rows."""
+    return len(lengths) >= 2 and math.prod(lengths) >= BLOCK_ROWS
 
 
 def _pair_chunks(t: int, rows: int):
@@ -324,7 +322,7 @@ class FactorPosterior:
         s2 = f.signal_variance
         mean = s2 * (KL.T @ (self.weights[:, None] * KR))
         a = self._pair_weights
-        rows = max(1, PAIR_CHUNK_ENTRIES // max(KL.shape[1], KR.shape[1]))
+        rows = max(MIN_CHUNK_PAIRS, PAIR_CHUNK_ENTRIES // max(KL.shape[1], KR.shape[1]))
         GL = np.empty((min(rows, len(a)), KL.shape[1]))
         GR = np.empty((len(GL), KR.shape[1]))
         Q, part = np.zeros(mean.shape), np.empty(mean.shape)
@@ -361,7 +359,7 @@ class FactorPosterior:
             return self._mean_var(Kxg, prior, "factor", m)
         (f,) = factors
         V = f.restrict(X)
-        if isinstance(U, tuple) and _contracts([len(axis) for axis in U], len(X)):
+        if isinstance(U, tuple) and _contracts([len(axis) for axis in U]):
             return self._contraction_mean_var(f, U, V)
         mean, var = np.empty(m), np.empty(m)
         for a, b, block in _row_blocks(U):

@@ -197,10 +197,6 @@ class Diagnostics:
     trace: list = field(default_factory=list)  # (round, max_delta, sigma_phi)
     best_value: float | None = None  # anytime decoding: best round so far
 
-    @property
-    def total_lookups(self) -> int:
-        return self.message_lookups + self.decode_lookups
-
 
 def _damped(old: np.ndarray, raw: np.ndarray, damping: float):
     """Blended messages, one per row, normalized to max entry 0, and their

@@ -141,7 +141,8 @@ def posterior_block_mismatches(lengths, t: int, seed: int, points: bool = False)
 
     The factor and its axes are _seeded_grid_factor's; its batch is the grid
     of those axes, as axes or, with points, as their C-order points.  Axes
-    must be ones the size rule leaves on row blocks (gp._contracts).
+    must be ones gp._contracts leaves on row blocks: one axis, or a grid of
+    fewer than BLOCK_ROWS rows.
     """
     post, f, U = _seeded_grid_factor(lengths, t, seed)
     V = f.restrict(post.observations.X)
@@ -164,7 +165,7 @@ def grid_contraction_error(lengths, t: int, seed: int) -> tuple[float, float]:
     seeded factor against the one-block product over all rows.
 
     The factor and its axes are _seeded_grid_factor's, and the contraction
-    runs whatever the size rule says.  The difference is the larger of the
+    runs whatever gp._contracts says.  The difference is the larger of the
     means' and the variances', relative to the signal variance.  A clamped
     variance is exactly 0, so a positive least variance, over both, shows
     that no clamp was reached.
@@ -347,7 +348,7 @@ def checks():
     yield "maxsum_tree_exactness", exact == trials, f"{exact}/{trials} exact"
 
     # 33 x 32 x 32 points make seven blocks of 4096 rows and a last one of
-    # 5120 (as axes, the size rule would contract them); t = 17 is among the
+    # 5120 (as axes, they would be contracted); t = 17 is among the
     # t that OpenBLAS's small-matrix GEMM kernel rounds differently.  A
     # threaded GEMV computes the last rows of an uneven thread share with
     # another kernel, which would move the one-block means themselves; 33792
@@ -355,12 +356,14 @@ def checks():
     rows = posterior_block_mismatches((33, 32, 32), 17, int(rng.integers(2**31)), points=True)
     yield "posterior_blocks_bitwise", rows == 0, f"{rows}/33792 rows differ from one block"
 
-    # arities 2-4, each at a t the size rule contracts and at one it leaves
-    # on row blocks; the bound is relative to the signal variance, and the
-    # largest difference seen on these shapes, over eight seeds each, was
-    # 2e-12, at t = 80.  Fixed seeds leave the later checks' draws alone
-    cases = (((64, 64), 20), ((64, 64), 80), ((16, 16, 16), 17), ((16, 16, 16), 45))
-    cases += (((4, 8, 16, 16), 17), ((4, 8, 16, 16), 60))
+    # arities 2-4 at small t and at t where the pair tables outgrow the
+    # cross-covariance, and a 2048-wide left side, whose chunks hold
+    # gp.MIN_CHUNK_PAIRS pairs; the bound is relative to the signal variance,
+    # and the largest difference seen on these shapes, over eight seeds each,
+    # was 2.4e-12, at t = 155.  Fixed seeds leave the later checks' draws alone
+    cases = (((64, 64), 20), ((64, 64), 80), ((16, 16, 16), 17), ((16, 16, 16), 155))
+    cases += (((32, 32, 32), 100), ((4, 8, 16, 16), 17), ((4, 8, 16, 16), 60))
+    cases += (((64, 32, 32), 40),)
     try:
         errors = [grid_contraction_error(n, t, seed) for seed, (n, t) in enumerate(cases)]
     except NumericalFailureError:  # a variance the contraction itself refused

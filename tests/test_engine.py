@@ -268,6 +268,81 @@ def test_records_carry_the_schedule_and_the_fit(monkeypatch):
     )
 
 
+def _recorded(monkeypatch, name):
+    """Replace engine.<name> with a wrapper that appends each result."""
+    real, results = getattr(engine, name), []
+    monkeypatch.setattr(engine, name, lambda *a, **k: results.append(real(*a, **k)) or results[-1])
+    return results
+
+
+MF2_SHEKEL = RunConfig(
+    objective="shekel4",
+    algorithm="dec_hbo",
+    iterations=8,
+    seed=4,
+    initial_evaluations=3,
+    decomposition={"mode": "static", "subsets": [[0, 1], [1, 2], [2, 3]]},
+    grid_caps=(2, 5),
+)
+
+
+def test_records_keep_table_entries_and_solver_lookups_apart(monkeypatch):
+    graphs, solves = _recorded(monkeypatch, "tabulate"), _recorded(monkeypatch, "solve")
+    records = run(MF2_SHEKEL).records
+    for rec in records[:3]:
+        assert (rec.table_entries, rec.message_lookups, rec.decode_lookups) == (0, 0, 0)
+    for rec, g, sol in zip(records[3:], graphs, solves, strict=True):
+        diag = sol.diagnostics
+        assert rec.table_entries == sum(tab.size for tab in g.tables) > 0
+        assert (rec.message_lookups, rec.decode_lookups) == (
+            diag.message_lookups, diag.decode_lookups,
+        )
+        assert rec.lookups == rec.table_entries + diag.message_lookups + diag.decode_lookups
+    # centralized GP-UCB scans its one table and solves nothing
+    central = run(replace(MF2_SHEKEL, algorithm="centralized_gp_ucb", decomposition=None))
+    for rec in central.records[3:]:
+        assert rec.table_entries == rec.tau**4 == rec.lookups
+        assert (rec.message_lookups, rec.decode_lookups) == (0, 0)
+
+
+def test_records_carry_the_final_delta_and_best_value(monkeypatch):
+    solves = _recorded(monkeypatch, "solve")
+    records = run(MF2_SHEKEL).records
+    assert all(math.isnan(rec.final_delta) and math.isnan(rec.best_value) for rec in records[:3])
+    tol = MF2_SHEKEL.maxsum["tol"]
+    for rec, sol in zip(records[3:], solves, strict=True):
+        diag = sol.diagnostics
+        assert rec.final_delta == diag.trace[-1][1]
+        assert rec.best_value == diag.best_value == max(value for _, _, value in diag.trace)
+        assert rec.converged == (rec.final_delta < tol)
+
+
+def test_records_carry_the_distance_the_repeat_rule_moved_the_query(monkeypatch):
+    moves = []
+    real = engine._nearest_unvisited
+
+    def recording(grid, start, visited):
+        moved = real(grid, start, visited)
+        moves.append(sum(abs(a - b) for a, b in zip(start, moved)))
+        return moved
+
+    monkeypatch.setattr(engine, "_nearest_unvisited", recording)
+    records = run(MF2_SHEKEL).records
+    assert [rec.move_distance for rec in records if rec.move_distance] == [m for m in moves if m]
+    assert any(moves)  # the rule moved some query
+    assert all(rec.perturbed == (rec.move_distance > 0) for rec in records)
+    # the exhausted 2-point grid: t = 3 moved by one index, the repeats stay
+    config = RunConfig(
+        objective={"kind": "prior_sample", "dims": 1, "subsets": [[0]], "sample_seed": 0},
+        algorithm="add_independent",
+        iterations=5,
+        seed=3,
+        initial_evaluations=1,
+        grid_caps=(2, 2),
+    )
+    assert [rec.move_distance for rec in run(config).records] == [0, 0, 1, 0, 0, 0]
+
+
 def test_engine_calls_its_stages_through_module_globals(monkeypatch):
     # perfbench wraps these names on the engine module to trace a run and
     # stamp its iterations; a stage bound any other way would go unseen

@@ -336,11 +336,11 @@ def test_non_finite_variance_raises_numerical_failure(monkeypatch):
 
 # (axis lengths, t, seed, as points): arities 1-4 at tau 7, 16 and 33
 # (33^3 rows split unevenly, 33^4 is left out for its size), an axis and a
-# point set of two blocks, and a grid whose other axes hold more than
-# BLOCK_ROWS rows.  Row blocks run on points and on the axes the size rule
-# leaves to them, so a grid the rule would contract runs as points
+# point set of two blocks, and grids whose other axes hold more than
+# BLOCK_ROWS rows.  Row blocks run on points, one axis and grids of fewer
+# than BLOCK_ROWS rows, so a grid that would be contracted runs as points
 BLOCK_CASES = [
-    [(tau,) * k, t, 100 * k + tau + t, fgbo.gp._contracts((tau,) * k, t)]
+    [(tau,) * k, t, 100 * k + tau + t, fgbo.gp._contracts((tau,) * k)]
     for k in (1, 2, 3, 4)
     for tau in (7, 16, 33)
     for t in (1, 2, 17, 45, 60)
@@ -351,34 +351,44 @@ BLOCK_CASES = [
     [(33, 33, 33), 45, 3, True],
     [(3, 16, 16, 17), 17, 4, True],
     [(8, 17, 17, 17), 45, 5, True],
-    # axes past the size rule
-    [(33, 33, 33), 64, 6, False],
-    [(65, 64), 64, 7, False],
-    [(3, 16, 16, 17), 82, 8, False],
+    [(33, 33, 33), 64, 6, True],
+    [(65, 64), 64, 7, True],
+    [(3, 16, 16, 17), 82, 8, True],
 ]
 
 
 @pytest.mark.parametrize(
-    "lengths", [(16,) * 4, (33,) * 3, (7,) * 4, (9001,), (3, 16, 16, 17), (8, 17, 17, 17), (6, 0)]
+    "lengths", [(9001,), (4096,), (8191,), (12293,), (7,), (0,), (16, 16, 15)]
 )
 def test_row_blocks_cover_the_batch_in_aligned_blocks(lengths):
+    # one axis and its points split alike; a grid of several axes comes to
+    # row blocks only with fewer than BLOCK_ROWS rows, and is one block
     axes = tuple(np.arange(n, dtype=float) for n in lengths)
     m = math.prod(lengths)
-    blocks = list(fgbo.gp._row_blocks(axes))
-    assert [a for a, _, _ in blocks] == [0] + [b for _, b, _ in blocks[:-1]]
-    assert blocks[-1][1] == m
-    for a, b, block in blocks:
-        assert b - a == math.prod(len(axis) for axis in block)
-        assert all(x is y for x, y in zip(block[1:], axes[1:]))
-    sizes = [b - a for a, b, _ in blocks]
-    if len(sizes) > 1:
-        assert len(set(sizes[:-1])) == 1 and sizes[-1] >= sizes[0]
-        assert sizes[0] % 4 == 0 and sizes[0] >= fgbo.gp.BLOCK_ROWS
-    assert len(sizes) == 1 or m >= 2 * fgbo.gp.BLOCK_ROWS
+    if len(axes) > 1:
+        ((a, b, block),) = fgbo.gp._row_blocks(axes)
+        assert (a, b) == (0, m) and block is axes
+        return
+    (axis,) = axes
+    points = np.stack([axis, -axis], axis=-1)
+    for U, rows in ((axes, axis), (points, points)):
+        blocks = list(fgbo.gp._row_blocks(U))
+        assert [a for a, _, _ in blocks] == [0] + [b for _, b, _ in blocks[:-1]]
+        assert blocks[-1][1] == m
+        for a, b, block in blocks:
+            got = block[0] if U is axes else block
+            assert len(block) == (1 if U is axes else b - a)
+            assert got.shape == rows[a:b].shape and (got == rows[a:b]).all()
+        sizes = [b - a for a, b, _ in blocks]
+        if len(sizes) > 1:
+            assert set(sizes[:-1]) == {fgbo.gp.BLOCK_ROWS} and sizes[-1] >= sizes[0]
+        assert len(sizes) == 1 or m >= 2 * fgbo.gp.BLOCK_ROWS
 
 
 def test_blocked_posterior_is_bitwise_the_one_block_product():
-    assert all(points or not fgbo.gp._contracts(n, t) for n, t, _, points in BLOCK_CASES)
+    # every grid of several axes with BLOCK_ROWS rows or more is contracted,
+    # so such a case reaches row blocks only as points
+    assert all(points or not fgbo.gp._contracts(n) for n, t, _, points in BLOCK_CASES)
     # Run on one BLAS thread, as perfbench runs: a threaded GEMV computes the
     # last row of an uneven thread share with another kernel, so the
     # one-block means themselves move with the thread count (33^3 rows over
@@ -484,12 +494,12 @@ def test_empty_axis_gives_empty_posteriors(lengths):
 )
 def test_every_row_block_is_checked(monkeypatch, scale, message):
     # the last of four blocks is corrupted after three good ones, in a batch
-    # of points and in axes that the size rule leaves on row blocks
+    # of points of a pair factor and in one axis of a singleton
     rng = np.random.default_rng(12)
-    kernel = AdditiveKernel((FactorKernel((0, 1), 1.0, (0.3, 0.3)),))
-    axes = (np.linspace(0.0, 1.0, 16), np.linspace(0.0, 1.0, fgbo.gp.BLOCK_ROWS // 4))
-    points = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    assert not fgbo.gp._contracts((16, fgbo.gp.BLOCK_ROWS // 4), 32)
+    n = 4 * fgbo.gp.BLOCK_ROWS
+    points = rng.uniform(size=(n, 2))
+    axis = (np.linspace(0.0, 1.0, n),)
+    assert not fgbo.gp._contracts([n])
     real = fgbo.gp.cross_factor
     calls = []
 
@@ -499,29 +509,49 @@ def test_every_row_block_is_checked(monkeypatch, scale, message):
         return K * scale if len(calls) == 4 else K
 
     monkeypatch.setattr(fgbo.gp, "cross_factor", last_block_scaled)
-    for U, t in ((points, 6), (axes, 32)):
-        post = fit(kernel, ObservationSet(rng.uniform(size=(t, 2)), rng.normal(size=t), 0.1))
+    for U, t in ((points, 6), (axis, 32)):
+        k = len(U) if isinstance(U, tuple) else U.shape[1]
+        kernel = AdditiveKernel((FactorKernel(tuple(range(k)), 1.0, (0.3,) * k),))
+        post = fit(kernel, ObservationSet(rng.uniform(size=(t, k)), rng.normal(size=t), 0.1))
         calls.clear()
         with pytest.raises(NumericalFailureError, match=message):
             post.factor_mean_var_batch(0, U)
         assert calls == [fgbo.gp.BLOCK_ROWS] * 4
 
 
+@pytest.mark.parametrize("t", [1, 400])
 @pytest.mark.parametrize(
-    "lengths, t, contracts",
+    "lengths, contracts",
     [
-        ((16,) * 4, 255, True),  # (256 + 256) * 256 = 2 * 16^4
-        ((16,) * 4, 256, False),
-        ((32,) * 3, 61, True),  # the left group is 32 x 32, the right 32
-        ((32,) * 3, 62, False),
-        ((64, 64), 63, True),
-        ((4096,), 1, False),  # one axis
-        ((16, 255), 1, False),  # fewer than BLOCK_ROWS rows
-        ((16, 0, 512), 1, False),
+        ((16,) * 4, True),
+        ((32,) * 3, True),
+        ((64, 64), True),
+        ((64,) * 3, True),
+        ((4096,), False),  # one axis
+        ((16, 255), False),  # fewer than BLOCK_ROWS rows
+        ((16, 0, 512), False),
     ],
 )
-def test_size_rule_contracts_only_when_pair_tables_are_no_larger(lengths, t, contracts):
-    assert fgbo.gp._contracts(lengths, t) is contracts
+def test_every_large_grid_of_several_axes_contracts(monkeypatch, lengths, contracts, t):
+    # the rule reads only the axis lengths: at t = 1 and at t = 400 alike a
+    # grid of two or more axes and at least BLOCK_ROWS rows is contracted
+    # (stubbed here), and anything else runs in row blocks
+    assert fgbo.gp._contracts(lengths) is contracts
+    rng = np.random.default_rng(t + len(lengths))
+    k = len(lengths)
+    kernel = AdditiveKernel((FactorKernel(tuple(range(k)), 1.0, (0.3,) * k),))
+    post = fit(kernel, ObservationSet(rng.uniform(size=(t, k)), rng.normal(size=t), 0.1))
+    m = math.prod(lengths)
+    taken = []
+
+    def stub(f, axes, V):
+        taken.append(len(V))
+        return np.zeros(m), np.ones(m)
+
+    monkeypatch.setattr(post, "_contraction_mean_var", stub)
+    mean, var = post.factor_mean_var_batch(0, tuple(np.linspace(0.0, 1.0, n) for n in lengths))
+    assert taken == ([t] if contracts else [])
+    assert mean.shape == var.shape == (m,)
 
 
 def test_contraction_matches_dense_inverse_oracle(monkeypatch):
@@ -534,7 +564,7 @@ def test_contraction_matches_dense_inverse_oracle(monkeypatch):
     obs = ObservationSet(rng.uniform(size=(20, 4)), rng.normal(size=20), 0.05)
     post = fit(kernel, obs)
     axes = tuple(np.linspace(0.0, 1.0, 16) for _ in range(3))
-    assert fgbo.gp._contracts((16,) * 3, 20)
+    assert fgbo.gp._contracts((16,) * 3)
     monkeypatch.setattr(fgbo.gp, "cross_factor", None)
     mean, var = post.factor_mean_var_batch(0, axes)
     for r in rng.choice(16**3, size=12, replace=False):
@@ -549,7 +579,7 @@ def test_contraction_matches_dense_inverse_oracle(monkeypatch):
     "lengths, t", [((5, 30, 40), 30), ((70, 64), 40), ((3, 16, 16, 17), 60), ((9, 5, 7, 13, 11), 25)]
 )
 def test_contraction_on_unequal_axes_is_the_one_block_product(lengths, t):
-    assert fgbo.gp._contracts(lengths, t)
+    assert fgbo.gp._contracts(lengths)
     error, low = grid_contraction_error(lengths, t, seed=sum(lengths) + t)
     assert error <= 1e-10 and low > 0.0
 
@@ -566,7 +596,7 @@ def test_tabulate_with_weights_through_the_contraction(monkeypatch):
     post = fit(kernel, ObservationSet(rng.uniform(size=(17, 4)), rng.normal(size=17), 0.01))
     grid = GridSpec(per_dim_points=16, num_dims=4)
     contracted = tabulate(post, grid, 2.5, [0.4, 1.7]).tables
-    monkeypatch.setattr(fgbo.gp, "_contracts", lambda lengths, t: False)
+    monkeypatch.setattr(fgbo.gp, "_contracts", lambda lengths: False)
     blocked = tabulate(post, grid, 2.5, [0.4, 1.7]).tables
     np.testing.assert_allclose(contracted[0], blocked[0], rtol=0, atol=1e-10)
     np.testing.assert_array_equal(contracted[1], blocked[1])
@@ -580,7 +610,7 @@ def test_contraction_checks_its_variances(monkeypatch, scale, message):
     kernel = AdditiveKernel((FactorKernel((0, 1), 1.0, (0.3, 0.3)),))
     post = fit(kernel, ObservationSet(rng.uniform(size=(6, 2)), rng.normal(size=6), 0.1))
     axes = (np.linspace(0.0, 1.0, 64), np.linspace(0.0, 1.0, 64))
-    assert fgbo.gp._contracts((64, 64), 6)
+    assert fgbo.gp._contracts((64, 64))
     real = fgbo.gp.split_cross_factor
 
     def scaled(*args):
@@ -593,11 +623,11 @@ def test_contraction_checks_its_variances(monkeypatch, scale, message):
 
 
 def test_tabulation_peak_allocation():
-    # 65536-row grids: a 4-ary factor at tau 16, contracted, and a 3-ary one
-    # past the size rule, in row blocks.  The contraction's chunks and the
-    # row blocks, not the (m x t) arrays, set the peak
-    for lengths, t, contracts in (((16,) * 4, 45, True), ((64, 32, 32), 64, False)):
-        assert fgbo.gp._contracts(lengths, t) is contracts
+    # 65536-row grids, both contracted: a 4-ary factor at tau 16, and a
+    # 3-ary one whose 2048-wide left side takes MIN_CHUNK_PAIRS pairs per
+    # chunk.  The contraction's chunks, not the (m x t) arrays, set the peak
+    for lengths, t in (((16,) * 4, 45), ((64, 32, 32), 64)):
+        assert fgbo.gp._contracts(lengths)
         k = len(lengths)
         rng = np.random.default_rng(10)
         kernel = AdditiveKernel((FactorKernel(tuple(range(k)), 1.0, (0.3,) * k),))
@@ -610,6 +640,25 @@ def test_tabulation_peak_allocation():
         finally:
             tracemalloc.stop()
         assert peak / (math.prod(lengths) * t * 8) < 0.5
+
+
+@pytest.mark.parametrize(
+    "lengths, pairs",
+    [
+        ((64, 64, 64), fgbo.gp.MIN_CHUNK_PAIRS),  # 4096 wide: the floor binds
+        ((16,) * 4, fgbo.gp.PAIR_CHUNK_ENTRIES // 256),
+    ],
+)
+def test_a_pair_chunk_holds_at_least_min_chunk_pairs(monkeypatch, lengths, pairs):
+    assert fgbo.gp.MIN_CHUNK_PAIRS == 32
+    rng = np.random.default_rng(14)
+    k = len(lengths)
+    kernel = AdditiveKernel((FactorKernel(tuple(range(k)), 1.0, (0.3,) * k),))
+    post = fit(kernel, ObservationSet(rng.uniform(size=(9, k)), rng.normal(size=9), 0.1))
+    real, rows = fgbo.gp._pair_chunks, []
+    monkeypatch.setattr(fgbo.gp, "_pair_chunks", lambda t, n: rows.append(n) or real(t, n))
+    post.factor_mean_var_batch(0, tuple(np.linspace(0.0, 1.0, n) for n in lengths))
+    assert rows == [pairs]
 
 
 def test_warm_fit_peak_allocation():

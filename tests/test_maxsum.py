@@ -188,7 +188,6 @@ def test_lookup_counting_exact():
         assert diag.rounds_used == rounds
         assert diag.message_lookups == rounds * per_round
         assert diag.decode_lookups == tau + tau**2 + 2 * tau**3
-        assert diag.total_lookups == diag.message_lookups + diag.decode_lookups
 
 
 def loopy_overlap_graph(rng, num_vars=4, tau=6):
