@@ -106,6 +106,7 @@ class IterationRecord:
     table_entries: int = 0  # entries of the acquisition tables
     message_lookups: int = 0  # max-sum's lookups, by the cost model
     decode_lookups: int = 0
+    computed_lookups: int = 0  # max-sum's cost-model lookups it computed
     move_distance: int = 0  # L1 index distance the repeat rule moved the query
     beta: float = 0.0  # exploration coefficient of the tables
     tau: int = 0  # grid points per dimension
@@ -369,6 +370,7 @@ def run_resolved(res: ResolvedRun) -> RunResult:
                         best_value=float(diag.best_value),
                         message_lookups=diag.message_lookups,
                         decode_lookups=diag.decode_lookups,
+                        computed_lookups=diag.computed_lookups,
                     )
                 idx = tuple(int(v) for v in idx)
                 if tuple(grid.point_at(idx)) in visited:

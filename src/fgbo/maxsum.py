@@ -10,10 +10,18 @@ acquisition.tabulate builds that graph and solve runs on it.  Messages follow
     m_{x_i->phi}(h) = sum over other incident factors of m_{phi'->x_i}(h)
 
 with synchronous (Jacobi) rounds: every round-k message is a function of the
-round-(k-1) messages only, which makes runs deterministic.  Each message is
-computed once per round, blended with its predecessor (damping) and
-normalized to max entry 0, which leaves argmaxes unchanged but prevents
-drift on loopy graphs.
+round-(k-1) messages only, which makes runs deterministic.  Each round's raw
+message is blended with its predecessor (damping) and normalized to max
+entry 0, which leaves argmaxes unchanged but prevents drift on loopy graphs.
+
+A factor's raw messages are a pure function of its table and its incoming
+messages, so a round computes them only for the factors whose incoming
+messages changed in the last round, bit for bit; every other factor keeps
+the raw messages it computed last (the rows are compared as bit patterns,
+so equal rows are identical inputs).  A unary factor reads no incoming
+message, and its message, a copy of phi, is computed once per solve.  The
+floats, the schedule and the decoded rounds are those of computing every
+message every round.
 
 A factor's messages are computed together, by eliminating one variable at a
 time (the distributive law of max over +).  The defining order adds the
@@ -51,17 +59,21 @@ round coincides with the converged one.
 
 Round k's beliefs are exactly the raw (unblended, unnormalized) messages
 that round k+1 computes from round k's messages, so decoding reuses them
-instead of recomputing.  Only the last round's messages need an extra pass,
-and that pass computes the decoding edges alone.  Lookup accounting is the
-paper's cost model, not the entries the elimination touches:
-message_lookups counts tau^|I| per factor-to-variable message per round, and
-decode_lookups counts tau^|I| per decoding-edge message of that one final
-pass, one per variable per solve.
+instead of recomputing.  Only the last round's messages need an extra pass;
+that pass sends on the decoding edges alone, by the same rule of computing
+only the factors whose incoming messages changed.  Lookup accounting is the
+paper's cost model, not the entries the elimination touches, and it counts
+every message whether it was computed or kept: message_lookups counts
+tau^|I| per factor-to-variable message per round, and decode_lookups counts
+tau^|I| per decoding-edge message of that one final pass, one per variable
+per solve.  computed_lookups counts the same tau^|I| for the messages the
+solve actually computed, the work done.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +95,10 @@ class FactorGraph:
         self.num_variables = int(num_variables)
         self.num_values = int(num_values)
         self.subsets = tuple(tuple(int(j) for j in s) for s in subsets)
-        self.tables = tuple(np.asarray(t, dtype=float) for t in tables)
+        try:
+            self.tables = tuple(np.asarray(t, dtype=float) for t in tables)
+        except (TypeError, ValueError) as exc:
+            raise ContractViolationError(f"tables must be numeric arrays: {exc}") from exc
         if len(self.subsets) != len(self.tables):
             raise ContractViolationError("one table per subset required")
         covered = set()
@@ -194,6 +209,7 @@ class Diagnostics:
     converged: bool = False
     message_lookups: int = 0
     decode_lookups: int = 0
+    computed_lookups: int = 0  # the cost model's lookups of computed messages
     trace: list = field(default_factory=list)  # (round, max_delta, sigma_phi)
     best_value: float | None = None  # anytime decoding: best round so far
 
@@ -212,6 +228,20 @@ def decode(g: FactorGraph, raw_f2v: np.ndarray, raw_v2f: np.ndarray) -> np.ndarr
     grid index."""
     rows = g.decoding_rows
     return np.argmax(raw_f2v[rows] + raw_v2f[rows], axis=1)
+
+
+def _real(name: str, value) -> float:
+    """value as a finite float; bools, non-numbers and non-finite values are
+    refused, as the config layer refuses them."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ContractViolationError(f"{name} must be a number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ContractViolationError(f"{name} must be finite, got {value!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -234,9 +264,11 @@ def solve(
     and the assignment with the best summed table value is kept; earlier
     rounds win ties.  A round's messages are decoded from the raw messages
     the next round computes from them, so after the last round only the
-    decoding edges are computed, and those are the decode lookups.
+    decoding edges are sent, and those are the decode lookups.  A factor
+    whose incoming messages did not change keeps its raw messages.
     """
     check_counts(ContractViolationError, 1, rounds=rounds)
+    damping, tol = _real("damping", damping), _real("tol", tol)
     if not 0.0 <= damping < 1.0:
         raise ContractViolationError("damping must lie in [0, 1)")
     if not tol >= 0:
@@ -245,18 +277,26 @@ def solve(
     best = None
     f2v = np.zeros((len(g.edges), g.num_values))  # row r: edge g.edges[r]
     v2f = np.zeros_like(f2v)
+    # the raw messages, kept from round to round: a factor whose rows of v2f
+    # did not change keeps its rows, and a unary factor's row is phi
+    raw_f2v = np.zeros_like(f2v)
+    starts = [rows[0] for rows in g.factor_rows]  # factor-major rows
+    unary = [len(s) == 1 for s in g.subsets]
+    stale = [False] * len(g.subsets)  # per factor: compute nothing this round
     delta = math.inf
     for rnd in range(rounds + 1):  # f2v and v2f hold round rnd
         last = rnd == rounds or delta < tol
         groups, v2f_rows = g.message_groups, range(len(g.edges))
         if last:
             groups, v2f_rows = g.decoding_groups, g.decoding_rows
-        raw_f2v = np.zeros_like(f2v)
         for fi, positions in groups:
+            if stale[fi]:
+                continue
             rows = g.factor_rows[fi]
             msgs = factor_messages(g.tables[fi], [v2f[r] for r in rows], positions)
             for p, msg in zip(positions, msgs):
                 raw_f2v[rows[p]] = msg
+            diag.computed_lookups += len(positions) * g.tables[fi].size
         raw_v2f = np.zeros_like(v2f)
         for r in v2f_rows:  # summed from zeros in factor order
             for r2 in g.other_rows[r]:
@@ -276,6 +316,11 @@ def solve(
             return SolveResult(indices=best, diagnostics=diag)
         diag.message_lookups += lookups
         f2v, delta_f2v = _damped(f2v, raw_f2v, damping)
+        old_v2f = v2f
         v2f, delta_v2f = _damped(v2f, raw_v2f, damping)
         delta = max(delta_f2v, delta_v2f)
+        # bit patterns, so that equal rows are identical inputs
+        changed = (v2f.view(np.uint64) != old_v2f.view(np.uint64)).any(axis=1)
+        changed = np.logical_or.reduceat(changed, starts).tolist()
+        stale = [u or not c for u, c in zip(unary, changed)]
 

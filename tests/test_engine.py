@@ -291,18 +291,21 @@ def test_records_keep_table_entries_and_solver_lookups_apart(monkeypatch):
     records = run(MF2_SHEKEL).records
     for rec in records[:3]:
         assert (rec.table_entries, rec.message_lookups, rec.decode_lookups) == (0, 0, 0)
+        assert rec.computed_lookups == 0
     for rec, g, sol in zip(records[3:], graphs, solves, strict=True):
         diag = sol.diagnostics
         assert rec.table_entries == sum(tab.size for tab in g.tables) > 0
-        assert (rec.message_lookups, rec.decode_lookups) == (
-            diag.message_lookups, diag.decode_lookups,
+        assert (rec.message_lookups, rec.decode_lookups, rec.computed_lookups) == (
+            diag.message_lookups, diag.decode_lookups, diag.computed_lookups,
         )
         assert rec.lookups == rec.table_entries + diag.message_lookups + diag.decode_lookups
+        # the work done is counted apart and never exceeds the cost model
+        assert 0 < rec.computed_lookups <= diag.message_lookups + diag.decode_lookups
     # centralized GP-UCB scans its one table and solves nothing
     central = run(replace(MF2_SHEKEL, algorithm="centralized_gp_ucb", decomposition=None))
     for rec in central.records[3:]:
         assert rec.table_entries == rec.tau**4 == rec.lookups
-        assert (rec.message_lookups, rec.decode_lookups) == (0, 0)
+        assert (rec.message_lookups, rec.decode_lookups, rec.computed_lookups) == (0, 0, 0)
 
 
 def test_records_carry_the_final_delta_and_best_value(monkeypatch):

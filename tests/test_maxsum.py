@@ -243,6 +243,9 @@ def test_graph_validation():
         FactorGraph(2, 4, [(0, 2)], [np.zeros((4, 4))])  # var out of range
     with pytest.raises(ContractViolationError, match="num_values must be an integer"):
         FactorGraph(1, 2.5, [(0,)], [np.zeros(2)])
+    for table in (["a", "b"], [[1.0], [2.0, 3.0]], {"a": 1.0}):  # not floats
+        with pytest.raises(ContractViolationError, match="numeric"):
+            FactorGraph(1, 2, [(0,)], [table])
 
 
 def test_solve_on_acquisition_matches_brute_force():
@@ -356,6 +359,47 @@ def test_repeated_subset_results_and_traces_are_pinned():
     assert digest == REPEATED_SUBSET_SHA256
 
 
+@pytest.mark.parametrize(
+    "graphs", [_pinned_graphs, _repeated_subset_graphs], ids=["maxsum", "repeated_subset"]
+)
+def test_the_pinned_solves_keep_messages(graphs):
+    # the digests above pin solves that keep some factors' messages: over
+    # each set, fewer lookups are computed than the cost model counts
+    computed = counted = 0
+    for g, rounds in graphs():
+        for damping in (0.0, 0.4):
+            diag = solve(g, rounds, damping=damping).diagnostics
+            assert diag.computed_lookups <= diag.message_lookups + diag.decode_lookups
+            computed += diag.computed_lookups
+            counted += diag.message_lookups + diag.decode_lookups
+    assert computed < counted
+
+
+def test_unary_messages_are_computed_once_per_solve():
+    rng = np.random.default_rng(3)
+    subsets = [(0,), (1,), (0,), (2,)]
+    g = FactorGraph(3, 5, subsets, [rng.normal(size=5) for _ in subsets])
+    for rounds in (1, 2, 9):
+        diag = solve(g, rounds=rounds, tol=0.0).diagnostics
+        assert diag.rounds_used == rounds
+        assert diag.message_lookups == rounds * 4 * 5
+        assert diag.computed_lookups == 4 * 5  # once each, in the first round
+
+
+def test_fixed_messages_on_a_tree_are_not_recomputed():
+    # undamped max-sum on a tree reaches its fixed point within the
+    # diameter; past it no incoming message changes, so running longer
+    # computes nothing more while the cost model keeps counting
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        g = random_acyclic_graph(rng)
+        n = 4 * g.num_variables
+        short, long = (solve(g, rounds=r, tol=0.0).diagnostics for r in (n, n + 5))
+        assert long.computed_lookups == short.computed_lookups
+        assert long.message_lookups > short.message_lookups
+        assert long.best_value == short.best_value
+
+
 def _index_table_graphs():
     yield FactorGraph(1, 3, [(0,), (0,), (0,)], [np.zeros(3)] * 3)
     subsets = [(1, 2), (0, 1), (1,), (0, 1, 2)]  # variable 1 in all four
@@ -413,10 +457,16 @@ def test_value_of_needs_one_in_range_index_per_variable(indices):
     [
         {"rounds": 0}, {"damping": 1.0}, {"damping": math.nan}, {"tol": -1e-9}, {"tol": math.nan},
         {"rounds": 2.5}, {"rounds": math.nan}, {"rounds": True},
+        {"damping": "0.5"}, {"damping": None}, {"damping": 0.5j}, {"damping": False},
+        {"damping": -math.inf}, {"tol": "x"}, {"tol": None}, {"tol": math.inf}, {"tol": True},
+        {"tol": 10**400},
     ],
     ids=[
         "rounds_0", "damping_1", "damping_nan", "tol_negative", "tol_nan",
         "rounds_fractional", "rounds_nan", "rounds_true",
+        "damping_str", "damping_none", "damping_complex", "damping_false",
+        "damping_minus_inf", "tol_str", "tol_none", "tol_inf", "tol_true",
+        "tol_huge_int",
     ],
 )
 def test_solve_refuses_bad_settings(kwargs):
