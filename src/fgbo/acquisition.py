@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import BETA_MODES
-from .errors import ConfigurationError, ContractViolationError, check_counts
+from .errors import ConfigurationError, ContractViolationError, check_counts, check_indices
 from .gp import FactorPosterior
 from .maxsum import FactorGraph
 
@@ -148,7 +148,8 @@ class GridSpec:
         return self.per_dim_points ** self.num_dims
 
     def point_at(self, indices) -> np.ndarray:
-        return self.axis[list(indices)]
+        """The grid point at one integer index per dimension."""
+        return self.axis[list(check_indices(indices, self.num_dims, self.per_dim_points))]
 
 
 def grid_for_iteration(
@@ -174,14 +175,15 @@ def tabulate(
     """The acquisition factor graph: every factor's phi table on its sub-grid.
 
     Each factor's sub-grid travels as axes, so its cross-covariance costs
-    O(|I| tau t) exponentials per row block and tau^|I| t products (kernels),
-    and its variances tau^|I| t^2 multiply-adds against the cached L^-1 (gp).
+    O(|I| tau t) exponentials and tau^|I| t products (kernels), and its
+    variances tau^|I| t^2 multiply-adds against the cached L^-1 (gp).
     The posterior comes pack by pack from gp's grid_mean_var: a factor of
     at least gp.BLOCK_ROWS rows alone, as a Khatri-Rao contraction over
-    observation pairs that never builds its cross-covariance (a long
-    singleton in row blocks of that many rows); small factors of one arity
-    together in packs of at most that many rows.  So the temporaries are
-    small chunks or a few (block x t) arrays, not (tau^|I| x t) ones.
+    observation pairs that never builds its cross-covariance; other factors
+    of one arity together in packs of at most that many rows, one direct
+    product per pack.  So the temporaries are small chunks or (pack x t)
+    arrays of at most that many rows, but for a singleton on a longer axis,
+    which is a pack of its own.
     phi, and the weights, are one pass per pack; every table is bitwise the
     one the factor would get alone.  The tables hold tau^|I| floats per
     factor.

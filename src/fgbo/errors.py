@@ -45,3 +45,14 @@ def check_counts(error: type, minimum: int, **values) -> None:
             raise error(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise error(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_indices(indices, count: int, size: int) -> tuple:
+    """indices as a tuple; raise ContractViolationError unless they are
+    count integers in [0, size)."""
+    indices = tuple(indices)
+    if len(indices) != count or not all(is_integer(i) and 0 <= i < size for i in indices):
+        raise ContractViolationError(
+            f"need {count} integer indices in [0, {size}), got {indices}"
+        )
+    return indices

@@ -52,24 +52,20 @@ than the (m x t) products they replace.  Its floats differ from those
 products' by roundoff (fgbo selftest bounds the difference).
 
 Everything else, points, one axis or a grid of fewer than BLOCK_ROWS rows,
-is computed in row blocks of BLOCK_ROWS rows (see _row_blocks).
-The temporaries are then a few (block x t) arrays instead of (m x t) ones;
-on a long batch their cache and page traffic, not the flops, set the
-cost.  Every row gets the float operations of the one-block product, and
-with OpenBLAS on one thread the results are bitwise the same (fgbo selftest
-checks this).  Blocks this long keep each GEMM off OpenBLAS's small-matrix
-kernel, which rounds some t differently.
+is one direct product: the (m x t) cross-covariance Kxg of all its rows and
+one posterior pass over it.  In a run such a batch is short: a larger grid
+is contracted, and an axis holds tau points.
 
-Small factors share blocks instead.  grid_mean_var packs the sub-grids of
-factors of one arity with fewer than BLOCK_ROWS rows into blocks of at most
-BLOCK_ROWS rows, each factor's rows contiguous, so no temporary outgrows a
-block; on a sub-grid of tens of rows the per-call costs, not the flops, set
-the cost.  A pack makes one batched cross-covariance (kernels.cross_factors)
-and one pass of row sums, checks and clamp, but every factor keeps its own
-matrix-vector product and GEMM on its slice, of the shape it has alone: one
-(160 x t) GEMM against L^-T rounds differently from ten (16 x t) ones at
-some t.  Packed results are bitwise the one-factor ones (fgbo selftest
-checks this too).
+Small factors share a direct product.  grid_mean_var packs the sub-grids
+of factors of one arity with fewer than BLOCK_ROWS rows into packs of at
+most BLOCK_ROWS rows, each factor's rows contiguous, so no temporary
+outgrows a pack; on a sub-grid of tens of rows the per-call costs, not the
+flops, set the cost.  A pack makes one batched cross-covariance
+(kernels.cross_factors) and one pass of row sums, checks and clamp, but
+every factor keeps its own matrix-vector product and GEMM on its slice, of
+the shape it has alone: one (160 x t) GEMM against L^-T rounds differently
+from ten (16 x t) ones at some t.  Packed results are bitwise the
+one-factor ones (fgbo selftest checks this).
 """
 
 from __future__ import annotations
@@ -97,7 +93,8 @@ from .kernels import (
 # negative posterior variances beyond this are treated as bugs, not roundoff
 VARIANCE_CLAMP = 1e-9
 
-# least rows per block of a factor's batch (see the module docstring)
+# most rows per pack of small factors, and least rows of a contracted grid
+# (see the module docstring)
 BLOCK_ROWS = 4096
 
 # entries per chunk of a pair table (0.25 MB): on a centralized Shekel-4
@@ -106,9 +103,9 @@ BLOCK_ROWS = 4096
 PAIR_CHUNK_ENTRIES = 1 << 15
 
 # least pairs per chunk: 0.25 MB holds 8 pairs of a 64^3 grid's 4096-wide
-# side, and the contraction then took 1.14-1.43x the CPU time of (m x t)
-# row blocks at t = 60 and 1.63-2.14x at t = 155; 32 pairs took 0.60-0.64x
-# and 0.83-0.97x (one BLAS thread, three runs)
+# side, and the contraction then took 1.14-1.43x the CPU time of 4096-row
+# (m x t) products at t = 60 and 1.63-2.14x at t = 155; 32 pairs took
+# 0.60-0.64x and 0.83-0.97x (one BLAS thread, three runs)
 MIN_CHUNK_PAIRS = 32
 
 JITTER_SCALE = 1e-10
@@ -185,8 +182,8 @@ def _factorize(
 def _batch_inputs(U):
     """Points (m, k) or a tuple of k axes, as floats, and their row count m.
 
-    Raises ContractViolationError on an axis that is not 1-D or on a NaN or
-    infinite coordinate.
+    Raises ContractViolationError on an axis that is not 1-D, on points that
+    are not an (m, k) array, or on a NaN or infinite coordinate.
     """
     if isinstance(U, tuple):
         U = tuple(np.asarray(axis, dtype=float) for axis in U)
@@ -196,30 +193,15 @@ def _batch_inputs(U):
         m = math.prod(len(axis) for axis in U)
     else:
         U = np.atleast_2d(np.asarray(U, dtype=float))
+        if U.ndim != 2:
+            raise ContractViolationError(
+                f"batch points must be an (m, k) array, got {U.ndim} dimensions"
+            )
         finite = np.isfinite(U).all()
         m = U.shape[0]
     if not finite:
         raise ContractViolationError("posterior inputs must be finite")
     return U, m
-
-
-def _row_blocks(U):
-    """Split batch inputs into consecutive row blocks, as (start, stop, block).
-
-    Points and a single axis split by rows.  Every block but the last holds
-    BLOCK_ROWS rows, a multiple of 4, since a GEMV computes the last
-    (rows mod 4) rows of its call with another kernel.  The last block also
-    takes the remainder, so a batch of fewer than 2 BLOCK_ROWS rows is one
-    block.  A grid of several axes comes here only with fewer than
-    BLOCK_ROWS rows (see _contracts) and is one block.
-    """
-    if isinstance(U, tuple) and len(U) > 1:
-        yield 0, math.prod(len(axis) for axis in U), U
-        return
-    rows = U[0] if isinstance(U, tuple) else U
-    bounds = [BLOCK_ROWS * k for k in range(max(1, len(rows) // BLOCK_ROWS))] + [len(rows)]
-    for a, b in zip(bounds, bounds[1:]):
-        yield a, b, (rows[a:b],) if isinstance(U, tuple) else rows[a:b]
 
 
 def _contracts(lengths) -> bool:
@@ -345,10 +327,10 @@ class FactorPosterior:
         one arity, at the same checked sub-inputs U of m rows each: factor
         indices[j] at row r of U is row j m + r.
 
-        One factor takes the contraction when _contracts says so, and runs
-        in row blocks (see _row_blocks) otherwise.  Several factors form one
-        block, the pack: U must then be axes, and the pack at most BLOCK_ROWS
-        rows.
+        One factor takes the contraction when _contracts says so, and is
+        one direct product otherwise.  Several factors share one direct
+        product, the pack: U must then be axes, and the pack at most
+        BLOCK_ROWS rows.
         """
         factors = [self.kernel.factors[i] for i in indices]
         X = self.observations.X
@@ -361,18 +343,14 @@ class FactorPosterior:
         V = f.restrict(X)
         if isinstance(U, tuple) and _contracts([len(axis) for axis in U]):
             return self._contraction_mean_var(f, U, V)
-        mean, var = np.empty(m), np.empty(m)
-        for a, b, block in _row_blocks(U):
-            Kxg = cross_factor(f, block, V)
-            mean[a:b], var[a:b] = self._mean_var(Kxg, f.signal_variance, "factor")
-        return mean, var
+        return self._mean_var(cross_factor(f, U, V), f.signal_variance, "factor")
 
     def factor_mean_var_batch(self, factor_index: int, U):
         """Posterior mean and variance of one factor at sub-inputs U.
 
         U is (m, |I|) points or a tuple of |I| axes (m = product of lengths).
-        A large grid of axes is contracted; otherwise each row block's
-        cross-covariance and posterior is computed and checked in turn (see
+        A large grid of axes is contracted; anything else is one
+        cross-covariance and one checked posterior pass over all m rows (see
         the module docstring).
         """
         if not (is_integer(factor_index) and 0 <= factor_index < self.kernel.num_factors):
@@ -398,7 +376,7 @@ class FactorPosterior:
         share packs of at most BLOCK_ROWS rows, each one posterior pass, and
         mean and var stack the pack's factors (factor indices[j] at sub-grid
         row r is row j m + r).  A larger factor is a pack of its own,
-        contracted or in row blocks.  A one-factor pack goes through
+        contracted or one direct product.  A one-factor pack goes through
         factor_mean_var_batch, the name perfbench's tracer times.
         """
         (axis,), m = _batch_inputs((axis,))

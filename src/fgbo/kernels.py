@@ -136,6 +136,8 @@ def cross_factor(kernel: FactorKernel, U, V: np.ndarray) -> np.ndarray:
     of their lengths; V: (n, arity) -> (m, n).
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
+    if V.ndim != 2:
+        raise ContractViolationError(f"V must be an (n, arity) array, got {V.ndim} dimensions")
     if isinstance(U, tuple):
         U = tuple(np.asarray(axis, dtype=float) for axis in U)
         if len(U) != kernel.arity or V.shape[1] != kernel.arity or any(
@@ -146,6 +148,8 @@ def cross_factor(kernel: FactorKernel, U, V: np.ndarray) -> np.ndarray:
             )
         return cross_factors((kernel,), U, V[None])[0]
     U = np.atleast_2d(np.asarray(U, dtype=float))
+    if U.ndim != 2:
+        raise ContractViolationError(f"U must be an (m, arity) array, got {U.ndim} dimensions")
     if U.shape[1] != kernel.arity or V.shape[1] != kernel.arity:
         raise ContractViolationError(
             f"sub-inputs must have {kernel.arity} columns"

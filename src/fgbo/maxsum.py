@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_MAXSUM
-from .errors import ContractViolationError, check_counts, is_integer
+from .errors import ContractViolationError, check_counts, check_indices
 
 
 class FactorGraph:
@@ -157,14 +157,7 @@ class FactorGraph:
 
     def value_of(self, indices) -> float:
         """Sum of factor tables at one joint grid-index assignment."""
-        indices = tuple(indices)
-        if len(indices) != self.num_variables or not all(
-            is_integer(i) and 0 <= i < self.num_values for i in indices
-        ):
-            raise ContractViolationError(
-                f"need {self.num_variables} integer indices in [0, {self.num_values}), "
-                f"got {indices}"
-            )
+        indices = check_indices(indices, self.num_variables, self.num_values)
         return float(
             sum(
                 tab[tuple(indices[j] for j in s)]

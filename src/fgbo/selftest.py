@@ -2,10 +2,10 @@
 shares with the test suite, each defined only here: the Michalewicz-10
 per-dimension search, the brute-force joint maximum of a factor graph, the
 defining-order factor-to-variable message, the dense-inverse GP posterior,
-the one-block factor posterior (against row blocks and the grid
-contraction), the one-factor-at-a-time acquisition tables, the uncached
-Gram matrix, the 60-digit beta tables, and the seeded walk over
-decompositions whose move lists the test suite pins.
+the direct-product factor posterior (against the grid contraction), the
+one-factor-at-a-time acquisition tables, the uncached Gram matrix, the
+60-digit beta tables, and the seeded walk over decompositions whose move
+lists the test suite pins.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import bench
 from .acquisition import BetaSchedule, GridSpec, beta, tabulate
 from .decomposition import enumerate_moves, move_deltas, random_covering_decomposition
 from .errors import ContractViolationError, NumericalFailureError
-from .gp import BLOCK_ROWS, ObservationSet, dense_cholesky_with_jitter, fit
+from .gp import ObservationSet, dense_cholesky_with_jitter, fit
 from .kernels import AdditiveKernel, FactorKernel, GramBlocks, cross_factor, gram
 from .maxsum import FactorGraph, solve
 
@@ -135,34 +135,9 @@ def _seeded_grid_factor(lengths, t: int, seed: int):
     return post, f, tuple(np.sort(rng.uniform(size=n)) for n in lengths)
 
 
-def posterior_block_mismatches(lengths, t: int, seed: int, points: bool = False) -> int:
-    """Rows where the blocked posterior of a seeded factor differs in any bit
-    from the one-block product over all rows.
-
-    The factor and its axes are _seeded_grid_factor's; its batch is the grid
-    of those axes, as axes or, with points, as their C-order points.  Axes
-    must be ones gp._contracts leaves on row blocks: one axis, or a grid of
-    fewer than BLOCK_ROWS rows.
-    """
-    post, f, U = _seeded_grid_factor(lengths, t, seed)
-    V = f.restrict(post.observations.X)
-    if points:
-        U = np.stack([a.ravel() for a in np.meshgrid(*U, indexing="ij")], axis=-1)
-        # the point form is computed entry by entry, so building it in slices
-        # bounds this oracle's memory and not its floats
-        Kxg = np.concatenate(
-            [cross_factor(f, U[a : a + BLOCK_ROWS], V) for a in range(0, len(U), BLOCK_ROWS)]
-        )
-    else:
-        Kxg = cross_factor(f, U, V)
-    blocked = post.factor_mean_var_batch(0, U)
-    whole = post._mean_var(Kxg, f.signal_variance, "factor")
-    return int(((blocked[0] != whole[0]) | (blocked[1] != whole[1])).sum())
-
-
 def grid_contraction_error(lengths, t: int, seed: int) -> tuple[float, float]:
     """(worst |difference|, least variance) of the contraction tables of a
-    seeded factor against the one-block product over all rows.
+    seeded factor against the direct product over all rows.
 
     The factor and its axes are _seeded_grid_factor's, and the contraction
     runs whatever gp._contracts says.  The difference is the larger of the
@@ -347,15 +322,6 @@ def checks():
         exact += solve(g, rounds=4 * n_vars).diagnostics.best_value == brute_force_max(g)[0]
     yield "maxsum_tree_exactness", exact == trials, f"{exact}/{trials} exact"
 
-    # 33 x 32 x 32 points make seven blocks of 4096 rows and a last one of
-    # 5120 (as axes, they would be contracted); t = 17 is among the
-    # t that OpenBLAS's small-matrix GEMM kernel rounds differently.  A
-    # threaded GEMV computes the last rows of an uneven thread share with
-    # another kernel, which would move the one-block means themselves; 33792
-    # rows split into shares of a multiple of 4 rows over 2, 3, 4 or 8 threads
-    rows = posterior_block_mismatches((33, 32, 32), 17, int(rng.integers(2**31)), points=True)
-    yield "posterior_blocks_bitwise", rows == 0, f"{rows}/33792 rows differ from one block"
-
     # arities 2-4 at small t and at t where the pair tables outgrow the
     # cross-covariance, and a 2048-wide left side, whose chunks hold
     # gp.MIN_CHUNK_PAIRS pairs; the bound is relative to the signal variance,
@@ -372,10 +338,10 @@ def checks():
     yield (
         "grid_contraction_close",
         worst <= 1e-10 and low > 0.0,
-        f"worst |diff|/s2={worst:.1e} (<=1e-10) vs one block, least variance {low:.1e} (>0)",
+        f"worst |diff|/s2={worst:.1e} (<=1e-10) vs direct product, least variance {low:.1e} (>0)",
     )
 
-    # ten 15-row singletons pack into one 150-row block; OpenBLAS takes
+    # ten 15-row singletons pack into one 150-row pack; OpenBLAS takes
     # their (15 x t)(t x t) products with its small-matrix GEMM kernel at
     # t = 17 and not at t = 300.  Pairs and triples pack at tau 7
     cases = (((1,) * 10, 15, 17), ((1,) * 10, 15, 300), ((2, 3, 2, 3, 1), 7, 60))

@@ -209,6 +209,18 @@ def test_grid_spec_geometry():
     np.testing.assert_allclose(grid.axis, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert grid.joint_size == 125
     np.testing.assert_allclose(grid.point_at((0, 4, 2)), [0.0, 1.0, 0.5])
+    np.testing.assert_allclose(grid.point_at(np.array([0, 4, 2])), [0.0, 1.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [(-1, 0), (0,), (0, 0, 0), (1.5, 0), (9, 0), (4, 0), (True, 0), (np.float64(1.0), 0)],
+    ids=["negative", "short", "long", "float", "far_past_end", "past_end", "bool", "np_float"],
+)
+def test_grid_point_at_refuses_indices_off_the_grid(indices):
+    grid = GridSpec(per_dim_points=4, num_dims=2)
+    with pytest.raises(ContractViolationError, match=r"2 integer indices in \[0, 4\)"):
+        grid.point_at(indices)
 
 
 def _cartesian(axes):

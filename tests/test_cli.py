@@ -495,7 +495,6 @@ def test_selftest_passes(capsys):
         "beta_discrete_spot",
         "gp_mean_additivity",
         "maxsum_tree_exactness",
-        "posterior_blocks_bitwise",
         "grid_contraction_close",
         "packed_factors_bitwise",
         "gram_blocks_bitwise",

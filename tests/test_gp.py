@@ -1,10 +1,5 @@
-import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +21,6 @@ from fgbo.selftest import (
     dense_posterior,
     grid_contraction_error,
     packed_table_mismatches,
-    posterior_block_mismatches,
 )
 
 
@@ -255,6 +249,18 @@ def test_batch_axes_must_be_one_dimensional():
             post.factor_mean_var_batch(0, (axis, bad))
 
 
+@pytest.mark.parametrize("shape", [(2, 1, 1), (1, 2, 2), (2, 1, 2, 1)])
+def test_batch_points_must_be_a_matrix(shape):
+    rng = np.random.default_rng(6)
+    kernel = AdditiveKernel((FactorKernel(subset=(0,), signal_variance=1.0, lengthscales=(0.3,)),))
+    post = fit(kernel, ObservationSet(rng.uniform(size=(5, 1)), rng.normal(size=5), 0.1))
+    points = np.zeros(shape)
+    with pytest.raises(ContractViolationError, match=r"\(m, k\) array"):
+        post.factor_mean_var_batch(0, points)
+    with pytest.raises(ContractViolationError, match=r"\(m, k\) array"):
+        post.objective_mean_var_batch(points)
+
+
 def _cartesian(axes):
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
@@ -334,88 +340,6 @@ def test_non_finite_variance_raises_numerical_failure(monkeypatch):
         post.objective_mean_var_batch(axes[0].reshape(-1, 1))
 
 
-# (axis lengths, t, seed, as points): arities 1-4 at tau 7, 16 and 33
-# (33^3 rows split unevenly, 33^4 is left out for its size), an axis and a
-# point set of two blocks, and grids whose other axes hold more than
-# BLOCK_ROWS rows.  Row blocks run on points, one axis and grids of fewer
-# than BLOCK_ROWS rows, so a grid that would be contracted runs as points
-BLOCK_CASES = [
-    [(tau,) * k, t, 100 * k + tau + t, fgbo.gp._contracts((tau,) * k)]
-    for k in (1, 2, 3, 4)
-    for tau in (7, 16, 33)
-    for t in (1, 2, 17, 45, 60)
-    if tau**k < 10**6
-] + [
-    [(9001,), 17, 1, False],
-    [(9001,), 45, 2, True],
-    [(33, 33, 33), 45, 3, True],
-    [(3, 16, 16, 17), 17, 4, True],
-    [(8, 17, 17, 17), 45, 5, True],
-    [(33, 33, 33), 64, 6, True],
-    [(65, 64), 64, 7, True],
-    [(3, 16, 16, 17), 82, 8, True],
-]
-
-
-@pytest.mark.parametrize(
-    "lengths", [(9001,), (4096,), (8191,), (12293,), (7,), (0,), (16, 16, 15)]
-)
-def test_row_blocks_cover_the_batch_in_aligned_blocks(lengths):
-    # one axis and its points split alike; a grid of several axes comes to
-    # row blocks only with fewer than BLOCK_ROWS rows, and is one block
-    axes = tuple(np.arange(n, dtype=float) for n in lengths)
-    m = math.prod(lengths)
-    if len(axes) > 1:
-        ((a, b, block),) = fgbo.gp._row_blocks(axes)
-        assert (a, b) == (0, m) and block is axes
-        return
-    (axis,) = axes
-    points = np.stack([axis, -axis], axis=-1)
-    for U, rows in ((axes, axis), (points, points)):
-        blocks = list(fgbo.gp._row_blocks(U))
-        assert [a for a, _, _ in blocks] == [0] + [b for _, b, _ in blocks[:-1]]
-        assert blocks[-1][1] == m
-        for a, b, block in blocks:
-            got = block[0] if U is axes else block
-            assert len(block) == (1 if U is axes else b - a)
-            assert got.shape == rows[a:b].shape and (got == rows[a:b]).all()
-        sizes = [b - a for a, b, _ in blocks]
-        if len(sizes) > 1:
-            assert set(sizes[:-1]) == {fgbo.gp.BLOCK_ROWS} and sizes[-1] >= sizes[0]
-        assert len(sizes) == 1 or m >= 2 * fgbo.gp.BLOCK_ROWS
-
-
-def test_blocked_posterior_is_bitwise_the_one_block_product():
-    # every grid of several axes with BLOCK_ROWS rows or more is contracted,
-    # so such a case reaches row blocks only as points
-    assert all(points or not fgbo.gp._contracts(n) for n, t, _, points in BLOCK_CASES)
-    # Run on one BLAS thread, as perfbench runs: a threaded GEMV computes the
-    # last row of an uneven thread share with another kernel, so the
-    # one-block means themselves move with the thread count (33^3 rows over
-    # two OpenBLAS threads move two of them)
-    env = dict(
-        os.environ,
-        OPENBLAS_NUM_THREADS="1",
-        OMP_NUM_THREADS="1",
-        MKL_NUM_THREADS="1",
-        PYTHONPATH=os.pathsep.join(
-            [str(Path(fgbo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-        ),
-    )
-    code = (
-        "import json, sys\n"
-        "from fgbo.selftest import posterior_block_mismatches as rows\n"
-        "print(json.dumps([rows(*case) for case in json.loads(sys.argv[1])]))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(BLOCK_CASES)],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stderr
-    differing = dict(zip(map(str, BLOCK_CASES), json.loads(proc.stdout)))
-    assert differing == dict.fromkeys(differing, 0)
-
-
 PACK_CASES = [
     # (arities, tau, t).  OpenBLAS takes a factor's (tau^|I| x t)(t x t)
     # variance product with its small-matrix GEMM kernel when tau^|I| t^2 is
@@ -477,7 +401,6 @@ def test_a_pack_is_one_posterior_pass(monkeypatch):
 
 @pytest.mark.parametrize("lengths", [(0,), (0, 5), (5, 0, 3)])
 def test_empty_axis_gives_empty_posteriors(lengths):
-    assert posterior_block_mismatches(lengths, 4, 0) == 0
     rng = np.random.default_rng(3)
     k = len(lengths)
     kernel = AdditiveKernel((FactorKernel(tuple(range(k)), 1.0, (0.3,) * k),))
@@ -492,9 +415,9 @@ def test_empty_axis_gives_empty_posteriors(lengths):
 @pytest.mark.parametrize(
     "scale, message", [(1e200, "not finite"), (10.0, "below")]
 )
-def test_every_row_block_is_checked(monkeypatch, scale, message):
-    # the last of four blocks is corrupted after three good ones, in a batch
-    # of points of a pair factor and in one axis of a singleton
+def test_a_direct_product_checks_its_variances(monkeypatch, scale, message):
+    # the one cross-covariance of a batch of points of a pair factor and of
+    # one long axis of a singleton, corrupted: its variances are checked
     rng = np.random.default_rng(12)
     n = 4 * fgbo.gp.BLOCK_ROWS
     points = rng.uniform(size=(n, 2))
@@ -503,12 +426,12 @@ def test_every_row_block_is_checked(monkeypatch, scale, message):
     real = fgbo.gp.cross_factor
     calls = []
 
-    def last_block_scaled(f, U, V):
+    def scaled(f, U, V):
         K = real(f, U, V)
         calls.append(len(K))
-        return K * scale if len(calls) == 4 else K
+        return K * scale
 
-    monkeypatch.setattr(fgbo.gp, "cross_factor", last_block_scaled)
+    monkeypatch.setattr(fgbo.gp, "cross_factor", scaled)
     for U, t in ((points, 6), (axis, 32)):
         k = len(U) if isinstance(U, tuple) else U.shape[1]
         kernel = AdditiveKernel((FactorKernel(tuple(range(k)), 1.0, (0.3,) * k),))
@@ -516,7 +439,7 @@ def test_every_row_block_is_checked(monkeypatch, scale, message):
         calls.clear()
         with pytest.raises(NumericalFailureError, match=message):
             post.factor_mean_var_batch(0, U)
-        assert calls == [fgbo.gp.BLOCK_ROWS] * 4
+        assert calls == [n]
 
 
 @pytest.mark.parametrize("t", [1, 400])
@@ -535,7 +458,7 @@ def test_every_row_block_is_checked(monkeypatch, scale, message):
 def test_every_large_grid_of_several_axes_contracts(monkeypatch, lengths, contracts, t):
     # the rule reads only the axis lengths: at t = 1 and at t = 400 alike a
     # grid of two or more axes and at least BLOCK_ROWS rows is contracted
-    # (stubbed here), and anything else runs in row blocks
+    # (stubbed here), and anything else is one direct product
     assert fgbo.gp._contracts(lengths) is contracts
     rng = np.random.default_rng(t + len(lengths))
     k = len(lengths)
@@ -587,7 +510,7 @@ def test_contraction_on_unequal_axes_is_the_one_block_product(lengths, t):
 def test_tabulate_with_weights_through_the_contraction(monkeypatch):
     # the 3-ary factor at tau 16 is contracted, the singleton and the pair
     # share a pack: every table equals one factor at a time, and the
-    # contracted table is close to the one from row blocks
+    # contracted table is close to the direct product's
     assert packed_table_mismatches((3, 1, 2), 16, 17, seed=5, weighted=True) == 0
     rng = np.random.default_rng(6)
     kernel = AdditiveKernel(

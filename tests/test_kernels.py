@@ -175,6 +175,18 @@ def test_cross_factor_axes_must_be_one_dimensional():
             cross_factor(f, (axis, bad), V)
 
 
+@pytest.mark.parametrize("shape", [(2, 1, 1), (1, 2, 2), (2, 1, 2, 1)])
+def test_cross_factor_points_must_be_a_matrix(shape):
+    f = FactorKernel(subset=(0,), signal_variance=1.0, lengthscales=(0.2,))
+    V = np.zeros((3, 1))
+    with pytest.raises(ContractViolationError, match=r"\(m, arity\) array"):
+        cross_factor(f, np.zeros(shape), V)
+    with pytest.raises(ContractViolationError, match=r"\(n, arity\) array"):
+        cross_factor(f, np.zeros((2, 1)), np.zeros(shape))
+    with pytest.raises(ContractViolationError, match=r"\(n, arity\) array"):
+        cross_factor(f, (np.zeros(2),), np.zeros(shape))
+
+
 def _fresh_gram(kernel, X):
     """The per-factor reference: sum_f cross_factor(f, U_f, U_f) in factor
     order, which gram equals when no two factors share a signal variance."""
