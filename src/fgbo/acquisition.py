@@ -33,7 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import BETA_MODES
-from .errors import ConfigurationError, ContractViolationError, check_counts, check_indices
+from .errors import (
+    ConfigurationError,
+    ContractViolationError,
+    check_counts,
+    check_indices,
+    check_real,
+)
 from .gp import FactorPosterior
 from .maxsum import FactorGraph
 
@@ -61,13 +67,18 @@ class BetaSchedule:
     def __post_init__(self):
         if self.mode not in BETA_MODES:
             raise ConfigurationError(f"unknown beta mode {self.mode!r}")
-        if not 0.0 < self.delta < 1.0:
+        delta = check_real(ConfigurationError, "delta", self.delta)
+        a = check_real(ConfigurationError, "lipschitz_a", self.lipschitz_a)
+        b = check_real(ConfigurationError, "lipschitz_b", self.lipschitz_b)
+        if not 0.0 < delta < 1.0:
             raise ConfigurationError(f"delta must lie in (0,1), got {self.delta}")
         check_counts(ConfigurationError, 1, num_factors=self.num_factors, dims=self.dims)
-        if not (0 < self.lipschitz_a < math.inf and 0 < self.lipschitz_b < math.inf):
+        if not (0 < a < math.inf and 0 < b < math.inf):
             raise ConfigurationError("a and b must be positive and finite")
         if self.mode == "fixed_constant":
-            if self.fixed_value is None or not 0 < self.fixed_value < math.inf:
+            if self.fixed_value is None or not (
+                0 < check_real(ConfigurationError, "fixed_value", self.fixed_value) < math.inf
+            ):
                 raise ConfigurationError(
                     "FixedConstant mode needs a positive finite fixed_value"
                 )
@@ -174,34 +185,41 @@ def tabulate(
 ) -> FactorGraph:
     """The acquisition factor graph: every factor's phi table on its sub-grid.
 
-    Each factor's sub-grid travels as axes, so its cross-covariance costs
-    O(|I| tau t) exponentials and tau^|I| t products (kernels), and its
-    variances tau^|I| t^2 multiply-adds against the cached L^-1 (gp).
-    The posterior comes pack by pack from gp's grid_mean_var: a factor of
-    at least gp.BLOCK_ROWS rows alone, as a Khatri-Rao contraction over
-    observation pairs that never builds its cross-covariance; other factors
-    of one arity together in packs of at most that many rows, one direct
-    product per pack.  So the temporaries are small chunks or (pack x t)
+    Each factor's sub-grid travels as axes, and the posterior comes pack by
+    pack from gp's grid_mean_var.  A factor of two or more axes and at
+    least gp.BLOCK_ROWS rows is a pack of its own, a Khatri-Rao contraction
+    over observation pairs: it builds no (tau^|I| x t) cross-covariance,
+    only O(|I| tau t) exponentials, and its variances take
+    tau^|I| t(t+1)/2 multiply-adds in pair GEMMs (gp).  Other factors of
+    one arity share packs of at most that many rows, one direct product per
+    pack: a cross-covariance of O(|I| tau t) exponentials and tau^|I| t
+    products (kernels) and variances of tau^|I| t^2 multiply-adds against
+    the cached L^-1.  So the temporaries are small chunks or (pack x t)
     arrays of at most that many rows, but for a singleton on a longer axis,
     which is a pack of its own.
     phi, and the weights, are one pass per pack; every table is bitwise the
     one the factor would get alone.  The tables hold tau^|I| floats per
     factor.
+    beta_value and the weights are numbers, not bools or strings.
     weights, exactly one per factor and each positive and finite, scale the
     tables (averaging acquisitions over sampled decompositions).  A kernel
     with one factor over all d inputs gives the centralized GP-UCB table
     over the joint grid.
     """
-    if not 0 < beta_value < math.inf:
+    if not 0 < check_real(ContractViolationError, "beta", beta_value) < math.inf:
         raise ContractViolationError("beta must be positive and finite")
     factors = posterior.kernel.factors
-    if weights is not None and (
-        len(weights) != len(factors) or not all(0 < w < math.inf for w in weights)
-    ):
-        raise ContractViolationError(
-            f"need one weight per factor ({len(factors)}), each positive and finite, "
-            f"got {weights!r}"
+    if weights is not None:
+        scales = (
+            [check_real(ContractViolationError, "weights", w) for w in weights]
+            if np.iterable(weights)
+            else []
         )
+        if len(scales) != len(factors) or not all(0 < w < math.inf for w in scales):
+            raise ContractViolationError(
+                f"need one weight per factor ({len(factors)}), each positive and finite, "
+                f"got {weights!r}"
+            )
     root_beta = math.sqrt(beta_value)
     tau = grid.per_dim_points
     tables = [None] * len(factors)
@@ -209,7 +227,7 @@ def tabulate(
         phi = mean + root_beta * np.sqrt(var)
         m = len(phi) // len(pack)
         if weights is not None:
-            phi *= np.repeat([float(weights[i]) for i in pack], m)
+            phi *= np.repeat([scales[i] for i in pack], m)
         for j, i in enumerate(pack):
             tables[i] = phi[j * m : (j + 1) * m].reshape((tau,) * factors[i].arity)
     return FactorGraph(

@@ -47,7 +47,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, check_counts, is_integer
+from .errors import (
+    ConfigurationError,
+    ContractViolationError,
+    check_counts,
+    check_real,
+    is_integer,
+)
 from .gp import ObservationSet, log_marginal_likelihood
 from .kernels import AdditiveKernel, FactorKernel
 
@@ -372,7 +378,7 @@ class McmcConfig:
         check_counts(ConfigurationError, 1, max_factor_size=self.max_factor_size)
         check_counts(ConfigurationError, 0, chain_length=self.chain_length, burn_in=self.burn_in)
         check_counts(ConfigurationError, 1, thinning=self.thinning, num_samples=self.num_samples)
-        if not 0 <= self.size_penalty < math.inf:
+        if not 0 <= check_real(ConfigurationError, "size_penalty", self.size_penalty) < math.inf:
             raise ConfigurationError("size_penalty must be >= 0 and finite")
         if self.chain_length > 0:
             need = self.burn_in + (self.num_samples - 1) * self.thinning

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer checks that
-raise them."""
+"""Exception types shared across the package, and the integer and number
+checks that raise them."""
 
+import math
 import numbers
 
 
@@ -45,6 +46,20 @@ def check_counts(error: type, minimum: int, **values) -> None:
             raise error(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise error(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_real(error: type, name: str, value) -> float:
+    """value as a float; raise error unless it is a real number (bool, a Real
+    too, is not, nor is a string).  An integer beyond the float range reads
+    as an infinity, which the caller's range check refuses."""
+    # float and int first: the abstract class's check alone is several
+    # times slower, and an MCMC run builds over a thousand kernels
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def check_indices(indices, count: int, size: int) -> tuple:

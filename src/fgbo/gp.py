@@ -32,23 +32,25 @@ raises, [-VARIANCE_CLAMP, 0) clamps to 0, and anything lower raises.
 A sub-grid given as axes, of arity >= 2 and with at least BLOCK_ROWS rows
 (_contracts), is a Khatri-Rao contraction and never builds Kxg, whatever t
 is.  The SE factor kernel separates per axis, so with the first
-a = ceil(|I|/2) axes on the left and the rest on the right,
-k_I(x_L x_R)[i] = s2 K_L[i, x_L] K_R[i, x_R], where K_L (t x m_L) and K_R
-(t x m_R) are the per-axis factors' C-order Khatri-Rao products
-(kernels.split_cross_factor).  Then
+ceil(|I|/2) axes on the left and the rest on the right (the split
+kernels.split_cross_factor makes), k_I(x_L x_R)[i] = s2 K_L[i, x_L]
+K_R[i, x_R], where K_L (t x m_L) and K_R (t x m_R) are the per-axis
+factors' C-order Khatri-Rao products.  Then
 
     mean = s2 K_L' diag(w) K_R                  (one GEMM)
     var  = s2 - s2^2 G_L' diag(a) G_R
 
-where row (i, k >= i) of the pair table G_L is K_L[i] * K_L[k], of G_R
-likewise, and a holds the entries of A = (K + sn2 I)^-1 = L^-T L^-1 at
-those pairs, off-diagonal ones doubled (computed once per posterior).  The
-variance is a symmetric quadratic form, so the t(t+1)/2 pairs hold all of
-it; it is accumulated over chunks of PAIR_CHUNK_ENTRIES entries per pair
-table, so its temporaries stay small whatever t is, but of at least
-MIN_CHUNK_PAIRS pairs: a side wider than 1024 (a 64^3 grid's is 4096)
-would otherwise leave a chunk a few pairs, and GEMMs that thin are slower
-than the (m x t) products they replace.  Its floats differ from those
+where row p of the pair table G_L is K_L[i_p] * K_L[k_p], of G_R
+likewise, over the pairs (i_p, k_p) of np.triu_indices(t), and a_p is the
+entry of A = (K + sn2 I)^-1 = L^-T L^-1 at pair p, off-diagonal ones
+doubled (the three arrays are computed once per posterior).  The variance
+is a symmetric quadratic form, so the t(t+1)/2 pairs hold all of it.  It
+is accumulated over chunks, consecutive slices of the pair arrays, each
+gathered into pair tables of about PAIR_CHUNK_ENTRIES entries and added by
+one GEMM, so the temporaries stay small whatever t is; a chunk holds at
+least MIN_CHUNK_PAIRS pairs, since a side wider than 1024 (a 64^3 grid's
+is 4096) would otherwise leave it a few pairs, and GEMMs that thin are
+slower than the (m x t) products they replace.  Its floats differ from those
 products' by roundoff (fgbo selftest bounds the difference).
 
 Everything else, points, one axis or a grid of fewer than BLOCK_ROWS rows,
@@ -79,7 +81,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtri
 
-from .errors import ContractViolationError, NumericalFailureError, is_integer
+from .errors import ContractViolationError, NumericalFailureError, check_real, is_integer
 from .kernels import (
     AdditiveKernel,
     GramBlocks,
@@ -133,7 +135,8 @@ class ObservationSet:
             raise ContractViolationError(
                 f"|X| = {len(X)} must equal |y| = {len(y)}"
             )
-        if not 0 < self.noise_variance < math.inf:
+        noise = check_real(ContractViolationError, "noise_variance", self.noise_variance)
+        if not 0 < noise < math.inf:
             raise ContractViolationError("noise variance must be > 0 and finite")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ContractViolationError("observations must be finite")
@@ -211,25 +214,6 @@ def _contracts(lengths) -> bool:
     return len(lengths) >= 2 and math.prod(lengths) >= BLOCK_ROWS
 
 
-def _pair_chunks(t: int, rows: int):
-    """The pairs (i, k), 0 <= i <= k < t, in row-major order, as chunks of
-    at most `rows` pairs; a chunk is a list of runs (i, k0, k1), the pairs
-    (i, k0) .. (i, k1 - 1)."""
-    chunk, size = [], 0
-    for i in range(t):
-        k = i
-        while k < t:
-            k1 = min(t, k + rows - size)
-            chunk.append((i, k, k1))
-            size += k1 - k
-            k = k1
-            if size == rows:
-                yield chunk
-                chunk, size = [], 0
-    if chunk:
-        yield chunk
-
-
 def _checked_variance(var: np.ndarray, what: str) -> np.ndarray:
     """var clamped to 0 from [-VARIANCE_CLAMP, 0); a non-finite variance or
     one below -VARIANCE_CLAMP raises NumericalFailureError."""
@@ -246,7 +230,7 @@ def _checked_variance(var: np.ndarray, what: str) -> np.ndarray:
 class FactorPosterior:
     """Cached solve state for all per-factor posteriors of one kernel + data.
 
-    Immutable after construction, but for the pair weights the first
+    Immutable after construction, but for the pair arrays the first
     contraction caches; concurrent readers that race there compute the same
     array, so they stay safe.
     """
@@ -287,38 +271,35 @@ class FactorPosterior:
         return mean, _checked_variance(var, what)
 
     @cached_property
-    def _pair_weights(self) -> np.ndarray:
-        """The entries of A = (K + sn2 I)^-1 = L^-T L^-1 at the pairs (i, k),
-        i <= k, in row-major order, off-diagonal ones doubled:
-        k' A k = sum_pairs a_ik k_i k_k."""
+    def _pairs(self):
+        """(i, k, a): the pairs (i[p], k[p]), 0 <= i[p] <= k[p] < t, in
+        row-major order (np.triu_indices), and a[p], the entry of
+        A = (K + sn2 I)^-1 = L^-T L^-1 at pair p, off-diagonal ones doubled,
+        so that v' A v = sum_p a[p] v[i[p]] v[k[p]]."""
         A = self._Linv.T @ self._Linv
         A *= 2.0
         A.flat[:: len(A) + 1] *= 0.5
-        return A[np.triu_indices(len(A))]
+        i, k = np.triu_indices(len(A))
+        return i, k, A[i, k]
 
     def _contraction_mean_var(self, f, axes: tuple, V: np.ndarray):
         """Posterior (mean, variance) of factor f on the grid of axes, as
         Khatri-Rao contractions over the observations (see the module
         docstring), never building the cross-covariance."""
-        KL, KR = split_cross_factor(f, axes, V, (len(axes) + 1) // 2)
+        KL, KR = split_cross_factor(f, axes, V)
         s2 = f.signal_variance
         mean = s2 * (KL.T @ (self.weights[:, None] * KR))
-        a = self._pair_weights
+        i, k, a = self._pairs
         rows = max(MIN_CHUNK_PAIRS, PAIR_CHUNK_ENTRIES // max(KL.shape[1], KR.shape[1]))
-        GL = np.empty((min(rows, len(a)), KL.shape[1]))
-        GR = np.empty((len(GL), KR.shape[1]))
-        Q, part = np.zeros(mean.shape), np.empty(mean.shape)
-        p = 0
-        for chunk in _pair_chunks(len(V), rows):
-            n = 0
-            for i, k0, k1 in chunk:
-                np.multiply(KL[k0:k1], KL[i], out=GL[n : n + k1 - k0])
-                np.multiply(KR[k0:k1], KR[i], out=GR[n : n + k1 - k0])
-                n += k1 - k0
-            GR[:n] *= a[p : p + n, None]
-            np.matmul(GL[:n].T, GR[:n], out=part)
-            Q += part
-            p += n
+        Q = np.zeros(mean.shape)
+        for p in range(0, len(a), rows):
+            chunk = slice(p, p + rows)
+            GL = KL[k[chunk]]
+            GL *= KL[i[chunk]]
+            GR = KR[k[chunk]]
+            GR *= KR[i[chunk]]
+            GR *= a[chunk, None]
+            Q += GL.T @ GR
         var = s2 - (s2 * s2) * Q.ravel()
         return mean.ravel(), _checked_variance(var, "factor")
 

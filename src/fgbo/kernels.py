@@ -25,10 +25,14 @@ centralized joint grid is the one-factor case: one factor over all d inputs.
 cross_factors runs this product for k factors of one arity at the same
 axes at once, over a leading factor axis; cross_factor's axes form is its
 k = 1 case.  split_cross_factor stops short of the full product: it
-returns the unscaled products of the first axes and of the rest, (t x
-tau^a) and (t x tau^b), from the same per-axis E_j, and gp contracts a
-large grid's posterior against them without forming the (tau^|I| x t)
-matrix.
+returns the unscaled products of the first ceil(|I|/2) axes and of the
+rest, (t x tau^a) and (t x tau^b), from the same per-axis E_j, and gp
+contracts a large grid's posterior against them without forming the
+(tau^|I| x t) matrix; the split is decided here and nowhere else.  Both
+refuse, with ContractViolationError, axes that are not 1-D or not one
+per factor coordinate, a V of the wrong rank or width, and (for
+cross_factors) a factor count that differs from V's slices or factors of
+different arities.
 
 Gram matrices.  gram groups the factors by signal variance, in order of
 their first factor, and builds K = sum_g s2_g * S_g from the unscaled sums
@@ -54,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, check_counts, is_integer
+from .errors import ContractViolationError, check_counts, check_real, is_integer
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,10 @@ class FactorKernel:
         if not all(is_integer(i) for i in self.subset):
             raise ContractViolationError(f"subset indices must be integers, got {self.subset!r}")
         subset = tuple(int(i) for i in self.subset)
-        lengthscales = tuple(float(l) for l in self.lengthscales)
+        lengthscales = tuple(
+            check_real(ContractViolationError, "lengthscales", l) for l in self.lengthscales
+        )
+        s2 = check_real(ContractViolationError, "signal_variance", self.signal_variance)
         object.__setattr__(self, "subset", subset)
         object.__setattr__(self, "lengthscales", lengthscales)
         if len(subset) == 0:
@@ -90,7 +97,7 @@ class FactorKernel:
                 f"need one lengthscale per subset index: "
                 f"{len(lengthscales)} != {len(subset)}"
             )
-        if not all(0 < v < math.inf for v in (*lengthscales, self.signal_variance)):
+        if not all(0 < v < math.inf for v in (*lengthscales, s2)):
             raise ContractViolationError(
                 "lengthscales and signal variance must be positive and finite"
             )
@@ -139,13 +146,6 @@ def cross_factor(kernel: FactorKernel, U, V: np.ndarray) -> np.ndarray:
     if V.ndim != 2:
         raise ContractViolationError(f"V must be an (n, arity) array, got {V.ndim} dimensions")
     if isinstance(U, tuple):
-        U = tuple(np.asarray(axis, dtype=float) for axis in U)
-        if len(U) != kernel.arity or V.shape[1] != kernel.arity or any(
-            axis.ndim != 1 for axis in U
-        ):
-            raise ContractViolationError(
-                f"need {kernel.arity} 1-D axes and {kernel.arity} columns"
-            )
         return cross_factors((kernel,), U, V[None])[0]
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if U.ndim != 2:
@@ -167,6 +167,14 @@ def cross_factors(kernels, axes: tuple, V: np.ndarray) -> np.ndarray:
     the same float operations whatever k, so factor j's slice equals
     cross_factor(kernels[j], axes, V[j]), the k = 1 case, bit for bit.
     """
+    kernels = tuple(kernels)
+    if not kernels or any(f.arity != kernels[0].arity for f in kernels):
+        raise ContractViolationError("need one or more factors, all of one arity")
+    axes, V = _grid_inputs(kernels[0].arity, axes, V, 3)
+    if len(V) != len(kernels):
+        raise ContractViolationError(
+            f"need one V slice per factor: {len(V)} != {len(kernels)}"
+        )
     k, n = V.shape[:2]
     # per factor (s2, l_1, ..., l_arity), and v / l per axis as (arity, k, 1, n)
     params = np.array([(f.signal_variance, *f.lengthscales) for f in kernels])
@@ -184,23 +192,45 @@ def cross_factors(kernels, axes: tuple, V: np.ndarray) -> np.ndarray:
     return K
 
 
-def split_cross_factor(kernel: FactorKernel, axes: tuple, V: np.ndarray, left: int):
-    """Unscaled Khatri-Rao factors (K_L, K_R) of one factor at axes, split
-    after the first `left` axes.
+def split_cross_factor(kernel: FactorKernel, axes: tuple, V: np.ndarray):
+    """Unscaled Khatri-Rao factors (K_L, K_R) of one factor of arity >= 2 at
+    axes, split after the first ceil(arity/2) axes.
 
     axes is a tuple of arity 1-D float arrays and V (n, arity) the factor's
     sub-inputs.  E_j (n, len(axes[j])) = exp(-0.5 z^2), z = axis_j/l_j -
     v_j/l_j, gets cross_factors' float operations, and K_L (n, m_L) and K_R
-    (n, m_R) are the C-order row-wise products of E_1 .. E_left and of the
-    rest, so that cross_factor(kernel, axes, V)[r_L m_R + r_R, i] equals
+    (n, m_R) are the C-order row-wise products of the left axes' E_j and of
+    the rest, so that cross_factor(kernel, axes, V)[r_L m_R + r_R, i] equals
     s2 K_L[i, r_L] K_R[i, r_R] to rounding.
     """
+    if kernel.arity < 2:
+        raise ContractViolationError("a split needs a factor of arity >= 2")
+    axes, V = _grid_inputs(kernel.arity, axes, V, 2)
     Vl = V / np.asarray(kernel.lengthscales)
     E = [
         _se_in_place(axis / l - vl[:, None])
         for axis, l, vl in zip(axes, kernel.lengthscales, Vl.T)
     ]
+    left = (kernel.arity + 1) // 2
     return _khatri_rao(E[:left]), _khatri_rao(E[left:])
+
+
+def _grid_inputs(arity: int, axes, V, rank: int):
+    """axes and V as float arrays; raise ContractViolationError unless axes
+    are arity 1-D arrays and V a rank-`rank` array of arity columns."""
+    axes = tuple(np.asarray(axis, dtype=float) for axis in axes)
+    V = np.asarray(V, dtype=float)
+    if (
+        len(axes) != arity
+        or any(axis.ndim != 1 for axis in axes)
+        or V.ndim != rank
+        or V.shape[-1] != arity
+    ):
+        raise ContractViolationError(
+            f"need {arity} 1-D axes and a {rank}-D V of {arity} columns, got "
+            f"axes of {[axis.ndim for axis in axes]} dimensions and V of shape {V.shape}"
+        )
+    return axes, V
 
 
 def _khatri_rao(E: list) -> np.ndarray:

@@ -73,13 +73,12 @@ solve actually computed, the work done.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_MAXSUM
-from .errors import ContractViolationError, check_counts, check_indices
+from .errors import ContractViolationError, check_counts, check_indices, check_real
 
 
 class FactorGraph:
@@ -223,20 +222,6 @@ def decode(g: FactorGraph, raw_f2v: np.ndarray, raw_v2f: np.ndarray) -> np.ndarr
     return np.argmax(raw_f2v[rows] + raw_v2f[rows], axis=1)
 
 
-def _real(name: str, value) -> float:
-    """value as a finite float; bools, non-numbers and non-finite values are
-    refused, as the config layer refuses them."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ContractViolationError(f"{name} must be a number, got {value!r}")
-    try:
-        v = float(value)
-    except OverflowError:  # an integer beyond the float range
-        v = math.inf
-    if not math.isfinite(v):
-        raise ContractViolationError(f"{name} must be finite, got {value!r}")
-    return v
-
-
 @dataclass(frozen=True)
 class SolveResult:
     indices: np.ndarray  # per-dimension grid indices of the best assignment
@@ -261,7 +246,10 @@ def solve(
     whose incoming messages did not change keeps its raw messages.
     """
     check_counts(ContractViolationError, 1, rounds=rounds)
-    damping, tol = _real("damping", damping), _real("tol", tol)
+    for name, value in (("damping", damping), ("tol", tol)):
+        if not math.isfinite(check_real(ContractViolationError, name, value)):
+            raise ContractViolationError(f"{name} must be finite, got {value!r}")
+    damping, tol = float(damping), float(tol)
     if not 0.0 <= damping < 1.0:
         raise ContractViolationError("damping must lie in [0, 1)")
     if not tol >= 0:

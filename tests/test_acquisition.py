@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from fgbo.gp import ObservationSet, fit
 from fgbo.kernels import AdditiveKernel, FactorKernel
 from fgbo.maxsum import solve
 from fgbo.selftest import BETA_DISCRETE_CASES, BETA_LIPSCHITZ_CASES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TAU_CASES = [
     # (dims, lipschitz_a, lipschitz_b, num_factors, delta, t, expected)
@@ -356,3 +362,55 @@ def test_grid_axes_are_stored_read_only_linspace():
     line = np.linspace(0.0, 1.0, 9)
     np.testing.assert_array_equal(grid.point_at((3, 8, 1)), [line[3], 1.0, line[1]])
     assert grid == GridSpec(per_dim_points=9, num_dims=3)
+
+
+# tabulate's tables for seeded posteriors shaped like the four benchmark
+# workloads' graphs (three 3-ary factors at tau 32, one 4-ary factor, ten
+# singletons, a mix of arities 1-3), each at t = 12 and at t = 120 (over
+# 7,000 pairs, many chunks of each contraction), hashed in a child on one
+# BLAS thread
+TABLES_CHILD = """
+import hashlib
+import numpy as np
+from fgbo.acquisition import GridSpec, tabulate
+from fgbo.gp import ObservationSet, fit
+from fgbo.kernels import AdditiveKernel, FactorKernel
+
+GRAPHS = [  # (d, tau, subsets)
+    (6, 32, [(0, 1, 2), (2, 3, 4), (3, 4, 5)]),
+    (4, 16, [(0, 1, 2, 3)]),
+    (10, 16, [(j,) for j in range(10)]),
+    (6, 16, [(0,), (1, 2), (3, 4), (5,), (0, 3, 5)]),
+]
+digest = hashlib.sha256()
+for g, (d, tau, subsets) in enumerate(GRAPHS):
+    for t in (12, 120):
+        rng = np.random.default_rng([g, t])
+        kernel = AdditiveKernel(tuple(
+            FactorKernel(s, rng.uniform(0.2, 2.0), tuple(rng.uniform(0.1, 0.5, len(s))))
+            for s in subsets
+        ))
+        obs = ObservationSet(rng.uniform(size=(t, d)), rng.normal(size=t), 0.01)
+        for table in tabulate(fit(kernel, obs), GridSpec(tau, d), 2.5).tables:
+            digest.update(table.tobytes())
+print(digest.hexdigest())
+"""
+
+TABLES_SHA256 = "30b5c863fdcab319902c37273348ba770722e192166a9a781281adf7454164b2"
+
+
+def test_tables_are_pinned_bit_for_bit():
+    """The digest belongs to one numpy/OpenBLAS build (numpy with
+    scipy-openblas 0.3.31, x86-64) and is regenerated on purpose, with
+    TABLES_CHILD, when a change means to move the tables' floats (ROADMAP
+    items 4, 7 and 10).  It is taken on one BLAS thread, as the benchmark
+    runs, since a GEMM's last bits may depend on the thread count."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", TABLES_CHILD], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == TABLES_SHA256

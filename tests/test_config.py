@@ -5,9 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from fgbo.acquisition import BetaSchedule, GridSpec, tabulate
 from fgbo.bench import shekel4
 from fgbo.config import DEFAULT_BETA, load_config_file, validate_config
-from fgbo.errors import ConfigurationError
+from fgbo.decomposition import McmcConfig
+from fgbo.errors import ConfigurationError, ContractViolationError
+from fgbo.gp import ObservationSet, fit
+from fgbo.kernels import AdditiveKernel, FactorKernel
 
 MINIMAL = {
     "objective": "shekel4",
@@ -225,3 +229,57 @@ def test_load_config_file(tmp_path):
         load_config_file(str(bad))
     with pytest.raises(FileNotFoundError):
         load_config_file(str(tmp_path / "absent.json"))
+
+
+def _tabulate(beta_value=2.0, weights=None):
+    kernel = AdditiveKernel((FactorKernel((0,), 1.0, (0.3,)),))
+    post = fit(kernel, ObservationSet(np.array([[0.2], [0.7]]), np.array([0.1, -0.3]), 0.01))
+    return tabulate(post, GridSpec(per_dim_points=3, num_dims=1), beta_value, weights)
+
+
+# the Python API refuses the numbers that the config layer refuses, bools
+# and strings, each with its class's own error
+@pytest.mark.parametrize(
+    "error, call",
+    [
+        (ContractViolationError, lambda: FactorKernel((0,), True, (0.2,))),
+        (ContractViolationError, lambda: FactorKernel((0,), "1.0", (0.2,))),
+        (ContractViolationError, lambda: FactorKernel((0,), 1.0, ("0.2",))),
+        (ContractViolationError, lambda: FactorKernel((0,), 1.0, (True,))),
+        (ContractViolationError, lambda: ObservationSet(np.zeros((1, 1)), [0.0], True)),
+        (ContractViolationError, lambda: ObservationSet(np.zeros((1, 1)), [0.0], "0.1")),
+        (ConfigurationError, lambda: BetaSchedule("discrete_domain", "0.1", 2, 3)),
+        (ConfigurationError, lambda: BetaSchedule("discrete_domain", 0.1, 2, 3, lipschitz_a=True)),
+        (ConfigurationError, lambda: BetaSchedule("discrete_domain", 0.1, 2, 3, lipschitz_b="2")),
+        (ConfigurationError, lambda: BetaSchedule("fixed_constant", 0.1, 2, 3, fixed_value=True)),
+        (ConfigurationError, lambda: BetaSchedule("fixed_constant", 0.1, 2, 3, fixed_value="2")),
+        (ConfigurationError, lambda: McmcConfig(2, 10, size_penalty=True)),
+        (ConfigurationError, lambda: McmcConfig(2, 10, size_penalty="0.5")),
+        (ContractViolationError, lambda: _tabulate(True)),
+        (ContractViolationError, lambda: _tabulate("2.0")),
+        (ContractViolationError, lambda: _tabulate(weights=[True])),
+        (ContractViolationError, lambda: _tabulate(weights=["1.0"])),
+        (ContractViolationError, lambda: _tabulate(weights=5)),
+    ],
+    ids=[
+        "kernel_bool_signal_variance", "kernel_str_signal_variance",
+        "kernel_str_lengthscale", "kernel_bool_lengthscale",
+        "observations_bool_noise", "observations_str_noise",
+        "beta_str_delta", "beta_bool_lipschitz_a", "beta_str_lipschitz_b",
+        "beta_bool_fixed_value", "beta_str_fixed_value",
+        "mcmc_bool_size_penalty", "mcmc_str_size_penalty",
+        "tabulate_bool_beta", "tabulate_str_beta", "tabulate_bool_weight",
+        "tabulate_str_weight", "tabulate_int_weights",
+    ],
+)
+def test_python_api_refuses_bools_and_strings_for_numbers(error, call):
+    with pytest.raises(error, match="must be a number|one weight per factor"):
+        call()
+
+
+def test_python_api_takes_numpy_and_integer_numbers():
+    FactorKernel((0,), np.float64(1.0), (np.float32(0.2),))
+    ObservationSet(np.zeros((1, 1)), [0.0], 1)
+    BetaSchedule("fixed_constant", np.float64(0.1), 2, 3, lipschitz_a=2, fixed_value=np.int64(2))
+    McmcConfig(2, 10, size_penalty=np.float64(0.5))
+    assert _tabulate(np.float64(2.0), np.array([2.0])).tables[0].shape == (3,)

@@ -572,16 +572,26 @@ def test_tabulation_peak_allocation():
         ((16,) * 4, fgbo.gp.PAIR_CHUNK_ENTRIES // 256),
     ],
 )
-def test_a_pair_chunk_holds_at_least_min_chunk_pairs(monkeypatch, lengths, pairs):
+def test_a_pair_chunk_holds_at_least_min_chunk_pairs(lengths, pairs):
+    # t = 20 gives 210 pairs, more than one chunk in both cases; the cached
+    # pair weights a record the slice each chunk takes of them
     assert fgbo.gp.MIN_CHUNK_PAIRS == 32
     rng = np.random.default_rng(14)
     k = len(lengths)
     kernel = AdditiveKernel((FactorKernel(tuple(range(k)), 1.0, (0.3,) * k),))
-    post = fit(kernel, ObservationSet(rng.uniform(size=(9, k)), rng.normal(size=9), 0.1))
-    real, rows = fgbo.gp._pair_chunks, []
-    monkeypatch.setattr(fgbo.gp, "_pair_chunks", lambda t, n: rows.append(n) or real(t, n))
+    post = fit(kernel, ObservationSet(rng.uniform(size=(20, k)), rng.normal(size=20), 0.1))
+    sizes = []
+
+    class Recorded(np.ndarray):
+        def __getitem__(self, key):
+            taken = np.asarray(self)[key]
+            sizes.append(len(taken))
+            return taken
+
+    i, j, a = post._pairs
+    post.__dict__["_pairs"] = (i, j, a.view(Recorded))
     post.factor_mean_var_batch(0, tuple(np.linspace(0.0, 1.0, n) for n in lengths))
-    assert rows == [pairs]
+    assert sizes == [pairs] * (210 // pairs) + [210 % pairs]
 
 
 def test_warm_fit_peak_allocation():

@@ -10,7 +10,9 @@ from fgbo.kernels import (
     GramBlocks,
     cross_additive,
     cross_factor,
+    cross_factors,
     gram,
+    split_cross_factor,
 )
 
 
@@ -358,3 +360,47 @@ def test_gram_refuses_non_matrix_and_non_finite_inputs(blocks):
         with pytest.raises(ContractViolationError, match="finite"):
             gram(kernel, Y, blocks)
 
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_split_cross_factor_splits_after_half_the_axes(arity):
+    rng = np.random.default_rng(arity)
+    f = FactorKernel(tuple(range(arity)), 1.3, tuple(rng.uniform(0.2, 0.6, arity)))
+    axes = tuple(np.linspace(0.0, 1.0, 3 + j) for j in range(arity))
+    V = rng.uniform(size=(5, arity))
+    KL, KR = split_cross_factor(f, axes, V)
+    left = math.prod(len(axis) for axis in axes[: (arity + 1) // 2])
+    assert KL.shape == (5, left) and KR.shape == (5, math.prod(len(a) for a in axes) // left)
+    want = cross_factor(f, axes, V)
+    got = 1.3 * (KL[:, :, None] * KR[:, None, :]).reshape(5, -1).T
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+AXIS = np.linspace(0.0, 1.0, 3)
+ONE = FactorKernel((0,), 1.0, (0.3,))
+TWO = FactorKernel((0, 1), 1.0, (0.3, 0.5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cross_factors((ONE,), (AXIS,), np.zeros((2, 2, 1))),
+        lambda: cross_factors((ONE,), (AXIS[:, None],), np.zeros((1, 2, 1))),
+        lambda: cross_factors((ONE,), (AXIS,), np.zeros((2, 1))),
+        lambda: cross_factors((TWO,), (AXIS,), np.zeros((1, 2, 2))),
+        lambda: cross_factors((ONE, TWO), (AXIS,), np.zeros((2, 2, 1))),
+        lambda: cross_factors((), (AXIS,), np.zeros((0, 2, 1))),
+        lambda: split_cross_factor(TWO, (AXIS,) * 3, np.zeros((2, 2))),
+        lambda: split_cross_factor(TWO, (AXIS, AXIS[:, None]), np.zeros((2, 2))),
+        lambda: split_cross_factor(TWO, (AXIS, AXIS), np.zeros((1, 2, 2))),
+        lambda: split_cross_factor(TWO, (AXIS, AXIS), np.zeros((2, 3))),
+        lambda: split_cross_factor(ONE, (AXIS,), np.zeros((2, 1))),
+    ],
+    ids=[
+        "two_slices_one_factor", "axis_2d", "v_rank_2", "one_axis_two_ary",
+        "mixed_arity", "no_factors", "split_three_axes_two_ary", "split_axis_2d",
+        "split_v_rank_3", "split_v_three_columns", "split_one_ary",
+    ],
+)
+def test_grid_cross_covariances_refuse_malformed_inputs(call):
+    with pytest.raises(ContractViolationError):
+        call()
