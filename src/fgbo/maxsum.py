@@ -59,15 +59,16 @@ round coincides with the converged one.
 
 Round k's beliefs are exactly the raw (unblended, unnormalized) messages
 that round k+1 computes from round k's messages, so decoding reuses them
-instead of recomputing.  Only the last round's messages need an extra pass;
-that pass sends on the decoding edges alone, by the same rule of computing
+instead of recomputing.  Only the last round's messages need an extra pass,
+an ordinary pass, decoded and not damped, by the same rule of computing
 only the factors whose incoming messages changed.  Lookup accounting is the
 paper's cost model, not the entries the elimination touches, and it counts
 every message whether it was computed or kept: message_lookups counts
-tau^|I| per factor-to-variable message per round, and decode_lookups counts
-tau^|I| per decoding-edge message of that one final pass, one per variable
-per solve.  computed_lookups counts the same tau^|I| for the messages the
-solve actually computed, the work done.
+tau^|I| per factor-to-variable message per round, and decode_lookups stays
+the cost model's tau^|I| per decoding-edge message of that one final pass,
+one per variable per solve.  computed_lookups counts the same tau^|I| for
+the messages the solve actually computed, the work done, every message of
+the final pass included.
 """
 
 from __future__ import annotations
@@ -142,17 +143,6 @@ class FactorGraph:
         self.decoding_rows = np.array(
             [min(rows, key=lambda r: self.subsets[self.edges[r][0]]) for rows in var_rows]
         )
-        # the edges as (factor, ascending subset positions) groups: a
-        # message round sends on every position, in self.edges order; the
-        # decoding pass sends on the decoding edges only
-        self.message_groups = tuple(
-            (fi, tuple(range(len(s)))) for fi, s in enumerate(self.subsets)
-        )
-        decoding: dict = {}
-        for r in self.decoding_rows:  # ascending v: ascending positions
-            fi, v = self.edges[r]
-            decoding.setdefault(fi, []).append(self.subsets[fi].index(v))
-        self.decoding_groups = tuple((fi, tuple(ps)) for fi, ps in decoding.items())
 
     def value_of(self, indices) -> float:
         """Sum of factor tables at one joint grid-index assignment."""
@@ -171,9 +161,9 @@ def _along_axis(msg: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return msg.reshape(shape)
 
 
-def factor_messages(table: np.ndarray, incoming, positions) -> list:
-    """One factor's messages to the variables at `positions` (ascending
-    subset positions), by eliminating one variable at a time.
+def factor_messages(table: np.ndarray, incoming) -> list:
+    """One factor's messages to its variables, in subset order, by
+    eliminating one variable at a time.
 
     incoming[q] is the message from the variable at subset position q.  The
     floats equal the defining order's (see the module docstring): prefix is
@@ -182,13 +172,12 @@ def factor_messages(table: np.ndarray, incoming, positions) -> list:
     k = table.ndim
     out = []
     prefix = table
-    for p in range(positions[-1] + 1):
-        if p in positions:
-            msg = prefix  # axis 0 is position p, axis 1 the next to eliminate
-            for q in range(p + 1, k):
-                msg = (msg + _along_axis(incoming[q], 1, msg.ndim)).max(axis=1)
-            out.append(msg.copy() if k == 1 else msg)
-        if p < positions[-1]:
+    for p in range(k):
+        msg = prefix  # axis 0 is position p, axis 1 the next to eliminate
+        for q in range(p + 1, k):
+            msg = (msg + _along_axis(incoming[q], 1, msg.ndim)).max(axis=1)
+        out.append(msg.copy() if k == 1 else msg)
+        if p < k - 1:
             prefix = (prefix + _along_axis(incoming[p], 0, prefix.ndim)).max(axis=0)
     return out
 
@@ -241,9 +230,10 @@ def solve(
     lambda*old + (1-lambda)*new before normalizing.  Every round is decoded
     and the assignment with the best summed table value is kept; earlier
     rounds win ties.  A round's messages are decoded from the raw messages
-    the next round computes from them, so after the last round only the
-    decoding edges are sent, and those are the decode lookups.  A factor
-    whose incoming messages did not change keeps its raw messages.
+    the next pass computes from them, so the last round is followed by one
+    more pass that is decoded and not damped; its decoding-edge messages
+    are the decode lookups.  A factor whose incoming messages did not change
+    keeps its raw messages.
     """
     check_counts(ContractViolationError, 1, rounds=rounds)
     for name, value in (("damping", damping), ("tol", tol)):
@@ -264,25 +254,22 @@ def solve(
     starts = [rows[0] for rows in g.factor_rows]  # factor-major rows
     unary = [len(s) == 1 for s in g.subsets]
     stale = [False] * len(g.subsets)  # per factor: compute nothing this round
+    # the cost model: every message per round, one per variable to decode
+    round_lookups = sum(len(s) * tab.size for s, tab in zip(g.subsets, g.tables))
+    decode_lookups = sum(g.tables[g.edges[r][0]].size for r in g.decoding_rows)
     delta = math.inf
     for rnd in range(rounds + 1):  # f2v and v2f hold round rnd
-        last = rnd == rounds or delta < tol
-        groups, v2f_rows = g.message_groups, range(len(g.edges))
-        if last:
-            groups, v2f_rows = g.decoding_groups, g.decoding_rows
-        for fi, positions in groups:
+        for fi, rows in enumerate(g.factor_rows):
             if stale[fi]:
                 continue
-            rows = g.factor_rows[fi]
-            msgs = factor_messages(g.tables[fi], [v2f[r] for r in rows], positions)
-            for p, msg in zip(positions, msgs):
-                raw_f2v[rows[p]] = msg
-            diag.computed_lookups += len(positions) * g.tables[fi].size
+            msgs = factor_messages(g.tables[fi], [v2f[r] for r in rows])
+            for r, msg in zip(rows, msgs):
+                raw_f2v[r] = msg
+            diag.computed_lookups += len(rows) * g.tables[fi].size
         raw_v2f = np.zeros_like(v2f)
-        for r in v2f_rows:  # summed from zeros in factor order
-            for r2 in g.other_rows[r]:
+        for r, others in enumerate(g.other_rows):  # summed from zeros in factor order
+            for r2 in others:
                 raw_v2f[r] += f2v[r2]
-        lookups = sum(len(ps) * g.tables[fi].size for fi, ps in groups)
         if rnd > 0:
             idx = decode(g, raw_f2v, raw_v2f)
             val = g.value_of(idx)
@@ -290,12 +277,12 @@ def solve(
             if diag.best_value is None or val > diag.best_value:
                 diag.best_value = val
                 best = idx
-        if last:
-            diag.decode_lookups = lookups
+        if rnd == rounds or delta < tol:  # this pass is decoded, not damped
+            diag.decode_lookups = decode_lookups
             diag.rounds_used = rnd
             diag.converged = delta < tol
             return SolveResult(indices=best, diagnostics=diag)
-        diag.message_lookups += lookups
+        diag.message_lookups += round_lookups
         f2v, delta_f2v = _damped(f2v, raw_f2v, damping)
         old_v2f = v2f
         v2f, delta_v2f = _damped(v2f, raw_v2f, damping)
@@ -304,4 +291,3 @@ def solve(
         changed = (v2f.view(np.uint64) != old_v2f.view(np.uint64)).any(axis=1)
         changed = np.logical_or.reduceat(changed, starts).tolist()
         stale = [u or not c for u, c in zip(unary, changed)]
-

@@ -88,9 +88,7 @@ def _draw(rng, kind, size):
 @pytest.mark.parametrize("kind", ["normal", "ties", "wide"])
 def test_factor_messages_equal_the_defining_order(kind):
     # elimination one variable at a time must give the floats of adding
-    # every other message onto phi in subset order, then maximizing; every
-    # subset of target positions covers the decoding pass, which sends on
-    # some positions only
+    # every other message onto phi in subset order, then maximizing
     rng = np.random.default_rng(["normal", "ties", "wide"].index(kind))
     for arity in range(1, 6):
         for tau in range(2, 8):
@@ -100,15 +98,13 @@ def test_factor_messages_equal_the_defining_order(kind):
             g = FactorGraph(arity, tau, [subset], [table])
             v2f = {(j, 0): incoming[j] for j in subset}
             want = [factor_to_variable_message(g, v2f, 0, p) for p in subset]
-            for n in range(1, arity + 1):
-                for positions in itertools.combinations(subset, n):
-                    got = factor_messages(table, incoming, positions)
-                    assert len(got) == n
-                    for p, msg in zip(positions, got):
-                        assert msg.shape == (tau,)
-                        assert np.array_equal(msg, want[p]), (arity, tau, positions, p)
+            got = factor_messages(table, incoming)
+            assert len(got) == arity
+            for p, msg in zip(subset, got):
+                assert msg.shape == (tau,)
+                assert np.array_equal(msg, want[p]), (arity, tau, p)
             if arity == 1:  # a copy of phi, never phi itself
-                assert factor_messages(table, incoming, (0,))[0] is not table
+                assert got[0] is not table
 
 
 def test_unary_chain_trivial():
@@ -133,8 +129,6 @@ def test_decode_uses_lexicographically_smallest_incident_factor():
     g = FactorGraph(3, 4, [(0, 1), (0, 2)], [t01, t02])
     assert g.edges == ((0, 0), (0, 1), (1, 0), (1, 2))
     assert g.decoding_rows.tolist() == [0, 1, 3]
-    assert g.message_groups == ((0, (0, 1)), (1, (0, 1)))
-    assert g.decoding_groups == ((0, (0, 1)), (1, (1,)))
     zero_v2f = {(v, fi): np.zeros(4) for fi, v in g.edges}
     raw_f2v = np.array([factor_to_variable_message(g, zero_v2f, *e) for e in g.edges])
     np.testing.assert_array_equal(raw_f2v[2], [0.0, 5.0, 0.0, 0.0])  # the louder vote
@@ -359,6 +353,31 @@ def test_repeated_subset_results_and_traces_are_pinned():
     assert digest == REPEATED_SUBSET_SHA256
 
 
+# Recorded from the solver whose last pass sent on the decoding edges only.
+COST_MODEL_SHA256 = {
+    "maxsum": "717b4853878dbff749000e431dc4277924a5e149aacefee8d5c9928e201e95ff",
+    "repeated_subset": "c213dec884e665018f93982aba48319608aa88357aae638449879749de4390e5",
+}
+
+
+@pytest.mark.parametrize(
+    "graphs, name",
+    [(_pinned_graphs, "maxsum"), (_repeated_subset_graphs, "repeated_subset")],
+    ids=["maxsum", "repeated_subset"],
+)
+def test_the_cost_model_lookups_are_pinned(graphs, name):
+    # the paper's cost model: every message of every round, and one
+    # decoding-edge message per variable, whatever the solve computed
+    digest = hashlib.sha256()
+    for g, rounds in graphs():
+        for damping in (0.0, 0.4):
+            diag = solve(g, rounds, damping=damping).diagnostics
+            digest.update(
+                repr((diag.message_lookups, diag.decode_lookups, diag.rounds_used)).encode()
+            )
+    assert digest.hexdigest() == COST_MODEL_SHA256[name]
+
+
 @pytest.mark.parametrize(
     "graphs", [_pinned_graphs, _repeated_subset_graphs], ids=["maxsum", "repeated_subset"]
 )
@@ -415,8 +434,6 @@ def test_index_tables_match_their_definitions():
     for g in _index_table_graphs():
         edges = g.edges
         assert edges == tuple((fi, v) for fi, s in enumerate(g.subsets) for v in s)
-        message_edges = [(fi, g.subsets[fi][p]) for fi, ps in g.message_groups for p in ps]
-        assert tuple(message_edges) == edges
         for fi, rows in enumerate(g.factor_rows):
             assert rows == tuple(r for r, e in enumerate(edges) if e[0] == fi)
             assert tuple(edges[r][1] for r in rows) == g.subsets[fi]  # subset order
@@ -433,10 +450,6 @@ def test_index_tables_match_their_definitions():
             smallest = min(g.subsets[f] for f in incident)
             assert var == v
             assert fi == min(f for f in incident if g.subsets[f] == smallest)
-        decoding_edges = [(fi, g.subsets[fi][p]) for fi, ps in g.decoding_groups for p in ps]
-        assert sorted(decoding_edges) == sorted(edges[r] for r in g.decoding_rows)
-        assert all(list(ps) == sorted(set(ps)) for _, ps in g.decoding_groups)
-        assert len({fi for fi, _ in g.decoding_groups}) == len(g.decoding_groups)
     assert seen_three_factor_variable
 
 
