@@ -52,6 +52,7 @@ from .errors import (
     ContractViolationError,
     check_counts,
     check_real,
+    check_subsets,
     is_integer,
 )
 from .gp import ObservationSet, log_marginal_likelihood
@@ -59,7 +60,7 @@ from .kernels import AdditiveKernel, FactorKernel
 
 
 def _canonical(subsets) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(tuple(sorted(int(j) for j in s)) for s in subsets))
+    return tuple(sorted(tuple(sorted(s)) for s in check_subsets(subsets)))
 
 
 @dataclass(frozen=True)
@@ -140,14 +141,30 @@ class SharedHypers:
     total_signal_variance: float
     lengthscales: float | tuple[float, ...] = 0.2
 
+    def __post_init__(self):
+        check_real(ContractViolationError, "total_signal_variance", self.total_signal_variance)
+        ls = self.lengthscales
+        if np.iterable(ls):
+            ls = tuple(check_real(ContractViolationError, "lengthscales", l) for l in ls)
+        else:
+            ls = check_real(ContractViolationError, "lengthscales", ls)
+        object.__setattr__(self, "lengthscales", ls)
+
     def lengthscale_for(self, dim: int) -> float:
-        if isinstance(self.lengthscales, (int, float)):
-            return float(self.lengthscales)
-        return float(self.lengthscales[dim])
+        if isinstance(self.lengthscales, float):
+            return self.lengthscales
+        if not 0 <= dim < len(self.lengthscales):
+            raise ContractViolationError(
+                f"no lengthscale for dimension {dim}: {len(self.lengthscales)} given"
+            )
+        return self.lengthscales[dim]
 
 
 def induced_kernel(subsets, hypers: SharedHypers) -> AdditiveKernel:
     """Additive kernel over the subsets, total signal variance split equally."""
+    subsets = check_subsets(subsets)
+    if not subsets:
+        raise ContractViolationError("an induced kernel needs >= 1 subset")
     per_factor = hypers.total_signal_variance / len(subsets)
     return AdditiveKernel(
         factors=tuple(
@@ -459,8 +476,11 @@ def merge_for_acquisition(
     per-sample acquisitions exactly, because a subset's phi table is the
     same function in every sample (factors share one posterior).
     """
+    samples = tuple(samples) if np.iterable(samples) else ()
     if not samples:
         raise ContractViolationError("merging needs >= 1 sampled decomposition")
+    if not all(isinstance(dec, Decomposition) for dec in samples):
+        raise ContractViolationError(f"merging takes Decompositions, got {samples!r}")
     counts = Counter()
     for dec in samples:
         counts.update(dec.subsets)

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the integer and number
-checks that raise them."""
+"""Exception types shared across the package, and the integer, number and
+array checks that raise them."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class FgboError(Exception):
@@ -62,12 +64,45 @@ def check_real(error: type, name: str, value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def check_integers(what: str, values) -> tuple:
+    """values as a tuple of ints; raise ContractViolationError(f"{what}, got
+    {values!r}") unless values is a sequence of integers (bool, an Integral
+    too, is not, nor is a scalar or a string)."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ContractViolationError(f"{what}, got {values!r}") from None
+    if not all(is_integer(i) for i in values):
+        raise ContractViolationError(f"{what}, got {values!r}")
+    return tuple(int(i) for i in values)
+
+
+def check_subsets(subsets) -> tuple:
+    """subsets as a tuple of int tuples; raise ContractViolationError unless
+    subsets is a sequence of integer sequences (see check_integers)."""
+    if not np.iterable(subsets):
+        raise ContractViolationError(f"subsets must be index sequences, got {subsets!r}")
+    return tuple(check_integers("subset indices must be integers", s) for s in subsets)
+
+
 def check_indices(indices, count: int, size: int) -> tuple:
     """indices as a tuple; raise ContractViolationError unless they are
     count integers in [0, size)."""
-    indices = tuple(indices)
-    if len(indices) != count or not all(is_integer(i) and 0 <= i < size for i in indices):
-        raise ContractViolationError(
-            f"need {count} integer indices in [0, {size}), got {indices}"
-        )
+    what = f"need {count} integer indices in [0, {size})"
+    indices = check_integers(what, indices)
+    if len(indices) != count or not all(0 <= i < size for i in indices):
+        raise ContractViolationError(f"{what}, got {indices}")
     return indices
+
+
+def check_array(name: str, value) -> np.ndarray:
+    """value as a float array; raise ContractViolationError unless it is an
+    array, or nested sequences, of numbers (strings and other objects are
+    not)."""
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # ragged nested sequences
+        raise ContractViolationError(f"{name} must be a numeric array: {exc}") from exc
+    if array.dtype.kind not in "biuf":
+        raise ContractViolationError(f"{name} must be a numeric array, got dtype {array.dtype}")
+    return array.astype(float, copy=False)

@@ -81,7 +81,13 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtri
 
-from .errors import ContractViolationError, NumericalFailureError, check_real, is_integer
+from .errors import (
+    ContractViolationError,
+    NumericalFailureError,
+    check_array,
+    check_real,
+    is_integer,
+)
 from .kernels import (
     AdditiveKernel,
     GramBlocks,
@@ -123,8 +129,8 @@ class ObservationSet:
     noise_variance: float
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        y = np.asarray(self.y, dtype=float).ravel()
+        X = np.atleast_2d(check_array("X", self.X))
+        y = check_array("y", self.y).ravel()
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         if X.ndim != 2:
@@ -189,13 +195,13 @@ def _batch_inputs(U):
     are not an (m, k) array, or on a NaN or infinite coordinate.
     """
     if isinstance(U, tuple):
-        U = tuple(np.asarray(axis, dtype=float) for axis in U)
+        U = tuple(check_array("batch axes", axis) for axis in U)
         if any(axis.ndim != 1 for axis in U):
             raise ContractViolationError("batch axes must be 1-D arrays")
         finite = all(np.isfinite(axis).all() for axis in U)
         m = math.prod(len(axis) for axis in U)
     else:
-        U = np.atleast_2d(np.asarray(U, dtype=float))
+        U = np.atleast_2d(check_array("batch points", U))
         if U.ndim != 2:
             raise ContractViolationError(
                 f"batch points must be an (m, k) array, got {U.ndim} dimensions"

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, check_counts, check_real, is_integer
+from .errors import ContractViolationError, check_array, check_counts, check_integers, check_real
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,11 @@ class FactorKernel:
     lengthscales: tuple[float, ...]
 
     def __post_init__(self):
-        if not all(is_integer(i) for i in self.subset):
-            raise ContractViolationError(f"subset indices must be integers, got {self.subset!r}")
-        subset = tuple(int(i) for i in self.subset)
+        subset = check_integers("subset indices must be integers", self.subset)
+        if not np.iterable(self.lengthscales):
+            raise ContractViolationError(
+                f"need one lengthscale per subset index, got {self.lengthscales!r}"
+            )
         lengthscales = tuple(
             check_real(ContractViolationError, "lengthscales", l) for l in self.lengthscales
         )
@@ -142,12 +144,12 @@ def cross_factor(kernel: FactorKernel, U, V: np.ndarray) -> np.ndarray:
     U: (m, arity) points, or a tuple of arity 1-D axes with m = the product
     of their lengths; V: (n, arity) -> (m, n).
     """
-    V = np.atleast_2d(np.asarray(V, dtype=float))
+    V = np.atleast_2d(check_array("V", V))
     if V.ndim != 2:
         raise ContractViolationError(f"V must be an (n, arity) array, got {V.ndim} dimensions")
     if isinstance(U, tuple):
         return cross_factors((kernel,), U, V[None])[0]
-    U = np.atleast_2d(np.asarray(U, dtype=float))
+    U = np.atleast_2d(check_array("U", U))
     if U.ndim != 2:
         raise ContractViolationError(f"U must be an (m, arity) array, got {U.ndim} dimensions")
     if U.shape[1] != kernel.arity or V.shape[1] != kernel.arity:
@@ -218,8 +220,10 @@ def split_cross_factor(kernel: FactorKernel, axes: tuple, V: np.ndarray):
 def _grid_inputs(arity: int, axes, V, rank: int):
     """axes and V as float arrays; raise ContractViolationError unless axes
     are arity 1-D arrays and V a rank-`rank` array of arity columns."""
-    axes = tuple(np.asarray(axis, dtype=float) for axis in axes)
-    V = np.asarray(V, dtype=float)
+    if not np.iterable(axes):
+        raise ContractViolationError(f"axes must be a sequence of 1-D arrays, got {axes!r}")
+    axes = tuple(check_array("axes", axis) for axis in axes)
+    V = check_array("V", V)
     if (
         len(axes) != arity
         or any(axis.ndim != 1 for axis in axes)
@@ -324,7 +328,7 @@ def gram(kernel: AdditiveKernel, X: np.ndarray, blocks: GramBlocks | None = None
     each sum is computed fresh with the same float operations.  Every S_g is
     exactly symmetric (fl(a/l - b/l) = -fl(b/l - a/l)), and so is K.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(check_array("X", X))
     if X.ndim != 2:
         raise ContractViolationError(f"X must be a (t, d) array, got {X.ndim} dimensions")
     if not np.isfinite(X).all():

@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_MAXSUM
-from .errors import ContractViolationError, check_counts, check_indices, check_real
+from .errors import ContractViolationError, check_counts, check_indices, check_real, check_subsets
 
 
 class FactorGraph:
@@ -94,7 +94,7 @@ class FactorGraph:
         check_counts(ContractViolationError, 1, num_variables=num_variables, num_values=num_values)
         self.num_variables = int(num_variables)
         self.num_values = int(num_values)
-        self.subsets = tuple(tuple(int(j) for j in s) for s in subsets)
+        self.subsets = check_subsets(subsets)
         try:
             self.tables = tuple(np.asarray(t, dtype=float) for t in tables)
         except (TypeError, ValueError) as exc:

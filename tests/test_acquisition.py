@@ -128,6 +128,9 @@ def test_beta_schedule_validation():
         BetaSchedule(mode="discrete_domain", delta=0.0, num_factors=2, dims=1)
     with pytest.raises(ConfigurationError):
         BetaSchedule(mode="discrete_domain", delta=1.0, num_factors=2, dims=1)
+    discrete = BetaSchedule(mode="discrete_domain", delta=0.1, num_factors=2, dims=1)
+    with pytest.raises(ContractViolationError, match="needs the domain size"):
+        beta(discrete, 1)
     with pytest.raises(ContractViolationError):
         beta(
             BetaSchedule(mode="discrete_domain", delta=0.1, num_factors=1, dims=1),
@@ -201,6 +204,8 @@ def test_tau_caps_clamp():
     # fractional caps would be truncated to (2, 8)
     with pytest.raises(ContractViolationError, match="caps.min must be an integer"):
         grid_for_iteration(sched, 100, caps=(2.9, 8.7))
+    with pytest.raises(ContractViolationError, match="iteration must be >= 1"):
+        grid_for_iteration(sched, 0, caps=(2, 8))
 
 
 @pytest.mark.parametrize("caps", [(2, 8, 99), (8,), ()], ids=["three", "one", "none"])

@@ -42,6 +42,10 @@ def test_decomposition_validation():
         Decomposition(d=2, subsets=((0,), (0,), (1,)), max_factor_size=1)  # dup
     with pytest.raises(ContractViolationError):
         Decomposition(d=2, subsets=((0,), (2,)), max_factor_size=1)  # out of range
+    with pytest.raises(ContractViolationError, match="needs >= 1 subset"):
+        Decomposition(d=2, subsets=(), max_factor_size=1)
+    with pytest.raises(ContractViolationError, match="repeats a dimension"):
+        Decomposition(d=2, subsets=((0, 0), (1,)), max_factor_size=2)
     with pytest.raises(ContractViolationError, match="d must be an integer"):
         Decomposition(d=2.0, subsets=((0,), (1,)), max_factor_size=1)
     with pytest.raises(ContractViolationError, match="max_factor_size must be an integer"):

@@ -66,6 +66,8 @@ def test_restrict_picks_subset_columns():
     f = FactorKernel(subset=(1, 3), signal_variance=1.0, lengthscales=(0.2, 0.2))
     X = np.arange(12.0).reshape(3, 4)
     np.testing.assert_array_equal(f.restrict(X), X[:, [1, 3]])
+    with pytest.raises(ContractViolationError, match="too small for subset"):
+        f.restrict(X[:, :3])
 
 
 def test_cross_factor_matches_pointwise():

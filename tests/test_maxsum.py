@@ -235,6 +235,8 @@ def test_graph_validation():
         FactorGraph(2, 4, [(0, 1)], [np.full((4, 4), np.nan)])
     with pytest.raises(ContractViolationError):
         FactorGraph(2, 4, [(0, 2)], [np.zeros((4, 4))])  # var out of range
+    with pytest.raises(ContractViolationError, match="one table per subset"):
+        FactorGraph(2, 4, [(0, 1), (1,)], [np.zeros((4, 4))])
     with pytest.raises(ContractViolationError, match="num_values must be an integer"):
         FactorGraph(1, 2.5, [(0,)], [np.zeros(2)])
     for table in (["a", "b"], [[1.0], [2.0, 3.0]], {"a": 1.0}):  # not floats
