@@ -107,14 +107,14 @@ def beta(schedule: BetaSchedule, t: int, domain_size: int | None = None) -> floa
     ConfigurationError when the value is not finite (a huge lipschitz_b
     overflows the discretization term).
     """
-    if t < 1:
-        raise ContractViolationError(f"iteration must be >= 1, got {t}")
+    check_counts(ContractViolationError, 1, iteration=t)
     if schedule.mode == "fixed_constant":
         return float(schedule.fixed_value)
     pi_t = math.pi * math.pi * t * t / 6.0
     if schedule.mode == "discrete_domain":
         if domain_size is None:
             raise ContractViolationError("DiscreteDomain mode needs the domain size")
+        check_counts(ContractViolationError, 1, domain_size=domain_size)
         # sum of logs: |D| = tau^d may overflow a float as a product
         value = 2.0 * (
             _log_arg(domain_size, "domain size")
@@ -167,10 +167,10 @@ def grid_for_iteration(
     schedule: BetaSchedule, t: int, caps: tuple[int, int]
 ) -> GridSpec:
     """Per-dimension resolution tau_t, clamped to caps, on the unit box."""
-    if t < 1:
-        raise ContractViolationError(f"iteration must be >= 1, got {t}")
+    check_counts(ContractViolationError, 1, iteration=t)
+    caps = tuple(caps) if np.iterable(caps) else (caps,)
     if len(caps) != 2:
-        raise ContractViolationError(f"caps must be (min, max), got {tuple(caps)}")
+        raise ContractViolationError(f"caps must be (min, max), got {caps}")
     min_pts, max_pts = caps[0], caps[1]
     check_counts(ContractViolationError, 2, **{"caps.min": min_pts})
     check_counts(ContractViolationError, min_pts, **{"caps.max": max_pts})

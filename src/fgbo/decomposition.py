@@ -97,10 +97,12 @@ class Decomposition:
 
 
 def singleton_decomposition(d: int) -> Decomposition:
+    check_counts(ContractViolationError, 1, d=d)
     return Decomposition(d=d, subsets=tuple((i,) for i in range(d)), max_factor_size=1)
 
 
 def full_decomposition(d: int) -> Decomposition:
+    check_counts(ContractViolationError, 1, d=d)
     return Decomposition(d=d, subsets=(tuple(range(d)),), max_factor_size=d)
 
 
@@ -109,7 +111,10 @@ def random_covering_decomposition(
 ) -> Decomposition:
     """Shuffled partition into chunks of max_factor_size, plus optional
     random extra subsets that create overlaps."""
-    check_counts(ContractViolationError, 1, max_factor_size=max_factor_size)
+    check_counts(ContractViolationError, 1, d=d, max_factor_size=max_factor_size)
+    check_counts(ContractViolationError, 0, num_extra_overlaps=num_extra_overlaps)
+    if not isinstance(rng, np.random.Generator):
+        raise ContractViolationError(f"rng must be a numpy Generator, got {rng!r}")
     perm = [int(i) for i in rng.permutation(d)]
     subsets = [
         tuple(sorted(perm[i : i + max_factor_size]))

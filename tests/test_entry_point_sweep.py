@@ -7,14 +7,17 @@ are duck-typed by the package and stay at their valid values."""
 import numpy as np
 import pytest
 
-from fgbo.acquisition import BetaSchedule, GridSpec, tabulate
+from fgbo.acquisition import BetaSchedule, GridSpec, beta, grid_for_iteration, tabulate
 from fgbo.decomposition import (
     Decomposition,
     McmcConfig,
     SharedHypers,
+    full_decomposition,
     induced_kernel,
     merge_for_acquisition,
+    random_covering_decomposition,
     sample_posterior,
+    singleton_decomposition,
 )
 from fgbo.errors import ContractViolationError, FgboError
 from fgbo.gp import ObservationSet, fit
@@ -41,6 +44,7 @@ GRAPH = FactorGraph(2, 3, [(0, 1), (1,)], [np.arange(9.0).reshape(3, 3), np.zero
 MCMC = McmcConfig(max_factor_size=2, chain_length=3)
 DECOMPOSITION = Decomposition(d=3, subsets=((0, 1), (2,)), max_factor_size=2)
 AXES = (np.array([0.0, 0.5]), np.array([0.0, 0.5, 1.0]))
+DISCRETE = BetaSchedule(mode="discrete_domain", delta=0.1, num_factors=2, dims=3)
 
 
 def _hypers_kernel(subsets, total_signal_variance, lengthscales):
@@ -60,6 +64,14 @@ ENTRY_POINTS = {
              lipschitz_b=1.0, fixed_value=2.0),
     ),
     "Decomposition": (Decomposition, dict(d=3, subsets=((0, 1), (2,)), max_factor_size=2)),
+    "singleton_decomposition": (singleton_decomposition, dict(d=3)),
+    "full_decomposition": (full_decomposition, dict(d=3)),
+    "random_covering_decomposition": (
+        random_covering_decomposition,
+        dict(d=3, max_factor_size=2, rng=np.random.default_rng(0), num_extra_overlaps=1),
+    ),
+    "beta": (lambda **kw: beta(DISCRETE, **kw), dict(t=2, domain_size=27)),
+    "grid_for_iteration": (lambda **kw: grid_for_iteration(DISCRETE, **kw), dict(t=2, caps=(2, 8))),
     "GridSpec": (GridSpec, dict(per_dim_points=3, num_dims=2)),
     "GridSpec.point_at": (GRID.point_at, dict(indices=(0, 2, 1))),
     "FactorGraph": (
