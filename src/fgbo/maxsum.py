@@ -64,11 +64,12 @@ an ordinary pass, decoded and not damped, by the same rule of computing
 only the factors whose incoming messages changed.  Lookup accounting is the
 paper's cost model, not the entries the elimination touches, and it counts
 every message whether it was computed or kept: message_lookups counts
-tau^|I| per factor-to-variable message per round, and decode_lookups stays
-the cost model's tau^|I| per decoding-edge message of that one final pass,
-one per variable per solve.  computed_lookups counts the same tau^|I| for
-the messages the solve actually computed, the work done, every message of
-the final pass included.
+tau^|I| per factor-to-variable message per round, and decode_lookups counts
+tau^|I| per decoding-edge message of that one final pass, one per variable
+per solve: the cost model's decoding, although the pass computes every
+message of each factor it recomputes.  computed_lookups counts the same
+tau^|I| for the messages the solve actually computed, the work done, every
+message of the final pass included.
 """
 
 from __future__ import annotations
