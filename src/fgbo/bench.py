@@ -22,7 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, check_counts
+from .errors import (
+    ConfigurationError,
+    ContractViolationError,
+    check_array,
+    check_counts,
+    check_real,
+)
 from .gp import dense_cholesky_with_jitter
 from .kernels import AdditiveKernel, cross_factor
 
@@ -91,25 +97,30 @@ def _check_box(obj: SyntheticObjective, X: np.ndarray):
 
 
 def evaluate_batch(obj: SyntheticObjective, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != obj.dims:
+    """The objective at each row of X (m, dims); X must be a numeric array
+    inside the box, else ContractViolationError."""
+    X = np.atleast_2d(check_array("X", X))
+    if X.ndim != 2 or X.shape[1] != obj.dims:
         raise ContractViolationError(
-            f"inputs have {X.shape[1]} coordinates, objective has {obj.dims}"
+            f"inputs must be an (m, {obj.dims}) array, got shape {X.shape}"
         )
     _check_box(obj, X)
     return obj.batch_fn(X)
 
 
 def evaluate(obj: SyntheticObjective, x) -> float:
-    return float(evaluate_batch(obj, np.asarray(x, dtype=float).reshape(1, -1))[0])
+    return float(evaluate_batch(obj, check_array("x", x).reshape(1, -1))[0])
 
 
 def noisy_evaluate(
     obj: SyntheticObjective, x, noise_variance: float, rng: np.random.Generator
 ) -> float:
-    """evaluate(x) plus a Normal(0, noise_variance) draw from rng."""
-    if not 0 <= noise_variance < math.inf:
+    """evaluate(x) plus a Normal(0, noise_variance) draw from rng, a numpy
+    Generator."""
+    if not 0 <= check_real(ContractViolationError, "noise_variance", noise_variance) < math.inf:
         raise ContractViolationError("noise variance must be >= 0 and finite")
+    if not isinstance(rng, np.random.Generator):
+        raise ContractViolationError(f"rng must be a numpy Generator, got {rng!r}")
     value = evaluate(obj, x)
     if noise_variance == 0:
         return value

@@ -30,9 +30,18 @@ and (e) can keep one of the two subsets they take, so a subset that a move
 both removes and adds is left out of both sides.  enumerate_moves is the
 list of successors, move_deltas applied in order.
 
-The chain keeps only its current state, whose memory does not grow with the
-chain: each step scores its proposal afresh with log_evidence (on canonical
-subset tuples, as induced_kernel takes them) and move_deltas, revisits too.
+The chain keeps its current state and a cache of subset Gram blocks, and
+its memory does not grow with its length.  Each step scores its proposal
+with log_evidence (on canonical subset tuples, as induced_kernel takes
+them) and lists its moves with move_deltas, revisits too.  A move removes
+and adds at most two subsets each, so most of a proposal's Gram matrix is
+the current state's: log_evidence sums it from the chain's
+kernels.SubsetBlocks, which keeps the unscaled block exp(-0.5 |z_I|^2) of
+every subset I the chain has scored within kernels.SUBSET_BLOCK_BYTES
+(32 MiB; least recently used blocks are freed first, the scored state's
+never), and builds no kernel objects.  Blocks added in factor order and
+scaled once by total/n_f are the float operations of the uncached gram,
+so every evidence value, draw and accept is the same bit for bit.
 Only the samples sample_posterior returns, a tuple, are built and validated
 as Decompositions.  McmcConfig holds both the chain's settings and the
 prior, the keys of a run config's mcmc section other than mode and interval.
@@ -56,7 +65,7 @@ from .errors import (
     is_integer,
 )
 from .gp import ObservationSet, log_marginal_likelihood
-from .kernels import AdditiveKernel, FactorKernel
+from .kernels import AdditiveKernel, FactorKernel, SubsetBlocks
 
 
 def _canonical(subsets) -> tuple[tuple[int, ...], ...]:
@@ -183,9 +192,32 @@ def induced_kernel(subsets, hypers: SharedHypers) -> AdditiveKernel:
     )
 
 
-def log_evidence(subsets, obs: ObservationSet, hypers: SharedHypers) -> float:
-    """GP log marginal likelihood of the subsets' induced additive kernel."""
-    return log_marginal_likelihood(induced_kernel(subsets, hypers), obs)
+def log_evidence(
+    subsets, obs: ObservationSet, hypers: SharedHypers, blocks: SubsetBlocks | None = None
+) -> float:
+    """GP log marginal likelihood of the subsets' induced additive kernel.
+
+    Without blocks this is the oracle: gp.log_marginal_likelihood of
+    induced_kernel.  With blocks, a kernels.SubsetBlocks over the array obs.X
+    itself with hypers' lengthscale for every dimension (else
+    ContractViolationError), it builds no kernel: K is summed from the
+    cached subset blocks and scaled once by total/n_f, the float operations
+    of the uncached gram, and gp.log_marginal_likelihood factorizes and
+    scores it as it does the oracle's K, so the two agree bit for bit.
+    sample_posterior keeps one SubsetBlocks per call.
+    """
+    if blocks is None:
+        return log_marginal_likelihood(induced_kernel(subsets, hypers), obs)
+    subsets = check_subsets(subsets)
+    d = obs.X.shape[1]
+    if blocks.X is not obs.X or blocks.lengthscales != tuple(map(hypers.lengthscale_for, range(d))):
+        raise ContractViolationError(
+            "blocks must be built over the observations' inputs with the hypers' lengthscales"
+        )
+    if not subsets:
+        raise ContractViolationError("an induced kernel needs >= 1 subset")
+    K = blocks.gram(subsets, hypers.total_signal_variance / len(subsets))
+    return log_marginal_likelihood(K, obs)
 
 
 def default_hypers(obs: ObservationSet) -> SharedHypers:
@@ -264,15 +296,24 @@ def move_deltas(state: State, d: int, max_size: int) -> list[Delta]:
 
     A change is (removed, added), two increasing tuples of subset bitmasks
     with no mask in common: a subset a move both removes and re-adds is in
-    neither.
+    neither.  A state that is not a sequence of integer sequences over
+    [0, d), or a d or max_size that is not an integer >= 1, raises
+    ContractViolationError.
     """
-    masks = [_mask(s) for s in state]
+    state = check_subsets(state)
+    check_counts(ContractViolationError, 1, d=d, max_size=max_size)
+    try:
+        masks = [_mask(s) for s in state]
+    except ValueError:  # 1 << j of a negative index j
+        raise ContractViolationError(f"state {state} has a negative index") from None
     n = len(masks)
     existing = set(masks)
     once = twice = 0  # the coordinates covered at least once, and twice
     for m in masks:
         twice |= once & m
         once |= m
+    if once >> d:
+        raise ContractViolationError(f"state {state} has indices outside [0, {d})")
     deltas: list[Delta] = []
     append = deltas.append
 
@@ -426,7 +467,12 @@ def sample_posterior(
     rng is a numpy Generator or an integer seed >= 0.  The chain starts at
     the singleton decomposition; chain_length 0 returns num_samples copies
     of it.  A step scores one proposal and lists its moves; only the
-    current state's score and moves are kept.
+    current state's score and moves are kept.  Every Gram matrix comes
+    from one kernels.SubsetBlocks over obs.X, kept for this call: the
+    unscaled blocks of the subsets scored so far, at most
+    kernels.SUBSET_BLOCK_BYTES of them, summed in factor order and scaled
+    once, so each evidence is the uncached log_evidence's float for float
+    (see the module docstring).
     """
     if not isinstance(rng, np.random.Generator):
         if not (is_integer(rng) and rng >= 0):
@@ -440,12 +486,14 @@ def sample_posterior(
     max_size = mcmc_config.max_factor_size
 
     def score(s: State) -> tuple[float, list[Delta]]:  # log posterior, moves
-        return log_evidence(s, obs, hypers) + mcmc_config.log_prior(s), move_deltas(s, d, max_size)
+        logp = log_evidence(s, obs, hypers, blocks) + mcmc_config.log_prior(s)
+        return logp, move_deltas(s, d, max_size)
 
     state = singleton_decomposition(d).subsets
     masks = frozenset(map(_mask, state))
     chain = [state]
     if mcmc_config.chain_length:  # a chain of length 0 scores no state
+        blocks = SubsetBlocks(obs.X, [hypers.lengthscale_for(j) for j in range(d)])
         logp, deltas = score(state)
     for _ in range(mcmc_config.chain_length):
         if deltas:

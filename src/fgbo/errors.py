@@ -3,6 +3,7 @@ array checks that raise them."""
 
 import math
 import numbers
+from itertools import chain
 
 import numpy as np
 
@@ -44,7 +45,9 @@ def check_counts(error: type, minimum: int, **values) -> None:
     """Raise error naming the first of values that is not an integer >=
     minimum."""
     for name, value in values.items():
-        if not is_integer(value):
+        # int first: the abstract class's check is several times slower, and
+        # an MCMC run checks two counts at every step
+        if type(value) is not int and not is_integer(value):
             raise error(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise error(f"{name} must be >= {minimum}, got {value}")
@@ -84,6 +87,14 @@ def check_integers(what: str, values) -> tuple:
 def check_subsets(subsets) -> tuple:
     """subsets as a tuple of int tuples; raise ContractViolationError unless
     subsets is a sequence of integer sequences (see check_integers)."""
+    # a tuple of int tuples as is: an MCMC chain checks every state it scores
+    # and lists moves of, and the per-subset checks took twice as long
+    if (
+        type(subsets) is tuple
+        and set(map(type, subsets)) <= {tuple}
+        and set(map(type, chain.from_iterable(subsets))) <= {int}
+    ):
+        return subsets
     if not np.iterable(subsets):
         raise ContractViolationError(f"subsets must be index sequences, got {subsets!r}")
     return tuple(check_integers("subset indices must be integers", s) for s in subsets)

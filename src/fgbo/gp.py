@@ -29,6 +29,16 @@ objective_mean_var_batch stays only while perfbench's tracer patches it.
 Every variance, on every path, goes through one check: a non-finite one
 raises, [-VARIANCE_CLAMP, 0) clamps to 0, and anything lower raises.
 
+The evidence.  log_marginal_likelihood takes a kernel, whose K it builds
+with kernels.gram, or K itself; it adds the noise diagonal, factorizes with
+dense_cholesky_with_jitter, solves with cho_solve and returns
+-y'alpha/2 - sum log diag L - t log(2 pi)/2, and a fit shares that
+factorization (_factorize).  An MCMC chain over decompositions passes it,
+through decomposition.log_evidence, a K summed from the chain's
+kernels.SubsetBlocks cache, whose floats equal gram's; the rest of the
+evidence is this one code path, so the chain's values equal the uncached
+ones bit for bit.
+
 A sub-grid given as axes, of arity >= 2 and with at least BLOCK_ROWS rows
 (_contracts), is a Khatri-Rao contraction and never builds Kxg, whatever t
 is.  The SE factor kernel separates per axis, so with the first
@@ -174,18 +184,19 @@ def dense_cholesky_with_jitter(A: np.ndarray):
     )
 
 
-def _factorize(
-    kernel: AdditiveKernel, observations: ObservationSet, blocks: GramBlocks | None = None
-):
+def _factorize(K: np.ndarray, observations: ObservationSet):
     """(L, jitter, alpha): the lower Cholesky factor of K + sn2 I, its
-    jitter, and alpha = (K + sn2 I)^-1 y."""
-    K = gram(kernel, observations.X, blocks)
+    jitter, and alpha = (K + sn2 I)^-1 y, for the Gram matrix K of the
+    observed inputs, which it overwrites."""
     K.flat[:: len(observations) + 1] += observations.noise_variance
     L, jitter = dense_cholesky_with_jitter(K)
     # LAPACK reads column-major arrays; one copy here spares the copies that
     # cho_solve and dtrtri would each make of a row-major L
     L = np.asfortranarray(L)
-    return L, jitter, cho_solve((L, True), observations.y)
+    # L and y are finite (LAPACK refuses a NaN or infinite pivot, and
+    # ObservationSet checks y), and cho_solve's scan of them took half its
+    # time at t = 25
+    return L, jitter, cho_solve((L, True), observations.y, check_finite=False)
 
 
 def _batch_inputs(U):
@@ -249,7 +260,8 @@ class FactorPosterior:
     ):
         self.kernel = kernel
         self.observations = observations
-        L, self.jitter, self.weights = _factorize(kernel, observations, blocks)
+        K = gram(kernel, observations.X, blocks)
+        L, self.jitter, self.weights = _factorize(K, observations)
         self._Linv, info = dtrtri(L, lower=1, overwrite_c=1)
         if info != 0:
             raise NumericalFailureError(
@@ -403,9 +415,24 @@ def fit(
     return FactorPosterior(kernel, observations, blocks)
 
 
-def log_marginal_likelihood(kernel: AdditiveKernel, observations: ObservationSet) -> float:
-    """GP evidence  -y'(K+sn2 I)^-1 y / 2 - log det(...)/2 - t log(2 pi)/2."""
-    L, _, alpha = _factorize(kernel, observations)
+def log_marginal_likelihood(
+    kernel: AdditiveKernel | np.ndarray, observations: ObservationSet
+) -> float:
+    """GP evidence  -y'(K+sn2 I)^-1 y / 2 - log det(...)/2 - t log(2 pi)/2.
+
+    kernel is an AdditiveKernel, whose Gram matrix K of the observed inputs
+    kernels.gram builds, or K (t, t) itself, given as is and overwritten.
+    """
+    if isinstance(kernel, AdditiveKernel):
+        K = gram(kernel, observations.X)
+    else:
+        K = check_array("K", kernel)
+        if K.shape != (len(observations),) * 2 or not np.isfinite(K).all():
+            raise ContractViolationError(
+                f"K must be the finite ({len(observations)}, {len(observations)}) Gram "
+                f"matrix of the observations, got shape {K.shape}"
+            )
+    L, _, alpha = _factorize(K, observations)
     return float(
         -0.5 * observations.y @ alpha
         - np.log(np.diag(L)).sum()

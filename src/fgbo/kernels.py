@@ -47,18 +47,42 @@ O(n_f t) adds and one scaled t x t copy per group, instead of
 O(n_f |I| t^2) exponentials.  A cache serves one caller's kernel structure
 and only grows: the engine makes one per run with a static structure, so
 it holds one t x t sum.  Without a cache, gram sums each group fresh with
-the same float operations.  Apart from GramBlocks, everything
-here is a pure function of immutable values.
+the same float operations.
+
+An MCMC chain over decompositions gets its Gram matrices from a
+SubsetBlocks instead: its states change structure at every step, but each
+move changes one or two subsets, so it keeps the unscaled block of every
+subset it has scored over the fixed observed inputs, rather than one sum
+per structure.  SubsetBlocks.gram adds a state's blocks in factor order
+into a fresh array and scales once by the shared signal variance, the
+float operations of gram for one group, so the chain's evidence is the
+uncached evidence bit for bit.  Its blocks stay within SUBSET_BLOCK_BYTES,
+least recently used first out, except for the call at hand's.  Apart from
+GramBlocks and SubsetBlocks, everything here is a pure function of
+immutable values.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, check_array, check_counts, check_integers, check_real
+from .errors import (
+    ContractViolationError,
+    check_array,
+    check_counts,
+    check_integers,
+    check_real,
+    check_subsets,
+)
+
+# bytes of blocks a SubsetBlocks keeps: every subset of size <= 3 at d = 10
+# (175 blocks) up to t = 150 observations.  At t = 300 all of them would take
+# 126 MB; no benchmark workload, shipped config or golden chain holds 1 MB
+SUBSET_BLOCK_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -317,6 +341,76 @@ class GramBlocks:
             seen[m:n] = X[m:n]
             entry[2] = max(built, n)
         return S[:n, :n]
+
+
+class SubsetBlocks:
+    """Unscaled SE blocks B_I = exp(-0.5 |z_I|^2) over fixed inputs X (t, d),
+    one per coordinate subset I, and the Gram matrices of factors of one
+    signal variance summed from them.
+
+    lengthscales holds one per coordinate of X.  gram(subsets, s2) adds the
+    subsets' blocks in the given order into a fresh array and scales it once
+    by s2: the float operations of the uncached gram on an AdditiveKernel of
+    those factors, all of signal variance s2, so the two are equal bit for
+    bit.  A block is built at its first use and kept, within
+    SUBSET_BLOCK_BYTES: past it the least recently used blocks are freed,
+    but never those of the call at hand, which may exceed the budget alone.
+    """
+
+    def __init__(self, X: np.ndarray, lengthscales):
+        X = np.atleast_2d(check_array("X", X))
+        if X.ndim != 2 or not np.isfinite(X).all():
+            raise ContractViolationError("X must be a finite (t, d) array")
+        ls = check_array("lengthscales", lengthscales)
+        if ls.shape != X.shape[1:] or not ((0 < ls) & (ls < math.inf)).all():
+            raise ContractViolationError(
+                f"need {X.shape[1]} positive finite lengthscales, got {lengthscales!r}"
+            )
+        self.X = X
+        self.lengthscales = tuple(ls.tolist())
+        self._ls = ls
+        self._limit = SUBSET_BLOCK_BYTES // (X.itemsize * max(len(X), 1) ** 2)
+        self._blocks: OrderedDict = OrderedDict()  # subset -> block, least recent first
+
+    def gram(self, subsets, signal_variance: float) -> np.ndarray:
+        """s2 * sum_I B_I over the subsets, in their order: (t, t)."""
+        subsets = check_subsets(subsets)
+        s2 = check_real(ContractViolationError, "signal_variance", signal_variance)
+        if not subsets or not 0 < s2 < math.inf:
+            raise ContractViolationError(
+                f"need >= 1 subset and a positive finite signal variance, got "
+                f"{len(subsets)} subsets and {signal_variance!r}"
+            )
+        blocks = self._blocks
+        current = dict.fromkeys(subsets)
+        missing = []
+        for s in current:
+            if s in blocks:
+                blocks.move_to_end(s)
+            else:
+                missing.append(s)
+        # the current call's blocks are the most recent, so these are others
+        for _ in range(len(blocks) + len(missing) - max(self._limit, len(current))):
+            blocks.popitem(last=False)
+        for s in missing:
+            blocks[s] = self._block(s)
+        K = blocks[subsets[0]].copy()
+        for s in subsets[1:]:
+            K += blocks[s]
+        K *= s2
+        return K
+
+    def _block(self, subset: tuple) -> np.ndarray:
+        d = self.X.shape[1]
+        if not subset or subset[0] < 0 or subset[-1] >= d or any(
+            b <= a for a, b in zip(subset, subset[1:])
+        ):
+            raise ContractViolationError(
+                f"subset {subset} must be strictly increasing indices in [0, {d})"
+            )
+        cols = list(subset)
+        U = self.X[:, cols]
+        return _se(U, U, self._ls[cols])
 
 
 def gram(kernel: AdditiveKernel, X: np.ndarray, blocks: GramBlocks | None = None) -> np.ndarray:

@@ -3,24 +3,32 @@ shares with the test suite, each defined only here: the Michalewicz-10
 per-dimension search, the brute-force joint maximum of a factor graph, the
 defining-order factor-to-variable message, the dense-inverse GP posterior,
 the direct-product factor posterior (against the grid contraction), the
-one-factor-at-a-time acquisition tables, the uncached Gram matrix, the
-60-digit beta tables, and the seeded walk over decompositions whose move
-lists the test suite pins.
+one-factor-at-a-time acquisition tables, the uncached Gram matrix and
+evidence, the 60-digit beta tables, and the seeded walk over decompositions
+whose move lists the test suite pins.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
 
 import numpy as np
 
 from . import bench
 from .acquisition import BetaSchedule, GridSpec, beta, tabulate
-from .decomposition import enumerate_moves, move_deltas, random_covering_decomposition
+from .decomposition import (
+    SharedHypers,
+    enumerate_moves,
+    induced_kernel,
+    log_evidence,
+    move_deltas,
+    random_covering_decomposition,
+)
 from .errors import ContractViolationError, NumericalFailureError
 from .gp import ObservationSet, dense_cholesky_with_jitter, fit
-from .kernels import AdditiveKernel, FactorKernel, GramBlocks, cross_factor, gram
+from .kernels import AdditiveKernel, FactorKernel, GramBlocks, SubsetBlocks, cross_factor, gram
 from .maxsum import FactorGraph, solve
 
 # Frozen from an independent arbitrary-precision (mpmath, 60 digits)
@@ -207,6 +215,40 @@ def gram_block_mismatches(t: int, seed: int) -> int:
     )
 
 
+def _float_bits(value: float) -> int:
+    return int.from_bytes(struct.pack("<d", value), "little")
+
+
+def chain_evidence_mismatches(seed: int) -> tuple[int, bool]:
+    """(bits in which log_evidence from a chain's SubsetBlocks cache differs
+    from the uncached oracle, summed over seeded states; whether the
+    near-singular case escalated the Cholesky jitter).
+
+    Each (d, t) from (3, 5) to (8, 60) scores twelve random covering states
+    of subsets of at most min(3, d - 1) coordinates, with overlaps, from one
+    cache, so later states reuse earlier states' blocks.  The near-singular case repeats every
+    input, has lengthscales of 100, so that K is nearly all-ones, and a
+    noise variance of 1e-300.
+    """
+    rng = np.random.default_rng(seed)
+    cases = [(d, t, rng.uniform(size=(t, d)), rng.uniform(0.1, 0.6, size=d), 0.01)
+             for d, t in ((3, 5), (4, 12), (5, 20), (6, 30), (7, 45), (8, 60))]
+    X = np.repeat(rng.uniform(size=(20, 4)), 2, axis=0)
+    cases.append((4, 40, X, np.full(4, 100.0), 1e-300))
+    bits, escalated = 0, False
+    for d, t, X, ls, noise in cases:
+        obs = ObservationSet(X, rng.normal(size=t), noise)
+        hypers = SharedHypers(float(rng.uniform(0.5, 2.0)), tuple(ls))
+        blocks = SubsetBlocks(obs.X, ls)
+        for _ in range(12):
+            extras = int(rng.integers(1, 4))
+            state = random_covering_decomposition(d, min(3, d - 1), rng, extras).subsets
+            cached = _float_bits(log_evidence(state, obs, hypers, blocks))
+            bits += (cached ^ _float_bits(log_evidence(state, obs, hypers))).bit_count()
+            escalated = escalated or bool(fit(induced_kernel(state, hypers), obs).jitter > 0.0)
+    return bits, escalated
+
+
 def move_walk():
     """Yield (d, max_size, state, enumerate_moves(state)) over seeded random
     covering states and a few random-walk steps from each: 150 states."""
@@ -358,3 +400,11 @@ def checks():
 
     bad = move_count_mismatches()
     yield "mcmc_move_counts", bad == 0, f"{bad} Hastings counts differ from enumerate_moves"
+
+    bits, escalated = chain_evidence_mismatches(int(rng.integers(2**31)))
+    yield (
+        "chain_evidence_bitwise",
+        bits == 0 and escalated,
+        f"{bits} bits of cached log_evidence differ from uncached over 84 states; "
+        f"near-singular case {'escalated' if escalated else 'did not escalate'} jitter",
+    )

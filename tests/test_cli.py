@@ -499,6 +499,7 @@ def test_selftest_passes(capsys):
         "packed_factors_bitwise",
         "gram_blocks_bitwise",
         "mcmc_move_counts",
+        "chain_evidence_bitwise",
     ):
         assert f"PASS  {name}" in out
 

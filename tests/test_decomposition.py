@@ -22,10 +22,11 @@ from fgbo.decomposition import (
     sample_posterior,
     singleton_decomposition,
 )
+from fgbo import kernels
 from fgbo.errors import ConfigurationError, ContractViolationError
 from fgbo.gp import ObservationSet, log_marginal_likelihood
-from fgbo.kernels import AdditiveKernel, FactorKernel, gram
-from fgbo.selftest import move_count_mismatches, move_walk
+from fgbo.kernels import AdditiveKernel, FactorKernel, SubsetBlocks, gram
+from fgbo.selftest import chain_evidence_mismatches, move_count_mismatches, move_walk
 
 
 def test_decomposition_canonicalization():
@@ -239,6 +240,92 @@ def test_sample_posterior_chain_is_pinned():
     digest, num_states = _chain_digest()
     assert num_states > 100  # the chains move, so the digest pins accepts too
     assert digest == CHAIN_SHA256
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cached_log_evidence_equals_the_uncached_bit_for_bit(seed):
+    # d 3-8, t 5-60, overlapping subsets, and a near-singular case whose
+    # Cholesky escalates the jitter
+    assert chain_evidence_mismatches(seed) == (0, True)
+
+
+def test_cached_log_evidence_refuses_blocks_of_other_inputs_or_lengthscales():
+    rng = np.random.default_rng(4)
+    obs = ObservationSet(rng.uniform(size=(5, 2)), rng.normal(size=5), 0.1)
+    hypers = SharedHypers(1.0, 0.2)
+    assert log_evidence(((0, 1),), obs, hypers, SubsetBlocks(obs.X, (0.2, 0.2))) == log_evidence(
+        ((0, 1),), obs, hypers
+    )
+    for blocks, other in [
+        (SubsetBlocks(obs.X.copy(), (0.2, 0.2)), hypers),
+        (SubsetBlocks(obs.X, (0.2, 0.3)), hypers),
+        (SubsetBlocks(obs.X, (0.2, 0.3)), SharedHypers(1.0, (0.2,))),
+    ]:
+        with pytest.raises(ContractViolationError, match="observations' inputs|no lengthscale"):
+            log_evidence(((0, 1),), obs, other, blocks)
+
+
+def _counting_blocks(monkeypatch) -> list:
+    """Patch kernels._se to record each block a SubsetBlocks builds."""
+    builds = []
+    se = kernels._se
+    monkeypatch.setattr(kernels, "_se", lambda U, V, ls: builds.append(ls.size) or se(U, V, ls))
+    return builds
+
+
+def test_chain_is_pinned_when_the_cache_holds_only_the_current_state(monkeypatch):
+    builds = _counting_blocks(monkeypatch)
+    _chain_digest()
+    kept = len(builds)
+    builds.clear()
+    monkeypatch.setattr(kernels, "SUBSET_BLOCK_BYTES", 0)
+    digest, _ = _chain_digest()
+    assert digest == CHAIN_SHA256
+    assert len(builds) > kept  # evicted blocks were built again
+
+
+def test_subset_blocks_evict_the_least_recently_used_but_not_the_current(monkeypatch):
+    builds = _counting_blocks(monkeypatch)
+    X = np.random.default_rng(1).uniform(size=(4, 3))
+    monkeypatch.setattr(kernels, "SUBSET_BLOCK_BYTES", 2 * X.itemsize * 4 * 4)  # two blocks
+    blocks = SubsetBlocks(X, (0.2, 0.3, 0.4))
+    for subsets, built in [
+        (((0,), (1, 2)), 2),
+        (((0,), (1,), (2,)), 2),  # evicts (1, 2); three blocks, all kept
+        (((1,), (2,)), 0),  # evicts (0,)
+        (((0,),), 1),  # evicts (1,)
+        (((2,),), 0),
+        (((1, 2),), 1),
+    ]:
+        before = len(builds)
+        K = blocks.gram(subsets, 1.5)
+        assert len(builds) - before == built, subsets
+        kernel = induced_kernel(subsets, SharedHypers(1.5 * len(subsets), (0.2, 0.3, 0.4)))
+        assert np.array_equal(K, gram(kernel, X))
+
+
+def test_chain_memory_stays_within_the_block_budget(monkeypatch):
+    # at d = 10 and t = 300 the 175 subsets of size <= 3 would hold 126 MB of
+    # blocks; the chain builds more than the budget holds, and keeps the
+    # budget, its current and proposed states' blocks and O(t^2) temporaries
+    builds = _counting_blocks(monkeypatch)
+    t, d = 300, 10
+    rng = np.random.default_rng(5)
+    X = rng.uniform(size=(t, d))
+    y = np.sin(6.0 * X[:, 0] * X[:, 1]) + np.cos(5.0 * X[:, 2] + X[:, 3]) + X[:, 4:].sum(axis=1)
+    obs = ObservationSet(X, y - y.mean(), 0.01)
+    cfg = McmcConfig(max_factor_size=3, chain_length=100, num_samples=101)
+    tracemalloc.start()
+    try:
+        chain = sample_posterior(obs, cfg, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = X.itemsize * t * t
+    assert len(builds) * block > kernels.SUBSET_BLOCK_BYTES
+    # a proposal has at most one subset more than its state
+    current = max(len(dec.subsets) for dec in chain) + 1
+    assert peak < kernels.SUBSET_BLOCK_BYTES + (current + 8) * block, peak
 
 
 def test_chain_memory_does_not_grow_with_its_length():

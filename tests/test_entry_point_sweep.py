@@ -8,23 +8,27 @@ import numpy as np
 import pytest
 
 from fgbo.acquisition import BetaSchedule, GridSpec, beta, grid_for_iteration, tabulate
+from fgbo.bench import evaluate, evaluate_batch, noisy_evaluate, shekel4
 from fgbo.decomposition import (
     Decomposition,
     McmcConfig,
     SharedHypers,
     full_decomposition,
     induced_kernel,
+    log_evidence,
     merge_for_acquisition,
+    move_deltas,
     random_covering_decomposition,
     sample_posterior,
     singleton_decomposition,
 )
 from fgbo.errors import ContractViolationError, FgboError
-from fgbo.gp import ObservationSet, fit
+from fgbo.gp import ObservationSet, fit, log_marginal_likelihood
 from fgbo.kernels import (
     AdditiveKernel,
     FactorKernel,
     GramBlocks,
+    SubsetBlocks,
     cross_factor,
     cross_factors,
     gram,
@@ -45,6 +49,9 @@ MCMC = McmcConfig(max_factor_size=2, chain_length=3)
 DECOMPOSITION = Decomposition(d=3, subsets=((0, 1), (2,)), max_factor_size=2)
 AXES = (np.array([0.0, 0.5]), np.array([0.0, 0.5, 1.0]))
 DISCRETE = BetaSchedule(mode="discrete_domain", delta=0.1, num_factors=2, dims=3)
+SHEKEL = shekel4()
+LENGTHSCALES = (0.2, 0.3, 0.4)
+BLOCKS = SubsetBlocks(OBS.X, LENGTHSCALES)
 
 
 def _hypers_kernel(subsets, total_signal_variance, lengthscales):
@@ -120,6 +127,22 @@ ENTRY_POINTS = {
     "merge_for_acquisition": (
         merge_for_acquisition, dict(samples=(DECOMPOSITION, DECOMPOSITION)),
     ),
+    "evaluate": (lambda x: evaluate(SHEKEL, x), dict(x=[4.0, 4.0, 4.0, 4.0])),
+    "evaluate_batch": (lambda X: evaluate_batch(SHEKEL, X), dict(X=[[4.0, 4.0, 4.0, 4.0]])),
+    "noisy_evaluate": (
+        lambda **kw: noisy_evaluate(SHEKEL, **kw),
+        dict(x=[4.0, 4.0, 4.0, 4.0], noise_variance=0.1, rng=np.random.default_rng(0)),
+    ),
+    "move_deltas": (move_deltas, dict(state=((0, 1), (2,)), d=3, max_size=2)),
+    "SubsetBlocks": (SubsetBlocks, dict(X=[[0.1, 0.2], [0.3, 0.4]], lengthscales=(0.2, 0.3))),
+    "SubsetBlocks.gram": (BLOCKS.gram, dict(subsets=((0, 1), (2,)), signal_variance=0.5)),
+    "log_evidence_cached": (
+        lambda subsets: log_evidence(subsets, OBS, SharedHypers(1.0, LENGTHSCALES), BLOCKS),
+        dict(subsets=((0, 1), (2,))),
+    ),
+    "log_marginal_likelihood_gram": (
+        lambda K: log_marginal_likelihood(K, OBS), dict(K=np.eye(4)),
+    ),
 }
 
 
@@ -162,6 +185,9 @@ TWO_TABLES = [np.zeros(2), np.zeros(2)]
         lambda: Decomposition(3, [[True, 0], [2]], 2),
         lambda: Decomposition(3, [["a", 1], [2]], 2),
         lambda: Decomposition(3, [0, [1, 2]], 2),
+        lambda: Decomposition(3, ((True, 0), (2,)), 2),
+        lambda: move_deltas(((0.5, 1), (2,)), 3, 2),
+        lambda: move_deltas(((0, 1), "2"), 3, 2),
         lambda: FactorKernel(0, 1.0, (0.2,)),
         lambda: FactorKernel(("a",), 1.0, (0.2,)),
         lambda: induced_kernel(3, HYPERS),
@@ -173,7 +199,8 @@ TWO_TABLES = [np.zeros(2), np.zeros(2)]
     ids=[
         "graph_fraction", "graph_bool", "graph_str", "graph_scalar_subset",
         "decomposition_fraction", "decomposition_bool", "decomposition_str",
-        "decomposition_scalar_subset", "kernel_scalar_subset", "kernel_str",
+        "decomposition_scalar_subset", "decomposition_bool_tuples", "move_deltas_fraction",
+        "move_deltas_str", "kernel_scalar_subset", "kernel_str",
         "induced_scalar_subsets", "induced_scalar_subset", "induced_str",
         "point_at_scalar", "point_at_str",
     ],

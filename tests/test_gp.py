@@ -199,6 +199,18 @@ def test_log_marginal_likelihood_1x1_hand_value():
     assert log_marginal_likelihood(kernel, obs) == pytest.approx(want, rel=1e-12)
 
 
+def test_log_marginal_likelihood_scores_a_given_gram_and_refuses_a_non_finite_one():
+    rng = np.random.default_rng(32)
+    kernel = random_kernel(rng, 3)
+    obs = ObservationSet(rng.uniform(size=(8, 3)), rng.normal(size=8), 0.2)
+    assert log_marginal_likelihood(gram(kernel, obs.X), obs) == log_marginal_likelihood(
+        kernel, obs
+    )
+    for K in (np.full((8, 8), np.nan), np.full((8, 8), np.inf), np.eye(7)):
+        with pytest.raises(ContractViolationError, match="finite"):
+            log_marginal_likelihood(K, obs)
+
+
 def test_log_marginal_likelihood_needs_data():
     kernel = AdditiveKernel(
         factors=(FactorKernel(subset=(0,), signal_variance=1.0, lengthscales=(0.3,)),)

@@ -5,7 +5,9 @@ reference's full length, its queries are all the pinned ones.
 
 perfbench calls RunConfig.from_dict, resolve, run_resolved,
 cli.benchmark_run_config and the RunResult and SolveResult fields, and its
-tracer patches functions of engine, gp, maxsum and decomposition by name.
+tracer patches functions of engine, gp, maxsum and decomposition by name;
+an MCMC chain must score its states through decomposition.log_evidence
+and gp.log_marginal_likelihood.
 A rename or a removal there fails here, in seconds, instead of in the
 benchmark.
 """
@@ -43,6 +45,12 @@ def test_traced_workload_runs_clean(workload):
     reference = _reference(workload)
     assert reference["run_seed"] == 0
     assert out["queries"] == reference["queries"][: len(out["queries"])]
+    if workload == "h6_mcmc":
+        # the tracer times the chain's evidence by the names log_evidence and
+        # log_marginal_likelihood: each of the 3 iterations runs a 16-step
+        # chain that scores 16 + 1 states
+        assert out["metrics"]["decomposition.log_evidence_calls"] == 3 * (16 + 1)
+        assert out["metrics"]["gp.evidence_calls"] == 3 * (16 + 1)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
