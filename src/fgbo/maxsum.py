@@ -32,21 +32,34 @@ add is a monotone map that does not read it.  With P_0 = phi and P_j the
 max over position j-1 of fl(P_{j-1} + m_{j-1}), the message to position p
 starts from P_p, then for each q > p in order adds m_q and maximizes out
 position q.  These are the defining floats, bit for bit, with the same adds
-in the same order.  The messages to positions 1..k-1 share P_1, so a 3-ary
-factor's three messages take two full-table add+max passes per round, not
-six adds and three maxes; a 1-ary factor's message is a copy of phi.  A
-variable's message to a factor is summed from zeros over its other incident
-factors' messages, in factor order.
+in the same order.  A factor of arity k >= 2 sweeps its full table twice:
+P_1, the max over position 0 of fl(phi + m_0), which the messages to
+positions 1..k-1 share, and the max over position 1 of fl(phi + m_1), the
+first step of the message to position 0.  Every other step reads a
+tau^(k-1) array or smaller.  A 1-ary factor's message is a copy of phi.
+
+Each of the two full-table eliminations reads phi and one incoming row, m_0
+or m_1, so a solve keeps both per factor from round to round and
+recomputes one only in a round after its row of the variable-to-factor
+messages changed bit for bit: the row flags the stale rule computes.  A
+kept elimination is the one its identical inputs would give again, so the
+floats are unchanged.  The row stays unchanged for a whole solve when its
+variable is in no other factor.  The steps that read the other rows, over
+tau^(k-1) entries or fewer, run in every round that recomputes the
+factor.  A variable's message to a factor is summed from zeros over its
+other incident factors' messages, in factor order.
 
 A solve keeps its messages in two (edges x tau) arrays, factor to variable
 and variable to factor, whose row r is the edge FactorGraph.edges[r]; each
 round's raw messages go into two arrays of the same shape.  The graph
 precomputes the rows the loop reads: each factor's rows in subset order
 (factor_rows), each edge's variable's other rows in factor order
-(other_rows) and each variable's decoding row (decoding_rows).  The damping
-step blends, normalizes and measures the change of all messages of one kind
-at once; it is elementwise and per row, so its floats are those of one
-message at a time.
+(other_rows), the same rows as layers (other_layers: layer j adds every
+edge's j-th other row, so the layers add from zeros in factor order, one
+array operation each) and each variable's decoding row (decoding_rows).
+The damping step blends, normalizes and measures the change of all
+messages of one kind at once; it is elementwise and per row, so its floats
+are those of one message at a time.
 
 Decoding picks, per variable, the incident factor with the smallest
 lexicographic subset, then the lowest factor index (its decoding edge), and
@@ -68,8 +81,9 @@ tau^|I| per factor-to-variable message per round, and decode_lookups counts
 tau^|I| per decoding-edge message of that one final pass, one per variable
 per solve: the cost model's decoding, although the pass computes every
 message of each factor it recomputes.  computed_lookups counts the same
-tau^|I| for the messages the solve actually computed, the work done, every
-message of the final pass included.
+tau^|I| for the messages of the factors a round recomputes, every message
+of the final pass included.  It does not discount the kept eliminations,
+so it is an upper bound on the table entries the solve sweeps.
 """
 
 from __future__ import annotations
@@ -139,6 +153,17 @@ class FactorGraph:
             tuple(r2 for r2 in var_rows[v] if r2 != r)
             for r, (fi, v) in enumerate(self.edges)
         )
+        # the same rows in layers: layer j holds (edge rows, their j-th
+        # other rows), so adding the layers in order onto zeros sums each
+        # edge's other rows in factor order
+        layers = []
+        for r, others in enumerate(self.other_rows):
+            for j, r2 in enumerate(others):
+                if j == len(layers):
+                    layers.append(([], []))
+                layers[j][0].append(r)
+                layers[j][1].append(r2)
+        self.other_layers = tuple((np.array(t), np.array(o)) for t, o in layers)
         # per variable, the row of the incident factor with the smallest
         # subset (lexicographic; the lowest factor index among equal subsets)
         self.decoding_rows = np.array(
@@ -147,7 +172,10 @@ class FactorGraph:
 
     def value_of(self, indices) -> float:
         """Sum of factor tables at one joint grid-index assignment."""
-        indices = check_indices(indices, self.num_variables, self.num_values)
+        return self._value(check_indices(indices, self.num_variables, self.num_values))
+
+    def _value(self, indices) -> float:
+        """value_of for indices known to be num_variables ints in range."""
         return float(
             sum(
                 tab[tuple(indices[j] for j in s)]
@@ -156,30 +184,45 @@ class FactorGraph:
         )
 
 
-def _along_axis(msg: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    shape = [1] * ndim
+def _eliminate(array: np.ndarray, msg: np.ndarray, axis: int) -> np.ndarray:
+    """max over axis of fl(array + msg along axis)."""
+    shape = [1] * array.ndim
     shape[axis] = msg.shape[0]
-    return msg.reshape(shape)
+    return (array + msg.reshape(shape)).max(axis=axis)
 
 
-def factor_messages(table: np.ndarray, incoming) -> list:
+def factor_messages(table: np.ndarray, incoming, elim0=None, elim1=None) -> list:
     """One factor's messages to its variables, in subset order, by
     eliminating one variable at a time.
 
     incoming[q] is the message from the variable at subset position q.  The
     floats equal the defining order's (see the module docstring): prefix is
-    P_p, with positions < p maximized out, so its axis 0 is position p.
+    P_p, with positions < p maximized out, so its axis 0 is position p.  A
+    factor of arity >= 2 sweeps its full table twice: elim0 = P_1 =
+    _eliminate(table, incoming[0], 0) and elim1 = _eliminate(table,
+    incoming[1], 1), the first step of the message to position 0.  A caller
+    may pass either one as computed from the same table and message, bit for
+    bit; then it is not computed again.
     """
     k = table.ndim
-    out = []
-    prefix = table
-    for p in range(k):
+    if k == 1:
+        return [table.copy()]
+    if elim0 is None:
+        elim0 = _eliminate(table, incoming[0], 0)
+    if elim1 is None:
+        elim1 = _eliminate(table, incoming[1], 1)
+    msg = elim1  # axis 0 is position 0, axis 1 the next to eliminate
+    for q in range(2, k):
+        msg = _eliminate(msg, incoming[q], 1)
+    out = [msg]
+    prefix = elim0
+    for p in range(1, k):
         msg = prefix  # axis 0 is position p, axis 1 the next to eliminate
         for q in range(p + 1, k):
-            msg = (msg + _along_axis(incoming[q], 1, msg.ndim)).max(axis=1)
-        out.append(msg.copy() if k == 1 else msg)
+            msg = _eliminate(msg, incoming[q], 1)
+        out.append(msg)
         if p < k - 1:
-            prefix = (prefix + _along_axis(incoming[p], 0, prefix.ndim)).max(axis=0)
+            prefix = _eliminate(prefix, incoming[p], 0)
     return out
 
 
@@ -234,7 +277,11 @@ def solve(
     the next pass computes from them, so the last round is followed by one
     more pass that is decoded and not damped; its decoding-edge messages
     are the decode lookups.  A factor whose incoming messages did not change
-    keeps its raw messages.
+    keeps its raw messages, and a factor of arity >= 2 keeps its two
+    full-table eliminations (see factor_messages): the one of position 0
+    while its position-0 incoming message is unchanged bit for bit, and the
+    one of position 1 while its position-1 message is.  Identical inputs
+    give identical floats, so the messages are those of recomputing both.
     """
     check_counts(ContractViolationError, 1, rounds=rounds)
     for name, value in (("damping", damping), ("tol", tol)):
@@ -252,9 +299,14 @@ def solve(
     # the raw messages, kept from round to round: a factor whose rows of v2f
     # did not change keeps its rows, and a unary factor's row is phi
     raw_f2v = np.zeros_like(f2v)
+    # per factor of arity >= 2, its two full-table eliminations, each kept
+    # while the row of v2f it reads does not change
+    elim0 = [None] * len(g.subsets)
+    elim1 = [None] * len(g.subsets)
     starts = [rows[0] for rows in g.factor_rows]  # factor-major rows
     unary = [len(s) == 1 for s in g.subsets]
     stale = [False] * len(g.subsets)  # per factor: compute nothing this round
+    changed = [True] * len(g.edges)  # per row of v2f: changed in the last round
     # the cost model: every message per round, one per variable to decode
     round_lookups = sum(len(s) * tab.size for s, tab in zip(g.subsets, g.tables))
     decode_lookups = sum(g.tables[g.edges[r][0]].size for r in g.decoding_rows)
@@ -263,17 +315,22 @@ def solve(
         for fi, rows in enumerate(g.factor_rows):
             if stale[fi]:
                 continue
-            msgs = factor_messages(g.tables[fi], [v2f[r] for r in rows])
+            table = g.tables[fi]
+            if not unary[fi]:
+                if changed[rows[0]]:
+                    elim0[fi] = _eliminate(table, v2f[rows[0]], 0)
+                if changed[rows[1]]:
+                    elim1[fi] = _eliminate(table, v2f[rows[1]], 1)
+            msgs = factor_messages(table, [v2f[r] for r in rows], elim0[fi], elim1[fi])
             for r, msg in zip(rows, msgs):
                 raw_f2v[r] = msg
-            diag.computed_lookups += len(rows) * g.tables[fi].size
+            diag.computed_lookups += len(rows) * table.size
         raw_v2f = np.zeros_like(v2f)
-        for r, others in enumerate(g.other_rows):  # summed from zeros in factor order
-            for r2 in others:
-                raw_v2f[r] += f2v[r2]
+        for targets, sources in g.other_layers:  # summed from zeros in factor order
+            raw_v2f[targets] += f2v[sources]
         if rnd > 0:
             idx = decode(g, raw_f2v, raw_v2f)
-            val = g.value_of(idx)
+            val = g._value(idx.tolist())
             diag.trace.append((rnd, delta, val))
             if diag.best_value is None or val > diag.best_value:
                 diag.best_value = val
@@ -289,6 +346,9 @@ def solve(
         v2f, delta_v2f = _damped(v2f, raw_v2f, damping)
         delta = max(delta_f2v, delta_v2f)
         # bit patterns, so that equal rows are identical inputs
-        changed = (v2f.view(np.uint64) != old_v2f.view(np.uint64)).any(axis=1)
-        changed = np.logical_or.reduceat(changed, starts).tolist()
-        stale = [u or not c for u, c in zip(unary, changed)]
+        changed_rows = (v2f.view(np.uint64) != old_v2f.view(np.uint64)).any(axis=1)
+        changed = changed_rows.tolist()
+        stale = [
+            u or not c
+            for u, c in zip(unary, np.logical_or.reduceat(changed_rows, starts).tolist())
+        ]

@@ -211,6 +211,23 @@ def test_log_marginal_likelihood_scores_a_given_gram_and_refuses_a_non_finite_on
             log_marginal_likelihood(K, obs)
 
 
+def test_the_cholesky_solve_is_scipys_and_checks_lapack_info(monkeypatch):
+    # _factorize calls LAPACK's dpotrs itself; cho_solve makes the same call
+    from scipy.linalg import cho_solve
+
+    rng = np.random.default_rng(33)
+    kernel = random_kernel(rng, 3)
+    for t in (1, 2, 15, 60):
+        obs = ObservationSet(rng.uniform(size=(t, 3)), rng.normal(size=t), 0.2)
+        K = gram(kernel, obs.X)
+        L, _, alpha = fgbo.gp._factorize(K.copy(), obs)
+        want = cho_solve((L, True), obs.y, check_finite=False)
+        assert np.array_equal(alpha.view(np.uint64), want.view(np.uint64))
+    monkeypatch.setattr(fgbo.gp, "dpotrs", lambda c, b, lower: (b.copy(), -2))
+    with pytest.raises(NumericalFailureError, match="LAPACK info -2"):
+        fit(kernel, obs)
+
+
 def test_log_marginal_likelihood_needs_data():
     kernel = AdditiveKernel(
         factors=(FactorKernel(subset=(0,), signal_variance=1.0, lengthscales=(0.3,)),)

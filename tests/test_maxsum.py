@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fgbo import maxsum
 from fgbo.acquisition import GridSpec, tabulate
 from fgbo.errors import ContractViolationError
 from fgbo.gp import ObservationSet, fit
@@ -105,6 +106,27 @@ def test_factor_messages_equal_the_defining_order(kind):
                 assert np.array_equal(msg, want[p]), (arity, tau, p)
             if arity == 1:  # a copy of phi, never phi itself
                 assert got[0] is not table
+
+
+@pytest.mark.parametrize("kind", ["normal", "ties", "wide"])
+def test_kept_eliminations_give_the_same_messages(kind):
+    # solve passes the full-table eliminations it kept from an earlier round;
+    # factor_messages must return the floats it computes without them
+    rng = np.random.default_rng(10 + ["normal", "ties", "wide"].index(kind))
+    for arity in range(2, 6):
+        for tau in (2, 3, 7):
+            table = _draw(rng, kind, (tau,) * arity)
+            if kind == "ties":
+                table[rng.random(size=table.shape) < 0.3] = -0.0
+            incoming = [_draw(rng, kind, tau) for _ in range(arity)]
+            want = factor_messages(table, incoming)
+            elim0 = maxsum._eliminate(table, incoming[0], 0)
+            elim1 = maxsum._eliminate(table, incoming[1], 1)
+            for kept in ((elim0, None), (None, elim1), (elim0, elim1)):
+                got = factor_messages(table, incoming, *kept)
+                assert len(got) == arity
+                for a, b in zip(got, want):
+                    assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (arity, tau)
 
 
 def test_unary_chain_trivial():
@@ -275,11 +297,11 @@ def test_solve_records_trace():
     assert len(trace) == result.diagnostics.rounds_used
 
 
-def _digest(graphs) -> tuple[str, int, int]:
+def _digest(graphs, lookups=False) -> tuple[str, int, int]:
     """SHA-256, run count and round-capped run count of solving each
     (graph, rounds) pair undamped and damped.  It pins the best indices, the
     best value, rounds_used, converged and every (round, max_delta,
-    sigma_phi) row."""
+    sigma_phi) row, and with lookups the three lookup counts."""
     digest = hashlib.sha256()
     runs = capped = 0
     for g, rounds in graphs:
@@ -287,17 +309,16 @@ def _digest(graphs) -> tuple[str, int, int]:
             sol = solve(g, rounds, damping=damping)
             diag = sol.diagnostics
             rows = ["%d,%.17g,%.17g" % row for row in diag.trace]
-            digest.update(
-                repr(
-                    (
-                        tuple(int(v) for v in sol.indices),
-                        "%.17g" % diag.best_value,
-                        diag.rounds_used,
-                        diag.converged,
-                        rows,
-                    )
-                ).encode()
+            pinned = (
+                tuple(int(v) for v in sol.indices),
+                "%.17g" % diag.best_value,
+                diag.rounds_used,
+                diag.converged,
+                rows,
             )
+            if lookups:
+                pinned += (diag.message_lookups, diag.decode_lookups, diag.computed_lookups)
+            digest.update(repr(pinned).encode())
             runs += 1
             capped += not diag.converged
     return digest.hexdigest(), runs, capped
@@ -421,6 +442,125 @@ def test_fixed_messages_on_a_tree_are_not_recomputed():
         assert long.best_value == short.best_value
 
 
+# the decompositions of the Hartmann-6 mf3 benchmark cell's run seeds 0-11
+H6_MF3_SUBSETS = (
+    ((0, 3, 5), (1, 2, 4), (1, 3, 5)),
+    ((0, 1, 4), (0, 2, 3), (1, 4, 5)),
+    ((0, 2, 5), (0, 3, 5), (1, 3, 4)),
+    ((0, 2, 3), (0, 3, 5), (1, 4, 5)),
+    ((0, 1, 2), (0, 3, 5), (3, 4, 5)),
+    ((0, 1, 3), (0, 2, 3), (1, 4, 5)),
+    ((0, 1, 2), (0, 3, 4), (3, 4, 5)),
+    ((0, 2, 4), (1, 3, 5), (2, 3, 5)),
+    ((0, 2, 4), (1, 2, 3), (1, 3, 5)),
+    ((0, 1, 3), (2, 3, 4), (2, 4, 5)),
+    ((0, 1, 3), (0, 2, 4), (1, 3, 5)),
+    ((0, 4, 5), (1, 2, 3), (1, 4, 5)),
+)
+
+
+def _smooth_table(rng, tau, arity):
+    """Random-walk table: normal steps summed along every axis, so that
+    neighbouring grid points hold close values, as UCB tables do."""
+    table = rng.normal(size=(tau,) * arity)
+    for axis in range(arity):
+        table = np.cumsum(table, axis=axis)
+    return table / tau**arity
+
+
+def _normal_table(rng, tau, arity):
+    return rng.normal(size=(tau,) * arity)
+
+
+def _workload_graphs():
+    """Graphs of the benchmark workloads' shapes at their default 30 rounds:
+    the mf3 decompositions at tau 32 (alternately smooth and rough tables),
+    weighted unions of 2- and 3-ary subsets at tau 16, as an MCMC refresh
+    merges its samples, and ten singletons at tau 16, as additive runs."""
+    rng = np.random.default_rng(9700)
+    for i, subsets in enumerate(H6_MF3_SUBSETS):
+        draw = _smooth_table if i % 2 == 0 else _normal_table
+        yield FactorGraph(6, 32, subsets, [draw(rng, 32, 3) for _ in subsets]), 30
+    unions = (
+        {(0, 1): 2 / 3, (0, 2, 3): 1 / 3, (1, 2, 5): 1 / 3, (1, 4): 1.0, (2, 3, 4): 2 / 3,
+         (3, 5): 1 / 3, (4, 5): 2 / 3},
+        {(0, 1, 2): 1.0, (1, 5): 0.5, (2, 3): 0.5, (3, 4, 5): 0.5, (3, 5): 0.5, (4,): 0.5},
+    )
+    for union in unions:
+        for draw in (_smooth_table, _normal_table):
+            tables = [w * draw(rng, 16, len(s)) for s, w in union.items()]
+            yield FactorGraph(6, 16, list(union), tables), 30
+    singletons = [(v,) for v in range(10)]
+    yield FactorGraph(10, 16, singletons, [rng.normal(size=16) for _ in singletons]), 30
+
+
+# Recorded from the solver that swept every recomputed factor's full table
+# twice per round.
+WORKLOAD_SHA256 = "3ee8bb29b3c4a777c4635cabac30032e9b6a12635b977ccbbe1c34978bfc52f5"
+
+
+def test_workload_shaped_solves_are_pinned():
+    digest, runs, capped = _digest(_workload_graphs(), lookups=True)
+    assert (runs, capped) == (34, 22)
+    assert digest == WORKLOAD_SHA256
+
+
+def _tie_table(rng, tau, arity):
+    """Small integers, with some zeros negative: many maxima tie, and
+    sums and normalized messages hold zeros of both signs."""
+    table = rng.integers(-2, 3, size=(tau,) * arity).astype(float)
+    table[(table == 0) & (rng.random(size=table.shape) < 0.5)] = -0.0
+    return table
+
+
+def _tie_graphs():
+    """Tied tables on 2- and 3-ary graphs in which a factor's position-0 or
+    position-1 variable is in no other factor (degree 1) or in one other
+    (degree 2), as the kept full-table passes read exactly those rows."""
+    rng = np.random.default_rng(9800)
+    shapes = (
+        [(0, 1, 2), (2, 3, 4)],  # factor 0: positions 0 and 1 of degree 1
+        [(0, 1, 2), (0, 2, 3)],  # factor 0: position 0 of degree 2, 1 of degree 1
+        [(0, 1, 3), (1, 2, 3)],  # factor 0: position 0 of degree 1, 1 of degree 2
+        [(0, 1), (1, 2), (0, 2)],  # a loop of pairs, every variable of degree 2
+        [(0, 1, 2), (1, 3), (2, 3, 4), (0, 4)],
+        [(0, 1), (0, 1, 2), (2,), (1, 2)],
+    )
+    for i, subsets in enumerate(shapes):
+        for tau in (2, 3, 5):
+            n = 1 + max(max(s) for s in subsets)
+            tables = [_tie_table(rng, tau, len(s)) for s in subsets]
+            yield FactorGraph(n, tau, subsets, tables), 30 if i % 2 == 0 else 2 + tau
+
+
+# Recorded from the solver that swept every recomputed factor's full table
+# twice per round.
+TIES_SHA256 = "dc73ac0bd77c365f382ddc63b64f4f27261b8538de9fb7f0e8675541d2240096"
+
+
+def test_tied_and_signed_zero_solves_are_pinned():
+    digest, runs, capped = _digest(_tie_graphs(), lookups=True)
+    assert (runs, capped) == (36, 18)
+    assert digest == TIES_SHA256
+
+
+def test_every_decoded_round_goes_through_decode(monkeypatch):
+    # a profiler times decoding by wrapping the module's decode, so solve
+    # must call it once per decoded round
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return decode(*args)
+
+    monkeypatch.setattr(maxsum, "decode", counting)
+    for g, rounds in itertools.islice(_tie_graphs(), 6):
+        for damping in (0.0, 0.4):
+            calls.clear()
+            diag = solve(g, rounds, damping=damping).diagnostics
+            assert len(calls) == diag.rounds_used
+
+
 def _index_table_graphs():
     yield FactorGraph(1, 3, [(0,), (0,), (0,)], [np.zeros(3)] * 3)
     subsets = [(1, 2), (0, 1), (1,), (0, 1, 2)]  # variable 1 in all four
@@ -445,6 +585,11 @@ def test_index_tables_match_their_definitions():
             factors = [edges[r2][0] for r2 in others]
             assert factors == sorted(set(factors))  # factor order, no repeats
             seen_three_factor_variable |= len(others) >= 2
+        # layer j pairs each edge that has a j-th other row with that row
+        assert len(g.other_layers) == max(map(len, g.other_rows))
+        for j, (targets, sources) in enumerate(g.other_layers):
+            assert targets.tolist() == [r for r, o in enumerate(g.other_rows) if len(o) > j]
+            assert sources.tolist() == [o[j] for o in g.other_rows if len(o) > j]
         assert len(g.decoding_rows) == g.num_variables
         for v, r in enumerate(g.decoding_rows):
             fi, var = edges[r]
